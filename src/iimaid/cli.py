@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from typing import Any, Callable
 
 from . import bn, depth, dot, efg, gamedoc, iiefg, incomplete, maid
-from .errors import GameError, SchemaViolation
+from .errors import GameError, SchemaViolation, ValidationError
 from .simulate import simulate as run_rollouts
 from .gamedoc import GameDocument, IiProfile, MaidProfile
 from .incomplete import IiMaid, InformationSet
@@ -447,11 +448,18 @@ def _scalar(v) -> str:
     return str(v)
 
 
+def _check_arguments(args: argparse.Namespace) -> None:
+    tol = getattr(args, "tol", None)
+    if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
+        raise ValidationError([f"invalid-argument: --tol must be finite and >= 0, got {tol}"])
+
+
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.monotonic()
     try:
+        _check_arguments(args)
         code, result, work = _COMMANDS[args.command](args)
     except (GameError, OSError) as exc:
         error: dict[str, Any] = {"type": type(exc).__name__, "message": str(exc)}

@@ -37,6 +37,7 @@ from .maid import (
     Maid,
     Model,
     PostPolicyMaid,
+    argmax_action,
     base_maid,
     fixed_rules,
     free_decisions,
@@ -404,8 +405,9 @@ def final_decision_assignment(
 
     Every decision all of whose reachable contexts are final gets a complete
     rule: the belief-weighted argmax row per final context and the least
-    action elsewhere.  Rules are written into every believed model where the
-    context arises.
+    action elsewhere.  Ties follow ``maid.argmax_action``, the package's one
+    tie rule (see the ``maid`` module docstring).  Rules are written into
+    every believed model where the context arises.
     """
     finals = final_information_sets(stack, nid, agent)
     s = stack.nodes[nid]
@@ -438,12 +440,12 @@ def final_decision_assignment(
     steps = []
     picks: dict[InformationSet, str] = {}
     for iset in to_assign:
-        best_action, best_value = None, 0.0
-        for action in iset.actions:
-            v = believed_action_value(stack, nid, agent, iset, action, value_fn)
-            if best_action is None or v > best_value + TOL:
-                best_action, best_value = action, v
-        assert best_action is not None
+        values = {
+            action: believed_action_value(stack, nid, agent, iset, action, value_fn)
+            for action in iset.actions
+        }
+        best_action = argmax_action(values)
+        best_value = values[best_action]
         picks[iset] = best_action
         written = tuple(
             cid for cid, _, isets in ready if iset in set(isets.values())

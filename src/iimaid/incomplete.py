@@ -27,7 +27,9 @@ from .maid import (
     Maid,
     Model,
     PostPolicyMaid,
+    argmax_action,
     base_maid,
+    decision_values,
     expected_utilities,
     fixed_rules,
     free_decisions,
@@ -435,11 +437,58 @@ def best_response_ii(
 ) -> tuple[dict[InformationSet, Row], float]:
     """Best pure information-set policy against the others' rules.
 
-    Enumeration covers only info sets encounterable in some positively
-    believed model; elsewhere the policy falls back to the least action.
-    First maximizer in lexicographic order wins.
+    When the agent has at most one free decision in every positively
+    believed model, subjective value is a sum over information sets: each
+    believed model's ``maid.decision_values`` table is added, weighted by
+    belief, into per-information-set action values, and each information set
+    takes ``maid.argmax_action`` (the package tie rule; see ``maid``).
+    Information sets never reached with positive probability, and those not
+    encounterable in any believed model, take the least action.  Otherwise
+    every pure policy over the encounterable information sets is enumerated,
+    first maximizer in lexicographic order winning, and ``cap`` bounds only
+    that fallback.
     """
     at = at or x.objective
+    relevant, rest = _profile_slots(x, agent, at)
+    believed = [
+        (x.models[sid].model, w)
+        for sid, w in sorted(x.models[at].beliefs[agent].items())
+        if w > 0.0
+    ]
+    if any(len(free_decisions(model, agent)) > 1 for model, _ in believed):
+        return _best_response_ii_exhaustive(x, agent, others, at, cap)
+    least = {iset: _default_row(iset.actions) for iset in relevant + rest}
+    # The agent's own rows are placeholders here: each believed model's
+    # table leaves the agent's one decision open.
+    placeholders = {**dict(others), **least}
+    values: dict[InformationSet, dict[str, float]] = {}
+    for model, w in believed:
+        m = base_maid(model)
+        rules = profile_rules_for_model(model, placeholders)
+        for d in free_decisions(model, agent):
+            pa, actions = m.parents[d], m.variables[d].domain
+            for ctx, q_row in decision_values(model, rules, d, agent).items():
+                iset = InformationSet(agent, tuple(zip(pa, ctx)), actions)
+                total = values.setdefault(iset, dict.fromkeys(actions, 0.0))
+                for label, q in q_row.items():
+                    total[label] += w * q
+    best = {
+        iset: bn.point_row(iset.actions, argmax_action(values[iset]))
+        if iset in values
+        else least[iset]
+        for iset in relevant + rest
+    }
+    return best, subjective_expected_utility(x, agent, at, {**dict(others), **best})
+
+
+def _best_response_ii_exhaustive(
+    x: IiMaid,
+    agent: str,
+    others: IiPolicy,
+    at: str,
+    cap: int = DEFAULT_CAP,
+) -> tuple[dict[InformationSet, Row], float]:
+    """Best response by enumerating every pure policy (at most ``cap``)."""
     relevant, rest = _profile_slots(x, agent, at)
     count = 1
     for iset in relevant:
@@ -483,7 +532,9 @@ def is_nash_ii(
     """Check the profile for unilateral deviations in subjective value.
 
     Each agent's value is taken at the objective model's beliefs and compared
-    with their best response there.
+    with their best response there.  A regret above ``tol`` fails the check;
+    the ``maid`` module docstring sets out the tolerance defaults and the tie
+    rule that both equilibrium families share.
     """
     issues = validate_ii_policy(x, profile)
     if issues:

@@ -4,6 +4,22 @@ A MAID is a Bayes net whose variables are partitioned into chance, decision
 and utility kinds, with decisions and utilities owned by agents.  Policies
 supply the missing decision CPDs; everything else reduces to exact inference
 on the induced network.
+
+Tolerances and ties
+-------------------
+Every solver that picks an action maximizes a table of action values at one
+parent context or information set and breaks ties with ``argmax_action``:
+the least action (in sorted domain order) among those whose value is within
+``bn.TOL`` (1e-9) of the maximum.  Contexts that have probability zero, so
+that every action is worth the same, get the least action.  This one rule is
+used by ``best_response`` here, ``incomplete.best_response_ii`` and
+``depth.final_decision_assignment``.
+
+Equilibrium checks compare each agent's regret (best-response value minus
+achieved value) with a separate, caller-chosen tolerance.  The library
+defaults differ: ``is_nash`` and ``find_pure_nash`` use ``tol=1e-9``, while
+``incomplete.is_nash_ii`` and ``incomplete.find_nash_ii`` use ``tol=1e-6``;
+the CLI passes 1e-6 to both families unless ``--tol`` says otherwise.
 """
 
 from __future__ import annotations
@@ -201,12 +217,15 @@ def decision_rule(model: Model, name: str, choose) -> Cpd:
     )
 
 
-def _merged_rules(model: Model, rules: PolicyRules) -> dict[str, Cpd]:
+def _merged_rules(
+    model: Model, rules: PolicyRules, open_decision: str | None = None
+) -> dict[str, Cpd]:
     m = base_maid(model)
     merged = {**fixed_rules(model), **dict(rules)}
+    merged.pop(open_decision, None)
     issues = []
     for d in m.decisions():
-        if d not in merged:
+        if d not in merged and d != open_decision:
             raise MissingRule(f"no rule for decision {d}")
     for name in merged:
         if name not in m.variables or m.kind(name) != DECISION:
@@ -260,6 +279,65 @@ def expected_utility(model: Model, rules: PolicyRules, agent: str) -> float:
     return expected_utilities(model, rules)[agent]
 
 
+def decision_values(
+    model: Model, rules: PolicyRules, d: str, agent: str
+) -> dict[tuple[str, ...], dict[str, float]]:
+    """The agent's Q-table for the free decision ``d`` under the other rules.
+
+    One enumeration pass over the induced network with ``d``'s row replaced
+    by weight 1 on every action.  ``Q[context][action]`` is the probability
+    mass of the parent context times the agent's expected utility after
+    taking the action there, so any rule ``r`` for ``d`` is worth
+    ``sum(r(a | ctx) * Q[ctx][a])``.  Contexts of probability zero have no
+    entry.  A rule for ``d`` in ``rules`` is ignored.
+    """
+    m = base_maid(model)
+    if agent not in m.agents:
+        raise UnknownAgent(agent)
+    if d not in free_decisions(model):
+        raise ValidationError([f"not-a-free-decision: {d}"])
+    tables = {**m.cpds, **_merged_rules(model, rules, open_decision=d)}
+    order = bn.topo_sort({name: m.parents[name] for name in m.variables})
+    payoff_vars = [(name, m.variables[name].values) for name in m.utilities(agent)]
+    pa = m.parents[d]
+    actions = m.variables[d].domain
+    q: dict[tuple[str, ...], dict[str, float]] = {}
+    a: dict[str, str] = {}
+
+    def rec(i: int, prob: float, q_row: dict[str, float]) -> None:
+        if i == len(order):
+            q_row[a[d]] += prob * sum(values[a[name]] for name, values in payoff_vars)
+            return
+        name = order[i]
+        if name == d:
+            q_row = q.setdefault(tuple(a[p] for p in pa), dict.fromkeys(actions, 0.0))
+            for label in actions:
+                a[d] = label
+                rec(i + 1, prob, q_row)
+            del a[d]
+            return
+        row = tables[name].row_for(a)
+        for label in m.variables[name].domain:
+            p = row.get(label, 0.0)
+            if p <= 0.0:
+                continue
+            a[name] = label
+            rec(i + 1, prob * p, q_row)
+            del a[name]
+
+    rec(0, 1.0, {})
+    return q
+
+
+def argmax_action(values: Mapping[str, float]) -> str:
+    """The least action whose value is within ``TOL`` of the maximum.
+
+    This is the package's single tie rule; see the module docstring.
+    """
+    top = max(values.values())
+    return min(label for label, v in values.items() if v >= top - TOL)
+
+
 def _policy_slots(model: Model, decisions: Iterable[str]) -> list[tuple[str, tuple[str, ...]]]:
     m = base_maid(model)
     slots = []
@@ -303,15 +381,65 @@ def best_response(
 ) -> tuple[dict[str, Cpd], float]:
     """The agent's best pure policy against fixed opponent rules.
 
-    Ties are broken lexicographically: the first maximizer in enumeration
-    order wins, which selects the least action at indifferent contexts.
+    With perfect recall this is backward induction: the agent's free
+    decisions are solved in reverse recall order, each by ``argmax_action``
+    per parent context of its ``decision_values`` table, with earlier own
+    decisions uniform and later ones at the rules already chosen.  Contexts
+    that have probability zero under the returned profile get the least
+    action.  Without perfect recall every pure policy is enumerated, and
+    ``cap`` bounds only that fallback.  The value is the expected utility
+    of the returned rules.
     """
-    if agent not in base_maid(model).agents:
+    m = base_maid(model)
+    if agent not in m.agents:
         raise UnknownAgent(agent)
-    own = free_decisions(model, agent)
+    recall, order = has_perfect_recall(model, agent)
+    if not recall:
+        return _best_response_exhaustive(model, others, agent, cap)
+    assert order is not None
+    tables: dict[str, dict[tuple[str, ...], dict[str, float]]] = {}
+    chosen: dict[str, Cpd] = {}
+    for i in reversed(range(len(order))):
+        d = order[i]
+        earlier = {e: uniform_rule(model, e) for e in order[:i]}
+        q = tables[d] = decision_values(model, {**dict(others), **earlier, **chosen}, d, agent)
+        chosen[d] = _argmax_rule(model, d, q, lambda ctx: True)
+    for i in range(1, len(order)):
+        # Perfect recall puts every earlier own decision among d's parents, so
+        # a context is unreachable exactly when an earlier rule never takes
+        # the action recorded in it; such contexts fall back to the least.
+        reachable = lambda ctx, i=i: all(
+            chosen[e].row_for(ctx)[ctx[e]] > 0.0 for e in order[:i]
+        )
+        chosen[order[i]] = _argmax_rule(model, order[i], tables[order[i]], reachable)
+    rules = {d: chosen[d] for d in sorted(chosen)}
+    return rules, expected_utility(model, {**dict(others), **rules}, agent)
+
+
+def _argmax_rule(
+    model: Model, d: str, q: Mapping[tuple[str, ...], Mapping[str, float]], reachable
+) -> Cpd:
+    m = base_maid(model)
+    least = m.variables[d].domain[0]
+
+    def choose(ctx: dict[str, str]) -> str:
+        key = tuple(ctx[p] for p in m.parents[d])
+        return argmax_action(q[key]) if key in q and reachable(ctx) else least
+
+    return decision_rule(model, d, choose)
+
+
+def _best_response_exhaustive(
+    model: Model, others: PolicyRules, agent: str, cap: int = DEFAULT_CAP
+) -> tuple[dict[str, Cpd], float]:
+    """Best response by enumerating every pure policy (at most ``cap``).
+
+    The first maximizer in ``iter_pure_rules`` order wins, which selects the
+    least action at indifferent contexts.
+    """
     best_rules: dict[str, Cpd] | None = None
     best_value = 0.0
-    for cand in iter_pure_rules(model, own, cap):
+    for cand in iter_pure_rules(model, free_decisions(model, agent), cap):
         value = expected_utility(model, {**dict(others), **cand}, agent)
         if best_rules is None or value > best_value:
             best_rules, best_value = cand, value
@@ -322,7 +450,11 @@ def best_response(
 def is_nash(
     model: Model, rules: PolicyRules, tol: float = 1e-9, cap: int = DEFAULT_CAP
 ) -> tuple[bool, dict[str, float]]:
-    """Check the profile for unilateral pure deviations; returns per-agent regret."""
+    """Check the profile for unilateral pure deviations; returns per-agent regret.
+
+    A regret above ``tol`` fails the check; see the module docstring for how
+    this default relates to ``incomplete.is_nash_ii``'s.
+    """
     m = base_maid(model)
     regrets: dict[str, float] = {}
     for agent in m.agents:

@@ -7,6 +7,7 @@ import random
 from dataclasses import dataclass
 
 from . import bn
+from .errors import ValidationError
 from .maid import Model, PolicyRules, base_maid, induced_network
 
 
@@ -26,6 +27,8 @@ def simulate(
 
     Identical (model, rules, rollouts, seed) inputs give identical reports.
     """
+    if rollouts < 1:
+        raise ValidationError([f"invalid-rollouts: need at least 1, got {rollouts}"])
     m = base_maid(model)
     net = induced_network(model, rules)
     order = bn.topological_order(net)

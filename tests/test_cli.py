@@ -239,3 +239,21 @@ def test_profile_mismatch_is_an_error(capsys, data_dir):
         "--profile", path_of(data_dir, "truthful_match.profile.json"))
     assert code == 2
     assert payload["error"]["type"] in ("MissingRule", "ValidationError")
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("simulate", ["--rollouts", "0"]),
+    ("simulate", ["--rollouts", "-5"]),
+    ("solve-nash", ["--tol", "nan"]),
+    ("check-nash", ["--tol", "inf"]),
+    ("check-nash", ["--tol", "-0.5"]),
+])
+def test_invalid_numeric_arguments_exit_two(capsys, data_dir, command, extra):
+    argv = [command, path_of(data_dir, "honesty_eval.maid.json")]
+    if command != "solve-nash":
+        argv += ["--profile", path_of(data_dir, "truthful_match.profile.json")]
+    code, payload = run_json(capsys, *argv, *extra)
+    assert code == 2
+    assert payload["command"] == command
+    assert payload["error"]["type"] == "ValidationError"
+    assert "result" not in payload

@@ -4,7 +4,7 @@ import pytest
 
 from iimaid import bn, incomplete as inc, maid
 from iimaid.bn import Cpd
-from iimaid.errors import MissingRule, ValidationError
+from iimaid.errors import MissingRule, SearchSpaceTooLarge, ValidationError
 from iimaid.incomplete import IiMaid, InformationSet, SubjectiveMaid
 
 
@@ -207,6 +207,30 @@ def test_best_response_ii_tie_takes_least_action(example1, ne_profile):
     assert value == pytest.approx(0.0)
     for iset, row in br.items():
         assert row == {"high": 1.0, "low": 0.0}
+
+
+def test_best_response_ii_enumerates_when_an_agent_acts_twice():
+    # H acts twice in the only model, so information sets are not separable
+    variables = [
+        bn.chance("X", ("a", "b")),
+        bn.decision("D1", "H", ("l", "r")),
+        bn.decision("D2", "H", ("l", "r")),
+        bn.utility("U", "H", {"z": 0.0, "o": 1.0}),
+    ]
+    edges = [("X", "D1"), ("X", "D2"), ("D1", "D2"), ("D1", "U"), ("D2", "U"), ("X", "U")]
+    cpds = [
+        Cpd("X", (), {(): {"a": 0.3, "b": 0.7}}),
+        bn.tabulate("U", ("z", "o"), {"D1": ("l", "r"), "D2": ("l", "r"), "X": ("a", "b")},
+                    lambda c: "o" if (c["D1"] == c["D2"]) == (c["X"] == "a") else "z"),
+    ]
+    m = maid.Maid.build(("H",), variables, edges, cpds)
+    x = IiMaid(("H",), "m", {"m": SubjectiveMaid("m", m, {"H": {"m": 1.0}})})
+    assert len(inc.information_sets(x, "H")) == 6
+    with pytest.raises(SearchSpaceTooLarge):
+        inc.best_response_ii(x, "H", {}, cap=63)
+    _, value = inc.best_response_ii(x, "H", {}, cap=64)
+    assert value == pytest.approx(1.0)
+    assert value == maid.best_response(m, {}, "H")[1]
 
 
 def test_is_nash_ii_accepts_equilibrium(example1, ne_profile):

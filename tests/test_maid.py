@@ -160,6 +160,22 @@ def test_imperfect_recall_detected():
     assert not ok and order is None
 
 
+def test_imperfect_recall_best_response_enumerates_under_the_cap():
+    m = forgetful_maid()
+    assert maid.count_pure_policies(m, m.decisions("H")) == 8
+    with pytest.raises(SearchSpaceTooLarge):
+        maid.best_response(m, {}, "H", cap=7)
+    rules, value = maid.best_response(m, {}, "H", cap=8)
+    assert (rules, value) == maid._best_response_exhaustive(m, {}, "H")
+    assert value == pytest.approx(1.0)
+
+
+def test_cap_bounds_only_the_exhaustive_fallback(capability):
+    others = {REPORT: truthful_match_rules()[REPORT]}
+    _, value = maid.best_response(capability, others, HUMAN, cap=1)
+    assert value == pytest.approx(0.9)
+
+
 def test_count_pure_policies(honesty, capability):
     assert maid.count_pure_policies(honesty, honesty.decisions()) == 64
     assert maid.count_pure_policies(capability, capability.decisions()) == 16

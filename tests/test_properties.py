@@ -4,8 +4,9 @@ from itertools import product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from iimaid import bn, efg, gamedoc, maid
+from iimaid import bn, efg, gamedoc, incomplete, maid
 from iimaid.bn import Cpd
+from iimaid.incomplete import IiMaid, SubjectiveMaid
 
 
 @st.composite
@@ -108,3 +109,220 @@ def test_nash_verdict_invariant_under_affine_payoffs(mp, scale, shift):
     edges = [(u, w) for w in m.variables for u in m.parents[w]]
     m2 = maid.Maid.build(m.agents, variables, edges, m.cpds.values())
     assert maid.is_nash(m, rules)[0] == maid.is_nash(m2, rules)[0]
+
+
+# ------------------------------------------- best response vs. enumeration
+
+PROBS = (0.0, 0.3, 0.5, 0.8, 1.0)   # 0 and 1 make some contexts unreachable
+
+
+def _point_label(row):
+    return max(row, key=row.get)
+
+
+def _random_pure_rule(draw, m, d):
+    dom = m.variables[d].domain
+    return Cpd(d, m.parents[d], {
+        ctx: bn.point_row(dom, draw(st.sampled_from(dom)))
+        for ctx in product(*(m.variables[p].domain for p in m.parents[d]))})
+
+
+def _payoff(name, owner, u_pa, draw):
+    labels = tuple(f"v{i:02d}" for i in range(2 ** len(u_pa)))
+    values, rows = {}, {}
+    for i, ctx in enumerate(product(*(("a", "b") if p.startswith("X") else ("l", "r")
+                                      for p in u_pa))):
+        values[labels[i]] = draw(st.integers(min_value=-4, max_value=4)) * 0.5
+        rows[ctx] = bn.point_row(labels, labels[i])
+    return bn.utility(name, owner, values), [(p, name) for p in u_pa], Cpd(name, u_pa, rows)
+
+
+def _chance_pair(draw):
+    """X0 and X1 <- X0, with rows that may put zero mass on an outcome."""
+    cpds = [Cpd("X0", (), {(): {"a": (p := draw(st.sampled_from(PROBS))), "b": 1.0 - p}})]
+    cpds.append(Cpd("X1", ("X0",), {
+        (x,): {"a": (p := draw(st.sampled_from(PROBS))), "b": 1.0 - p} for x in "ab"}))
+    return [bn.chance("X0", "ab"), bn.chance("X1", "ab")], [("X0", "X1")], cpds
+
+
+@st.composite
+def recall_game_with_profile(draw):
+    """A perfect-recall game and a pure profile.
+
+    P1 owns D1 and, sometimes, a second decision that observes D1, all of
+    D1's parents and possibly a chance variable D1 does not see.  It is
+    named to sort before or after D1, so recall order and name order can
+    disagree.  P2 owns D2, which may see D1, and is sometimes pre-committed
+    through a PostPolicyMaid.
+    """
+    variables, edges, cpds = _chance_pair(draw)
+    d1_pa = draw(st.sampled_from([(), ("X0",), ("X1",)]))
+    second = draw(st.sampled_from([None, "C1", "E1"]))
+    d2_pa = tuple(p for p in ("D1", "X0", "X1") if draw(st.booleans()))
+    variables += [bn.decision("D1", "P1", "lr"), bn.decision("D2", "P2", "lr")]
+    edges += [(p, "D1") for p in d1_pa] + [(p, "D2") for p in d2_pa]
+    u_pa = ("D1", "D2", "X0")
+    if second is not None:
+        # at most 64 pure policies for P1, so the oracle stays cheap
+        extra = () if d1_pa else draw(st.sampled_from([(), ("X0",), ("X1",)]))
+        variables.append(bn.decision(second, "P1", "lr"))
+        edges += [(p, second) for p in ("D1",) + d1_pa + extra]
+        u_pa = tuple(sorted(u_pa + (second,)))
+    for name, owner in (("U1", "P1"), ("U2", "P2")):
+        var, u_edges, cpd = _payoff(name, owner, u_pa, draw)
+        variables.append(var)
+        edges += u_edges
+        cpds.append(cpd)
+    m = maid.Maid.build(("P1", "P2"), variables, edges, cpds)
+    profile = {d: _random_pure_rule(draw, m, d) for d in m.decisions()}
+    if draw(st.booleans()):
+        return maid.PostPolicyMaid(m, {"D2": profile.pop("D2")}), profile
+    return m, profile
+
+
+def _unique_best_actions(scored, slots, tol=bn.TOL):
+    """Per slot, the action every policy beating all others by > tol takes.
+
+    ``scored`` lists (slot -> action, value) pairs over every pure policy; a
+    slot is decided when the best policy choosing some action beats every
+    policy choosing another one by more than ``tol``.
+    """
+    decided = {}
+    for slot in slots:
+        best = {}
+        for choice, value in scored:
+            a = choice[slot]
+            best[a] = max(best.get(a, value), value)
+        top = max(best, key=best.get)
+        if all(best[top] > v + tol for a, v in best.items() if a != top):
+            decided[slot] = top
+    return decided
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(recall_game_with_profile())
+def test_best_response_matches_exhaustive_enumeration(gp):
+    model, profile = gp
+    for agent in ("P1", "P2"):
+        own = maid.free_decisions(model, agent)
+        assert maid.has_perfect_recall(model, agent)[0]
+        others = {d: r for d, r in profile.items() if d not in own}
+        rules, value = maid.best_response(model, others, agent)
+        _, oracle_value = maid._best_response_exhaustive(model, others, agent)
+        assert abs(value - oracle_value) <= 1e-12
+        assert sorted(rules) == own
+        scored = [
+            ({(d, ctx): _point_label(row) for d in own for ctx, row in cand[d].rows.items()},
+             maid.expected_utility(model, {**others, **cand}, agent))
+            for cand in maid.iter_pure_rules(model, own)
+        ]
+        slots = [(d, ctx) for d in own for ctx in rules[d].rows]
+        for (d, ctx), action in _unique_best_actions(scored, slots).items():
+            assert _point_label(rules[d].rows[ctx]) == action
+        # contexts the returned profile never reaches take the least action
+        for d in own:
+            reached = maid.decision_values(model, {**others, **rules}, d, agent)
+            for ctx, row in rules[d].rows.items():
+                if ctx not in reached:
+                    assert _point_label(row) == min(row)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(recall_game_with_profile(), st.data())
+def test_decision_values_price_every_rule(gp, data):
+    model, profile = gp
+    m = maid.base_maid(model)
+    for d in maid.free_decisions(model):
+        dom = m.variables[d].domain
+        rows = {}
+        for ctx in product(*(m.variables[p].domain for p in m.parents[d])):
+            p = data.draw(st.sampled_from(PROBS))
+            rows[ctx] = {dom[0]: p, dom[1]: 1.0 - p}
+        rule = Cpd(d, m.parents[d], rows)
+        for agent in m.agents:
+            q = maid.decision_values(model, profile, d, agent)
+            priced = sum(rule.rows[ctx][a] * v for ctx, row in q.items() for a, v in row.items())
+            want = maid.expected_utility(model, {**profile, d: rule}, agent)
+            assert priced == pytest.approx(want, abs=1e-12)
+
+
+@st.composite
+def common_prior_game_with_profile(draw):
+    """A subjective game whose beliefs come from one prior, and a pure profile.
+
+    Two or three models share D1's observations but draw their own chance
+    rows and payoffs; D2 observes different variables in different models,
+    which adds information sets, and a model other than the objective one
+    may pre-commit D1.  Each agent's beliefs condition the prior on a random
+    partition of the models, so they are coherent.
+    """
+    ids = [f"m{i}" for i in range(draw(st.integers(min_value=2, max_value=3)))]
+    d1_pa = draw(st.sampled_from([(), ("X0",), ("X1",)]))
+    models = {}
+    for mid in ids:
+        variables, edges, cpds = _chance_pair(draw)
+        d2_pa = draw(st.sampled_from([("D1",), ("X0",), ("D1", "X0")]))
+        variables += [bn.decision("D1", "P1", "lr"), bn.decision("D2", "P2", "lr")]
+        edges += [(p, "D1") for p in d1_pa] + [(p, "D2") for p in d2_pa]
+        for name, owner in (("U1", "P1"), ("U2", "P2")):
+            var, u_edges, cpd = _payoff(name, owner, ("D1", "D2", "X0"), draw)
+            variables.append(var)
+            edges += u_edges
+            cpds.append(cpd)
+        m = maid.Maid.build(("P1", "P2"), variables, edges, cpds)
+        if mid != ids[0] and draw(st.booleans()):
+            m = maid.PostPolicyMaid(m, {"D1": _random_pure_rule(draw, m, "D1")})
+        models[mid] = m
+    prior = {mid: draw(st.sampled_from([1, 3, 9])) for mid in ids}
+    beliefs = {mid: {} for mid in ids}
+    for agent in ("P1", "P2"):
+        cell_of = {mid: draw(st.integers(min_value=0, max_value=len(ids) - 1)) for mid in ids}
+        for mid in ids:
+            cell = [j for j in ids if cell_of[j] == cell_of[mid]]
+            mass = sum(prior[j] for j in cell)
+            beliefs[mid][agent] = {j: prior[j] / mass for j in cell}
+    x = IiMaid(("P1", "P2"), ids[0], {
+        mid: SubjectiveMaid(mid, models[mid], beliefs[mid]) for mid in ids})
+    profile = {}
+    for agent in x.agents:
+        for iset in sorted(incomplete.information_sets(x, agent)):
+            profile[iset] = bn.point_row(iset.actions, draw(st.sampled_from(iset.actions)))
+    return x, profile
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(common_prior_game_with_profile())
+def test_best_response_ii_matches_exhaustive_enumeration(xp):
+    x, profile = xp
+    for agent in x.agents:
+        own = incomplete.information_sets(x, agent)
+        others = {i: r for i, r in profile.items() if i not in own}
+        for at in sorted(x.models):
+            br, value = incomplete.best_response_ii(x, agent, others, at)
+            oracle, oracle_value = incomplete._best_response_ii_exhaustive(
+                x, agent, others, at)
+            assert abs(value - oracle_value) <= 1e-12
+            assert set(br) == own
+            # With one free decision per model, subjective value is a sum
+            # over information sets, so the best policy choosing action a at
+            # one set is the oracle's policy with just that set changed.
+            for iset in incomplete._profile_slots(x, agent, at)[0]:
+                best = {}
+                for a in iset.actions:
+                    deviation = {**others, **oracle, iset: bn.point_row(iset.actions, a)}
+                    best[a] = incomplete.subjective_expected_utility(x, agent, at, deviation)
+                top = max(best, key=best.get)
+                if all(best[top] > v + bn.TOL for a, v in best.items() if a != top):
+                    assert _point_label(br[iset]) == top
+            # information sets no believed model reaches take the least action
+            reached = set()
+            for sid, w in x.models[at].beliefs[agent].items():
+                model = x.models[sid].model
+                rules = incomplete.profile_rules_for_model(model, {**others, **br})
+                for d in maid.free_decisions(model, agent) if w > 0.0 else ():
+                    pa = maid.base_maid(model).parents[d]
+                    reached |= {tuple(zip(pa, ctx))
+                                for ctx in maid.decision_values(model, rules, d, agent)}
+            for iset, row in br.items():
+                if iset.observation not in reached:
+                    assert _point_label(row) == min(row)
