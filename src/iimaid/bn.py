@@ -13,7 +13,7 @@ import heapq
 import random
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import (
     CycleError,
@@ -29,6 +29,7 @@ UTILITY = "utility"
 
 Row = Mapping[str, float]
 Assignment = Mapping[str, str]
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -125,6 +126,28 @@ def tabulate(child, child_domain, parent_domains: Mapping[str, Sequence[str]], c
 class BayesNet:
     variables: Mapping[str, Variable]
     cpds: Mapping[str, Cpd]
+
+
+def indexed(obj, build: Callable[..., T], *args: Hashable) -> T:
+    """``build(obj, *args)``, computed on first use and kept on ``obj``.
+
+    This is the package's one structural index.  ``obj`` is a frozen
+    dataclass, so whatever is derived from it alone holds for its lifetime.
+    Results live in a private ``_index`` attribute that is not a dataclass
+    field: it takes no part in ``==``, ``hash``, ``repr`` or serialization,
+    and it is freed with the object.  ``build`` must return an immutable
+    value, because every later caller receives that same value.
+    """
+    index = vars(obj).get("_index")
+    if index is None:
+        index = {}
+        object.__setattr__(obj, "_index", index)
+    key = (build, args)
+    try:
+        return index[key]
+    except KeyError:
+        value = index[key] = build(obj, *args)
+        return value
 
 
 def make_net(variables: Iterable[Variable], cpds: Iterable[Cpd]) -> BayesNet:

@@ -452,6 +452,12 @@ def _check_arguments(args: argparse.Namespace) -> None:
     tol = getattr(args, "tol", None)
     if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
         raise ValidationError([f"invalid-argument: --tol must be finite and >= 0, got {tol}"])
+    cap = getattr(args, "cap", None)
+    if cap is not None and cap < 1:
+        raise ValidationError([f"invalid-argument: --cap must be >= 1, got {cap}"])
+    depth_arg = getattr(args, "depth", None)
+    if depth_arg is not None and depth_arg < 0:
+        raise ValidationError([f"invalid-argument: --depth must be >= 0, got {depth_arg}"])
 
 
 def run(argv: list[str] | None = None) -> int:

@@ -28,6 +28,7 @@ from .incomplete import (
     IiMaid,
     InformationSet,
     SubjectiveMaid,
+    _matching_decisions,
     _support_contexts,
     believers,
     model_information_sets,
@@ -208,20 +209,6 @@ def is_open_minded(
     return not gaps, gaps
 
 
-def _matching_free(model: Model, agent: str, iset: InformationSet) -> list[str]:
-    m = base_maid(model)
-    obs_vars = tuple(v for v, _ in iset.observation)
-    out = []
-    for d in free_decisions(model, agent):
-        if (
-            m.parents[d] == obs_vars
-            and m.variables[d].domain == iset.actions
-            and all(val in m.variables[v].domain for v, val in iset.observation)
-        ):
-            out.append(d)
-    return out
-
-
 def _check_depth1(stack: DepthStack, nid: str, agent: str) -> None:
     if nid not in stack.nodes:
         raise ValidationError([f"unknown-node: {nid}"])
@@ -255,7 +242,7 @@ def final_information_sets(
         for c in children:
             m = base_maid(c.model)
             later = free_decisions(c.model, agent)
-            for d in _matching_free(c.model, agent, iset):
+            for d in _matching_decisions(c.model, iset):
                 if any(d in m.parents[d2] for d2 in later if d2 != d):
                     final = False
         if final:
@@ -366,13 +353,15 @@ def believed_action_value(
     row = s.beliefs.get(agent)
     if row is None:
         raise UnknownAgent(f"{agent} holds no beliefs in {nid}")
+    # ``agent``, not ``iset.agent``, names whose decisions are matched
+    asked = InformationSet(agent, iset.observation, iset.actions)
     total = 0.0
     hit = False
     for target, weight in sorted(row.items()):
         if weight <= 0.0:
             continue
         c = stack.nodes[target]
-        for d in _matching_free(c.model, agent, iset):
+        for d in _matching_decisions(c.model, asked):
             hit = True
             total += weight * value_fn(
                 c.model, agent, d, dict(iset.observation), action

@@ -9,12 +9,13 @@ by the observed parent context.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from . import bn
 from .bn import CHANCE, DECISION, Row
 from .errors import MissingRule, NonTopologicalOrder, UnknownAgent
-from .maid import Maid
+from .maid import Maid, topological_order
 
 # Strategy: (agent, information-set key) -> distribution over action labels.
 Strategy = Mapping[tuple[str, Hashable], Row]
@@ -50,13 +51,22 @@ class Efg:
 
 def info_sets(g: Efg, agent: str) -> dict[Hashable, list[int]]:
     """The agent's information sets: key -> sorted member node ids."""
+    return {key: list(members) for key, members in _info_sets(g, agent).items()}
+
+
+def _info_sets(g: Efg, agent: str) -> Mapping[Hashable, tuple[int, ...]]:
+    """``info_sets`` as a read-only mapping, built once per tree and agent."""
     if agent not in g.agents:
         raise UnknownAgent(agent)
+    return bn.indexed(g, _build_info_sets, agent)
+
+
+def _build_info_sets(g: Efg, agent: str) -> Mapping[Hashable, tuple[int, ...]]:
     out: dict[Hashable, list[int]] = {}
     for nid, node in enumerate(g.nodes):
         if node.kind == DECISION and node.owner == agent:
             out.setdefault(node.iset, []).append(nid)
-    return {k: sorted(v) for k, v in out.items()}
+    return MappingProxyType({k: tuple(sorted(v)) for k, v in out.items()})
 
 
 def maid2efg(
@@ -74,11 +84,7 @@ def maid2efg(
     """
     expandable = sorted(m.chance_variables() + m.decisions())
     if order is None:
-        names = [
-            v
-            for v in bn.topo_sort({n: m.parents[n] for n in m.variables})
-            if m.kind(v) != bn.UTILITY
-        ]
+        names = [v for v in topological_order(m) if m.kind(v) != bn.UTILITY]
     else:
         names = list(order)
         if sorted(names) != expandable:
@@ -197,7 +203,7 @@ def history(g: Efg, nid: int) -> list[tuple[int, str]]:
 
 def observation_of(g: Efg, agent: str, iset: Hashable) -> Observation:
     """The positions and labels every member history of the info set agrees on."""
-    members = info_sets(g, agent).get(iset)
+    members = _info_sets(g, agent).get(iset)
     if not members:
         raise MissingRule(f"agent {agent} has no information set {iset!r}")
     parents = _parent_map(g)
@@ -239,7 +245,7 @@ def has_perfect_recall_efg(g: Efg, agent: str) -> bool:
         path.reverse()
         return path
 
-    for members in info_sets(g, agent).values():
+    for members in _info_sets(g, agent).values():
         hists = [own_history(nid) for nid in members]
         if any(h != hists[0] for h in hists[1:]):
             return False

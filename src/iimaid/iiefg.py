@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping
 
 from . import bn
 from .bn import Row, TOL
-from .efg import Efg, efg_expected_utility, info_sets, maid2efg, observation_of
+from .efg import Efg, _info_sets, efg_expected_utility, info_sets, maid2efg, observation_of
 from .errors import (
     GameError,
     MissingRule,
@@ -98,8 +99,17 @@ def validate_belief_space(space: BeliefSpace, tol: float = TOL) -> list[str]:
 
 def belief_types(space: BeliefSpace, agent: str) -> dict[str, str]:
     """Group states by identical belief rows; each maps to its least member."""
+    return dict(_belief_types(space, agent))
+
+
+def _belief_types(space: BeliefSpace, agent: str) -> Mapping[str, str]:
+    """``belief_types`` as a read-only mapping, built once per space and agent."""
     if agent not in space.beliefs:
         raise UnknownAgent(agent)
+    return bn.indexed(space, _build_belief_types, agent)
+
+
+def _build_belief_types(space: BeliefSpace, agent: str) -> Mapping[str, str]:
     reps: dict[str, str] = {}
     groups: list[tuple[Mapping[str, float], str]] = []
     for w in space.states:
@@ -111,7 +121,7 @@ def belief_types(space: BeliefSpace, agent: str) -> dict[str, str]:
         else:
             groups.append((row, w))
             reps[w] = w
-    return reps
+    return MappingProxyType(reps)
 
 
 @dataclass(frozen=True, order=True)
@@ -163,16 +173,29 @@ def meta_information_sets(
     types, so a cell may have no member at states of its own type; strategies
     still assign it a row, which is what lets one policy serve every type.
     """
+    return dict(_meta_information_sets(g, agent))
+
+
+def _meta_information_sets(
+    g: IiEfg, agent: str
+) -> Mapping[MetaInfoSet, tuple[tuple[str, Hashable], ...]]:
+    """``meta_information_sets`` as a read-only mapping, built once per game."""
     if agent not in g.agents:
         raise UnknownAgent(agent)
+    return bn.indexed(g, _build_meta_information_sets, agent)
+
+
+def _build_meta_information_sets(
+    g: IiEfg, agent: str
+) -> Mapping[MetaInfoSet, tuple[tuple[str, Hashable], ...]]:
     classes: dict[tuple[tuple, tuple[str, ...]], list[tuple[str, Hashable]]] = {}
     for w in g.space.states:
         game = g.space.games[w]
-        for key, members in sorted(info_sets(game, agent).items(), key=repr):
+        for key, members in sorted(_info_sets(game, agent).items(), key=repr):
             actions = game.nodes[members[0]].actions
             obs = g.observation(agent, w, key)
             classes.setdefault((obs, actions), []).append((w, key))
-    types = belief_types(g.space, agent)
+    types = _belief_types(g.space, agent)
     out: dict[MetaInfoSet, tuple[tuple[str, Hashable], ...]] = {}
     for (obs, actions), members in sorted(classes.items(), key=repr):
         for rep in sorted(set(types.values())):
@@ -180,7 +203,23 @@ def meta_information_sets(
             out[cell] = tuple(
                 (w, key) for w, key in members if types[w] == rep
             )
-    return out
+    return MappingProxyType(out)
+
+
+def _observation_classes(
+    g: IiEfg, agent: str
+) -> Mapping[tuple[tuple, tuple[str, ...]], tuple[MetaInfoSet, ...]]:
+    """The agent's cells grouped by (observation, actions), one per belief type."""
+    return bn.indexed(g, _build_observation_classes, agent)
+
+
+def _build_observation_classes(
+    g: IiEfg, agent: str
+) -> Mapping[tuple[tuple, tuple[str, ...]], tuple[MetaInfoSet, ...]]:
+    out: dict[tuple[tuple, tuple[str, ...]], list[MetaInfoSet]] = {}
+    for cell in _meta_information_sets(g, agent):
+        out.setdefault((cell.observation, cell.actions), []).append(cell)
+    return MappingProxyType({k: tuple(v) for k, v in out.items()})
 
 
 def state_strategy(
@@ -193,8 +232,8 @@ def state_strategy(
     out: dict[tuple[str, Hashable], Row] = {}
     game = g.space.games[state]
     for agent in g.agents:
-        rep = belief_types(g.space, agent)[state]
-        for key, members in info_sets(game, agent).items():
+        rep = _belief_types(g.space, agent)[state]
+        for key, members in _info_sets(game, agent).items():
             actions = game.nodes[members[0]].actions
             cell = MetaInfoSet(agent, g.observation(agent, state, key), actions, rep)
             row = sigma.get(cell)
@@ -226,7 +265,7 @@ def interim_utility(g: IiEfg, sigma: Strategy, agent: str, state: str) -> float:
 
 def _deviation_cells(g: IiEfg, agent: str, state: str) -> list[MetaInfoSet]:
     """Cells of the agent's type at the state that their interim utility reads."""
-    types = belief_types(g.space, agent)
+    types = _belief_types(g.space, agent)
     rep = types[state]
     support = [
         w for w, p in g.space.beliefs[agent][state].items() if p > 0.0
@@ -236,7 +275,7 @@ def _deviation_cells(g: IiEfg, agent: str, state: str) -> list[MetaInfoSet]:
         game = g.space.games[w]
         if types[w] != rep:
             continue
-        for key, members in info_sets(game, agent).items():
+        for key, members in _info_sets(game, agent).items():
             actions = game.nodes[members[0]].actions
             cells.add(
                 MetaInfoSet(agent, g.observation(agent, w, key), actions, rep)
@@ -347,8 +386,8 @@ def maid2efgII(x: IiMaid) -> IiConversion:
 
     correspondence: dict[InformationSet, MetaInfoSet] = {}
     for agent in x.agents:
-        rep = belief_types(space, agent)[x.objective]
-        cells = meta_information_sets(g, agent)
+        rep = _belief_types(space, agent)[x.objective]
+        cells = _meta_information_sets(g, agent)
         for mid in sorted(x.models):
             for iset in sorted(model_information_sets(x.models[mid].model, agent)):
                 cell = MetaInfoSet(agent, iset.observation, iset.actions, rep)
@@ -366,7 +405,6 @@ def strategy_from_ii_policy(conv: IiConversion, profile: IiPolicy) -> dict[MetaI
     strategy is defined wherever any type plays.
     """
     g = conv.game
-    cells_of = {agent: meta_information_sets(g, agent) for agent in g.agents}
     sigma: dict[MetaInfoSet, Row] = {}
     for iset in sorted(profile):
         cell = conv.correspondence.get(iset)
@@ -374,11 +412,9 @@ def strategy_from_ii_policy(conv: IiConversion, profile: IiPolicy) -> dict[MetaI
             raise MissingRule(f"policy covers unknown information set {iset}")
         row = dict(profile[iset])
         sigma[cell] = row
-        for other in cells_of[cell.agent]:
-            if other != cell and (other.observation, other.actions) == (
-                cell.observation,
-                cell.actions,
-            ):
+        siblings = _observation_classes(g, cell.agent)[(cell.observation, cell.actions)]
+        for other in siblings:
+            if other != cell:
                 sigma.setdefault(other, row)
     return sigma
 

@@ -34,6 +34,7 @@ from .maid import (
     fixed_rules,
     free_decisions,
     has_perfect_recall,
+    topological_order,
 )
 
 
@@ -270,21 +271,21 @@ def _snap(v: float, eps: float = 1e-12) -> float:
     return float(v)
 
 
-def _support_contexts(model: Model, name: str) -> set[tuple[str, ...]]:
+def _support_contexts(model: Model, name: str) -> frozenset[tuple[str, ...]]:
     """Parent contexts of a decision reachable when every decision is free.
 
     Positivity is judged with all decisions, including pre-committed ones,
     replaced by free uniform choices; only chance zeros can rule a context out.
+    So the contexts depend on the base diagram alone, and are indexed there.
     """
-    m = base_maid(model)
+    return bn.indexed(base_maid(model), _build_support_contexts, name)
+
+
+def _build_support_contexts(m: Maid, name: str) -> frozenset[tuple[str, ...]]:
     pa = m.parents[name]
     if not pa:
-        return {()}
-    order = [
-        v
-        for v in bn.topo_sort({n: m.parents[n] for n in m.variables})
-        if m.kind(v) != bn.UTILITY
-    ]
+        return frozenset({()})
+    order = [v for v in topological_order(m) if m.kind(v) != bn.UTILITY]
     cut = max(order.index(p) for p in pa) + 1
     order = order[:cut]
     found: set[tuple[str, ...]] = set()
@@ -306,11 +307,15 @@ def _support_contexts(model: Model, name: str) -> set[tuple[str, ...]]:
             del a[v]
 
     rec(0)
-    return found
+    return frozenset(found)
 
 
-def model_information_sets(model: Model, agent: str) -> set[InformationSet]:
+def model_information_sets(model: Model, agent: str) -> frozenset[InformationSet]:
     """The agent's information sets arising from one model's open decisions."""
+    return bn.indexed(model, _build_model_information_sets, agent)
+
+
+def _build_model_information_sets(model: Model, agent: str) -> frozenset[InformationSet]:
     m = base_maid(model)
     out: set[InformationSet] = set()
     for d in free_decisions(model, agent):
@@ -318,17 +323,21 @@ def model_information_sets(model: Model, agent: str) -> set[InformationSet]:
         pa = m.parents[d]
         for ctx in _support_contexts(model, d):
             out.add(InformationSet(agent, tuple(zip(pa, ctx)), actions))
-    return out
+    return frozenset(out)
 
 
-def information_sets(x: IiMaid, agent: str) -> set[InformationSet]:
+def information_sets(x: IiMaid, agent: str) -> frozenset[InformationSet]:
     """Union of the agent's information sets over every model in the family."""
     if agent not in x.agents:
         raise UnknownAgent(agent)
+    return bn.indexed(x, _build_information_sets, agent)
+
+
+def _build_information_sets(x: IiMaid, agent: str) -> frozenset[InformationSet]:
     out: set[InformationSet] = set()
     for sid in sorted(x.models):
         out |= model_information_sets(x.models[sid].model, agent)
-    return out
+    return frozenset(out)
 
 
 def is_encounterable(iset: InformationSet, s: SubjectiveMaid) -> bool:
@@ -341,7 +350,12 @@ def is_encounterable(iset: InformationSet, s: SubjectiveMaid) -> bool:
     return bool(_matching_decisions(s.model, iset))
 
 
-def _matching_decisions(model: Model, iset: InformationSet) -> list[str]:
+def _matching_decisions(model: Model, iset: InformationSet) -> tuple[str, ...]:
+    """The model's open decisions of ``iset.agent`` that can face the set."""
+    return bn.indexed(model, _build_matching_decisions, iset)
+
+
+def _build_matching_decisions(model: Model, iset: InformationSet) -> tuple[str, ...]:
     m = base_maid(model)
     obs_vars = tuple(v for v, _ in iset.observation)
     matches = []
@@ -352,7 +366,7 @@ def _matching_decisions(model: Model, iset: InformationSet) -> list[str]:
             continue
         if all(val in m.variables[v].domain for v, val in iset.observation):
             matches.append(d)
-    return matches
+    return tuple(matches)
 
 
 def _default_row(actions: tuple[str, ...]) -> Row:
@@ -413,8 +427,14 @@ def subjective_expected_utility(
 
 def _profile_slots(
     x: IiMaid, agent: str, at: str
-) -> tuple[list[InformationSet], list[InformationSet]]:
+) -> tuple[tuple[InformationSet, ...], tuple[InformationSet, ...]]:
     """Split the agent's info sets into believed-relevant and the rest."""
+    return bn.indexed(x, _build_profile_slots, agent, at)
+
+
+def _build_profile_slots(
+    x: IiMaid, agent: str, at: str
+) -> tuple[tuple[InformationSet, ...], tuple[InformationSet, ...]]:
     weights = x.models[at].beliefs.get(agent)
     if weights is None:
         raise UnknownAgent(f"{agent} holds no beliefs in {at}")
@@ -425,7 +445,7 @@ def _profile_slots(
             relevant.append(iset)
         else:
             rest.append(iset)
-    return relevant, rest
+    return tuple(relevant), tuple(rest)
 
 
 def best_response_ii(

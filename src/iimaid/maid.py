@@ -242,11 +242,20 @@ def induced_network(model: Model, rules: PolicyRules) -> bn.BayesNet:
     return bn.BayesNet(m.variables, {**m.cpds, **_merged_rules(model, rules)})
 
 
+def topological_order(model: Model) -> tuple[str, ...]:
+    """The diagram's ``bn.topo_sort`` order, built once per base diagram."""
+    return bn.indexed(base_maid(model), _topological_order)
+
+
+def _topological_order(m: Maid) -> tuple[str, ...]:
+    return tuple(bn.topo_sort({name: m.parents[name] for name in m.variables}))
+
+
 def expected_utilities(model: Model, rules: PolicyRules) -> dict[str, float]:
     """Each agent's expected sum of utility variables under the profile."""
     m = base_maid(model)
     tables = {**m.cpds, **_merged_rules(model, rules)}
-    order = bn.topo_sort({name: m.parents[name] for name in m.variables})
+    order = topological_order(m)
     payoff_vars = [
         (name, m.variables[name].owner, m.variables[name].values)
         for name in m.utilities()
@@ -297,7 +306,7 @@ def decision_values(
     if d not in free_decisions(model):
         raise ValidationError([f"not-a-free-decision: {d}"])
     tables = {**m.cpds, **_merged_rules(model, rules, open_decision=d)}
-    order = bn.topo_sort({name: m.parents[name] for name in m.variables})
+    order = topological_order(m)
     payoff_vars = [(name, m.variables[name].values) for name in m.utilities(agent)]
     pa = m.parents[d]
     actions = m.variables[d].domain
@@ -456,24 +465,49 @@ def is_nash(
     this default relates to ``incomplete.is_nash_ii``'s.
     """
     m = base_maid(model)
+    achieved = expected_utilities(model, rules)
     regrets: dict[str, float] = {}
     for agent in m.agents:
-        achieved = expected_utility(model, rules, agent)
         own = set(free_decisions(model, agent))
         others = {d: r for d, r in rules.items() if d not in own}
         _, brv = best_response(model, others, agent, cap)
-        regrets[agent] = brv - achieved
+        regrets[agent] = brv - achieved[agent]
     return all(r <= tol for r in regrets.values()), regrets
 
 
 def find_pure_nash(
     model: Model, tol: float = 1e-9, cap: int = DEFAULT_CAP
 ) -> list[dict[str, Cpd]]:
-    """All pure-policy Nash equilibria, in lexicographic profile order."""
+    """All pure-policy Nash equilibria, in lexicographic profile order.
+
+    The verdict per profile is ``is_nash``'s, but an agent's best-response
+    value depends only on the other agents' rules, so it is computed once
+    per agent and choice of the others' actions and reused across profiles.
+    """
+    m = base_maid(model)
+    decisions = free_decisions(model)
+    slots = _policy_slots(model, decisions)
+    own = {agent: set(free_decisions(model, agent)) for agent in m.agents}
+    others_at = {
+        agent: [i for i, (d, _) in enumerate(slots) if d not in own[agent]]
+        for agent in m.agents
+    }
+    br_values: dict[tuple[str, tuple[str, ...]], float] = {}
     found = []
-    for profile in iter_pure_rules(model, free_decisions(model), cap):
-        ok, _ = is_nash(model, profile, tol, cap)
-        if ok:
+    # iter_pure_rules enumerates the same slots in the same product order
+    for combo, profile in zip(
+        product(*(m.variables[d].domain for d, _ in slots)),
+        iter_pure_rules(model, decisions, cap),
+    ):
+        achieved = expected_utilities(model, profile)
+        regrets = []
+        for agent in m.agents:
+            key = (agent, tuple(combo[i] for i in others_at[agent]))
+            if key not in br_values:
+                others = {d: r for d, r in profile.items() if d not in own[agent]}
+                br_values[key] = best_response(model, others, agent, cap)[1]
+            regrets.append(br_values[key] - achieved[agent])
+        if all(r <= tol for r in regrets):
             found.append(profile)
     return found
 

@@ -17,13 +17,18 @@ class SimulationReport:
     rollouts: int
     seed: int
     means: dict[str, float]
-    stderrs: dict[str, float]
+    # sample standard error of each mean; None for a single rollout
+    stderrs: dict[str, float | None]
 
 
 def simulate(
     model: Model, rules: PolicyRules, rollouts: int, seed: int
 ) -> SimulationReport:
     """Seeded ancestral rollouts; per-agent mean total utility and its error.
+
+    The error is the standard error of the mean from the sample variance
+    (n - 1 denominator), so it is undefined, and reported as None, when
+    ``rollouts`` is 1.
 
     Identical (model, rules, rollouts, seed) inputs give identical reports.
     """
@@ -38,18 +43,21 @@ def simulate(
     }
     rng = random.Random(seed)
     total = {agent: 0.0 for agent in m.agents}
-    total_sq = {agent: 0.0 for agent in m.agents}
-    for _ in range(rollouts):
+    # Welford's running mean and sum of squared deviations, for the error
+    # only: no cancellation when the mean is large against the spread.
+    running = {agent: 0.0 for agent in m.agents}
+    sq_dev = {agent: 0.0 for agent in m.agents}
+    for k in range(1, rollouts + 1):
         draw = bn.ancestral_sample(net, order, rng)
         for agent in m.agents:
             x = sum(values[draw[u]] for u, values in payoff_vars[agent])
             total[agent] += x
-            total_sq[agent] += x * x
+            delta = x - running[agent]
+            running[agent] += delta / k
+            sq_dev[agent] += delta * (x - running[agent])
     means = {agent: total[agent] / rollouts for agent in m.agents}
     stderrs = {
-        agent: math.sqrt(
-            max(0.0, total_sq[agent] / rollouts - means[agent] ** 2) / rollouts
-        )
+        agent: math.sqrt(sq_dev[agent] / (rollouts - 1) / rollouts) if rollouts > 1 else None
         for agent in m.agents
     }
     return SimulationReport(m.agents, rollouts, seed, means, stderrs)

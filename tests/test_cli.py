@@ -257,3 +257,23 @@ def test_invalid_numeric_arguments_exit_two(capsys, data_dir, command, extra):
     assert payload["command"] == command
     assert payload["error"]["type"] == "ValidationError"
     assert "result" not in payload
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve-nash", "honesty_eval.maid.json", "--cap", "0"],
+    ["export-dot", "evaluation_game_depth3.stack.json", "--depth", "-1"],
+])
+def test_out_of_range_cap_and_depth_exit_two(capsys, data_dir, argv):
+    code, payload = run_json(capsys, argv[0], path_of(data_dir, argv[1]), *argv[2:])
+    assert code == 2
+    assert payload["command"] == argv[0]
+    assert payload["error"]["type"] == "ValidationError"
+    assert argv[2] in payload["error"]["message"]
+
+
+def test_single_rollout_reports_null_stderr(capsys, data_dir):
+    code, payload = run_json(
+        capsys, "simulate", path_of(data_dir, "honesty_eval.maid.json"),
+        "--profile", path_of(data_dir, "always_low_match.profile.json"), "--rollouts", "1")
+    assert code == 0
+    assert payload["result"]["stderrs"] == {"A": None, "H": None}

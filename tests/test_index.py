@@ -1,0 +1,82 @@
+"""The per-object structural index: built once, shared, immutable, invisible."""
+from iimaid import bn, efg, fixtures, gamedoc, iiefg, incomplete, maid
+from iimaid.fixtures import always_low_match_rules, truthful_match_rules
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_second_is_nash_ii_rebuilds_no_structure(monkeypatch, example1, ne_profile):
+    topo = _counting(monkeypatch, bn, "topo_sort")
+    support = _counting(monkeypatch, incomplete, "_build_support_contexts")
+    first = incomplete.is_nash_ii(example1, ne_profile)
+    assert topo and support
+    topo.clear()
+    support.clear()
+    assert incomplete.is_nash_ii(example1, ne_profile) == first
+    assert topo == [] and support == []
+
+
+def test_post_policy_maids_share_their_base_support_contexts(monkeypatch, honesty):
+    support = _counting(monkeypatch, incomplete, "_build_support_contexts")
+    truthful = maid.PostPolicyMaid(honesty, {"D_A": truthful_match_rules()["D_A"]})
+    low = maid.PostPolicyMaid(honesty, {"D_A": always_low_match_rules()["D_A"]})
+    for d in honesty.decisions():
+        assert incomplete._support_contexts(truthful, d) is incomplete._support_contexts(
+            low, d)
+        assert incomplete._support_contexts(honesty, d) is incomplete._support_contexts(
+            low, d)
+    assert sorted(name for _, name in support) == honesty.decisions()
+
+
+def test_cached_structure_is_immutable(example1):
+    gt = example1.models["ground_truth"].model
+    assert isinstance(incomplete.model_information_sets(gt, "H"), frozenset)
+    assert isinstance(incomplete.information_sets(example1, "H"), frozenset)
+    assert isinstance(incomplete._support_contexts(gt, "D_H"), frozenset)
+    relevant, rest = incomplete._profile_slots(example1, "H", example1.objective)
+    assert isinstance(relevant, tuple) and isinstance(rest, tuple)
+    assert isinstance(incomplete._matching_decisions(gt, relevant[0]), tuple)
+    assert isinstance(maid.topological_order(gt), tuple)
+
+    # dict-valued answers are fresh copies, so a caller's edits stay local
+    conv = iiefg.maid2efgII(example1)
+    tree = conv.game.space.games["ground_truth"]
+    cases = [
+        lambda: efg.info_sets(tree, "H"),
+        lambda: iiefg.belief_types(conv.game.space, "A"),
+        lambda: iiefg.meta_information_sets(conv.game, "H"),
+    ]
+    for get in cases:
+        first = get()
+        want = {k: list(v) if isinstance(v, list) else v for k, v in first.items()}
+        key = next(iter(first))
+        if isinstance(first[key], list):
+            first[key].append(-1)
+        first.clear()
+        assert get() == want
+
+
+def test_index_leaves_equality_repr_and_serialization_alone():
+    x, fresh_x = fixtures.evaluation_iimaid(), fixtures.evaluation_iimaid()
+    m, fresh_m = x.models["ground_truth"].model, fresh_x.models["ground_truth"].model
+    before = (repr(x), gamedoc.serialize_document(x), repr(m), gamedoc.serialize_document(m))
+    incomplete.is_nash_ii(x, fixtures.ne_ii_profile())
+    iiefg.verify_equivalence(x, iiefg.maid2efgII(x), profiles=[fixtures.ne_ii_profile()])
+    assert vars(m).get("_index") and vars(x).get("_index")
+    assert not vars(fresh_m).get("_index") and not vars(fresh_x).get("_index")
+    assert x == fresh_x and m == fresh_m
+    after = (repr(x), gamedoc.serialize_document(x), repr(m), gamedoc.serialize_document(m))
+    assert after == before
+    assert after == (repr(fresh_x), gamedoc.serialize_document(fresh_x),
+                     repr(fresh_m), gamedoc.serialize_document(fresh_m))
+

@@ -246,6 +246,16 @@ def test_decision_values_price_every_rule(gp, data):
             assert priced == pytest.approx(want, abs=1e-12)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(recall_game_with_profile())
+def test_find_pure_nash_matches_is_nash_over_every_profile(gp):
+    model, _ = gp
+    decisions = maid.free_decisions(model)
+    assume(maid.count_pure_policies(model, decisions) <= 128)
+    oracle = [p for p in maid.iter_pure_rules(model, decisions) if maid.is_nash(model, p)[0]]
+    assert maid.find_pure_nash(model) == oracle
+
+
 @st.composite
 def common_prior_game_with_profile(draw):
     """A subjective game whose beliefs come from one prior, and a pure profile.

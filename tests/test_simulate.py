@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from iimaid import maid
+from iimaid import bn, maid
 from iimaid.fixtures import always_low_match_rules, truthful_match_rules
 from iimaid.simulate import simulate
 
@@ -45,3 +45,30 @@ def test_report_metadata(honesty):
     assert report.agents == ("A", "H")
     assert report.rollouts == 10
     assert report.seed == 0
+
+
+def test_single_rollout_has_no_stderr(honesty):
+    report = simulate(honesty, always_low_match_rules(), rollouts=1, seed=0)
+    assert report.stderrs == {"A": None, "H": None}
+
+
+def _offset_payoffs(m, offset):
+    variables = [
+        bn.utility(v.name, v.owner, {k: x + offset for k, x in v.values.items()})
+        if v.kind == "utility" else v
+        for v in m.variables.values()
+    ]
+    edges = [(u, w) for w in m.variables for u in m.parents[w]]
+    return maid.Maid.build(m.agents, variables, edges, m.cpds.values())
+
+
+def test_stderr_survives_a_large_mean(honesty):
+    # the spread is that of a +-1 coin; adding 1e8 to every payoff must not
+    # change it, though E[x^2] - mean^2 cancels to noise at that scale
+    rules = always_low_match_rules()
+    plain = simulate(honesty, rules, rollouts=5_000, seed=7)
+    shifted = simulate(_offset_payoffs(honesty, 1e8), rules, rollouts=5_000, seed=7)
+    for agent in honesty.agents:
+        assert shifted.means[agent] == pytest.approx(plain.means[agent] + 1e8, abs=1e-6)
+        assert shifted.stderrs[agent] == pytest.approx(plain.stderrs[agent], rel=1e-6)
+        assert plain.stderrs[agent] > 0
