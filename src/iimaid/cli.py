@@ -315,19 +315,7 @@ def _cmd_export_dot(args) -> tuple[int, dict, dict]:
     elif doc.kind == "ii-maid":
         text = dot.belief_tree_dot(doc.value, args.depth)
     elif doc.kind == "depth-stack":
-        stack = doc.value
-        lines = ["digraph G {"]
-        for nid in sorted(stack.nodes):
-            lines.append(f'  "{nid}" [shape=box];')
-        for nid in sorted(stack.nodes):
-            s = stack.nodes[nid]
-            for agent in incomplete.believers(s):
-                for target, p in sorted(s.beliefs[agent].items()):
-                    lines.append(
-                        f'  "{nid}" -> "{target}" [label="{agent}:{p:g}"];'
-                    )
-        lines.append("}")
-        text = "\n".join(lines) + "\n"
+        text = dot.stack_dot(doc.value)
     else:
         raise SchemaViolation("$.kind", f"cannot export {doc.kind!r} as DOT")
     return OK, {"dot": text}, {"characters": len(text)}

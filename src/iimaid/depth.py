@@ -43,6 +43,7 @@ from .maid import (
     fixed_rules,
     free_decisions,
     has_perfect_recall,
+    uniform_rule,
 )
 
 ValueFn = Callable[[Model, str, str, Mapping[str, str], str], float]
@@ -255,14 +256,7 @@ def _net_rows(model: Model, pinned: Mapping[str, Row]) -> bn.BayesNet:
     m = base_maid(model)
     cpds = dict(m.cpds)
     for d in free_decisions(model):
-        cpds[d] = Cpd(
-            d,
-            m.parents[d],
-            {
-                ctx: bn.uniform_row(m.variables[d].domain)
-                for ctx in product(*(m.variables[p].domain for p in m.parents[d]))
-            },
-        )
+        cpds[d] = uniform_rule(m, d)
     for d, rule in fixed_rules(model).items():
         cpds[d] = rule
     for d, row in pinned.items():
@@ -643,13 +637,7 @@ def unroll(x: IiMaid, k: int) -> DepthStack:
                 if agent == subject:
                     continue
                 for d in free_decisions(src.model, agent):
-                    m = base_maid(src.model)
-                    rules[d] = Cpd(d, m.parents[d], {
-                        ctx: bn.uniform_row(m.variables[d].domain)
-                        for ctx in product(
-                            *(m.variables[p].domain for p in m.parents[d])
-                        )
-                    })
+                    rules[d] = uniform_rule(src.model, d)
             model: Model = (
                 PostPolicyMaid(base_maid(src.model),
                                {**fixed_rules(src.model), **rules})

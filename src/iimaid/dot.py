@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from .bn import CHANCE, DECISION, UTILITY
+from .depth import DepthStack
 from .efg import Efg, info_sets
 from .errors import ValidationError
 from .incomplete import IiMaid, believers
@@ -121,5 +122,23 @@ def belief_tree_dot(x: IiMaid, depth: int, name: str = "G") -> str:
         return idx
 
     emit(x.objective, depth)
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def stack_dot(stack: DepthStack, name: str = "G") -> str:
+    """A depth stack's belief graph: one box per node, one edge per belief
+    entry labeled ``agent:probability``."""
+    lines = [f"digraph {name} {{"]
+    for nid in sorted(stack.nodes):
+        lines.append(f"  {_quote(nid)} [shape=box];")
+    for nid in sorted(stack.nodes):
+        node = stack.nodes[nid]
+        for agent in believers(node):
+            for target, p in sorted(node.beliefs[agent].items()):
+                lines.append(
+                    f"  {_quote(nid)} -> {_quote(target)} "
+                    f"[label={_quote(f'{agent}:{p:g}')}];"
+                )
     lines.append("}")
     return "\n".join(lines) + "\n"

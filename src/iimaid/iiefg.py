@@ -10,9 +10,10 @@ Solution concepts evaluate each agent's belief-weighted (interim) utility.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from types import MappingProxyType
-from typing import Hashable, Iterable, Mapping
+from typing import Callable, Hashable, Iterable, Mapping
 
 from . import bn
 from .bn import Row, TOL
@@ -27,7 +28,9 @@ from .errors import (
 from .incomplete import (
     IiMaid,
     InformationSet,
+    _per_model_utilities,
     _rows_close,
+    _subjective_value,
     iter_pure_ii_profiles,
     model_information_sets,
 )
@@ -249,6 +252,13 @@ def interim_utility(g: IiEfg, sigma: Strategy, agent: str, state: str) -> float:
     Believed states are evaluated under the profile as played there, so other
     agents' types may differ from their types at the given state.
     """
+    return _interim_value(g, agent, state, lambda w: state_strategy(g, sigma, w))
+
+
+def _interim_value(
+    g: IiEfg, agent: str, state: str, plays: Callable[[str], Mapping]
+) -> float:
+    """``interim_utility`` with ``plays(w)`` the profile as played at ``w``."""
     if agent not in g.agents:
         raise UnknownAgent(agent)
     if state not in g.space.states:
@@ -257,9 +267,7 @@ def interim_utility(g: IiEfg, sigma: Strategy, agent: str, state: str) -> float:
     for w, p in sorted(g.space.beliefs[agent][state].items()):
         if p <= 0.0:
             continue
-        total += p * efg_expected_utility(
-            g.space.games[w], state_strategy(g, sigma, w), agent
-        )
+        total += p * efg_expected_utility(g.space.games[w], plays(w), agent)
     return total
 
 
@@ -430,17 +438,20 @@ def verify_equivalence(
 
     Compares each agent's diagram-level subjective utility at the objective
     model with the interim utility of the lifted strategy at the objective
-    state; returns the largest absolute deviation seen.
+    state; returns the largest absolute deviation seen.  Per profile, each
+    model's expected utilities and each state's played strategy are
+    computed once and shared by every agent, with the same arithmetic as
+    ``subjective_expected_utility`` and ``interim_utility``.
     """
-    from .incomplete import subjective_expected_utility
-
     if profiles is None:
         profiles = iter_pure_ii_profiles(x, cap)
     worst = 0.0
     for profile in profiles:
         sigma = strategy_from_ii_policy(conv, profile)
+        utilities = _per_model_utilities(x, profile)
+        plays = cache(lambda w, sigma=sigma: state_strategy(conv.game, sigma, w))
         for agent in x.agents:
-            lhs = subjective_expected_utility(x, agent, x.objective, profile)
-            rhs = interim_utility(conv.game, sigma, agent, x.objective)
+            lhs = _subjective_value(x, agent, x.objective, utilities)
+            rhs = _interim_value(conv.game, agent, x.objective, plays)
             worst = max(worst, abs(lhs - rhs))
     return worst <= tol, worst

@@ -10,8 +10,10 @@ about the world.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
-from typing import Iterable, Iterator, Mapping
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from . import bn
 from .bn import Row, TOL
@@ -27,10 +29,12 @@ from .maid import (
     Maid,
     Model,
     PostPolicyMaid,
+    _decision_values,
+    _expected_utilities,
+    _free_decisions,
+    _row_invalid,
     argmax_action,
     base_maid,
-    decision_values,
-    expected_utilities,
     fixed_rules,
     free_decisions,
     has_perfect_recall,
@@ -373,30 +377,101 @@ def _default_row(actions: tuple[str, ...]) -> Row:
     return bn.point_row(actions, actions[0])
 
 
+class _DecisionSlots(NamedTuple):
+    """One open decision's slots in a model.
+
+    ``cells`` maps each parent context to its information set and whether
+    the context is in the decision's support.
+    """
+
+    parents: tuple[str, ...]
+    actions: tuple[str, ...]
+    domain: frozenset[str]
+    cells: Mapping[tuple[str, ...], tuple[InformationSet, bool]]
+
+
+def _decision_slots(model: Model) -> Mapping[str, _DecisionSlots]:
+    """Every open decision's slots, by owner then name, built once per model."""
+    return bn.indexed(model, _build_decision_slots)
+
+
+def _build_decision_slots(model: Model) -> Mapping[str, _DecisionSlots]:
+    m = base_maid(model)
+    out = {}
+    for agent in m.agents:
+        for d in free_decisions(model, agent):
+            pa, actions = m.parents[d], m.variables[d].domain
+            support = _support_contexts(model, d)
+            cells = {
+                ctx: (InformationSet(agent, tuple(zip(pa, ctx)), actions), ctx in support)
+                for ctx in product(*(m.variables[p].domain for p in pa))
+            }
+            out[d] = _DecisionSlots(pa, actions, frozenset(actions), MappingProxyType(cells))
+    return MappingProxyType(out)
+
+
 def profile_rules_for_model(model: Model, profile: IiPolicy) -> dict[str, Cpd]:
     """Decision rules for one model read off an information-set policy.
 
     Contexts that are unreachable under every policy (chance zeros) fall back
-    to a lexicographic default; reachable contexts must be covered.
+    to a lexicographic default; reachable contexts must be covered.  Each
+    row read from the profile must cover the decision's actions and sum to
+    one, so the rules need no further check (see ``_profile_utilities``).
     """
-    m = base_maid(model)
     rules: dict[str, Cpd] = {}
-    for agent in m.agents:
-        for d in free_decisions(model, agent):
-            pa = m.parents[d]
-            actions = m.variables[d].domain
-            support = _support_contexts(model, d)
-            rows = {}
-            for ctx in product(*(m.variables[p].domain for p in pa)):
-                key = InformationSet(agent, tuple(zip(pa, ctx)), actions)
-                row = profile.get(key)
-                if row is None:
-                    if ctx in support:
-                        raise MissingRule(f"no rule for {key}")
-                    row = _default_row(actions)
-                rows[ctx] = dict(row)
-            rules[d] = Cpd(d, pa, rows)
+    for d, (pa, actions, domain, cells) in _decision_slots(model).items():
+        rows = {}
+        for ctx, (key, in_support) in cells.items():
+            row = profile.get(key)
+            if row is None:
+                if in_support:
+                    raise MissingRule(f"no rule for {key}")
+                row = _default_row(actions)
+            elif _row_invalid(row, domain):
+                raise ValidationError([f"rule-row-invalid: {d}{ctx}"])
+            rows[ctx] = row
+        rules[d] = Cpd(d, pa, rows)
     return rules
+
+
+def _profile_utilities(model: Model, profile: IiPolicy) -> dict[str, float]:
+    """Every agent's expected utility in the model under the profile.
+
+    The rules come from ``profile_rules_for_model``, which checks each row it
+    reads, plus the model's committed rules, checked when it was made; so
+    ``maid._expected_utilities`` evaluates them without a second check.
+    """
+    rules = {**fixed_rules(model), **profile_rules_for_model(model, profile)}
+    return _expected_utilities(model, rules)
+
+
+def _believed(x: IiMaid, agent: str, at: str) -> list[tuple[str, float]]:
+    """(model id, weight) for each model the agent believes positively at ``at``."""
+    if agent not in x.agents:
+        raise UnknownAgent(agent)
+    if at not in x.models:
+        raise ValidationError([f"unknown-model: {at}"])
+    weights = x.models[at].beliefs.get(agent)
+    if weights is None:
+        raise UnknownAgent(f"{agent} holds no beliefs in {at}")
+    return [(sid, w) for sid, w in sorted(weights.items()) if w > 0.0]
+
+
+def _per_model_utilities(
+    x: IiMaid, profile: IiPolicy
+) -> Callable[[str], Mapping[str, float]]:
+    """Model id -> ``_profile_utilities``, each model evaluated on first use."""
+    return cache(lambda sid: _profile_utilities(x.models[sid].model, profile))
+
+
+def _subjective_value(
+    x: IiMaid, agent: str, at: str, utilities: Callable[[str], Mapping[str, float]]
+) -> float:
+    """The belief-weighted sum of the agent's per-model utilities."""
+    total = 0.0
+    for sid, w in _believed(x, agent, at):
+        total += w * utilities(sid).get(agent, 0.0)
+    return total
 
 
 def subjective_expected_utility(
@@ -407,22 +482,7 @@ def subjective_expected_utility(
     Each positively believed model is evaluated under the profile restricted
     to it; models the agent gives probability zero are skipped entirely.
     """
-    if agent not in x.agents:
-        raise UnknownAgent(agent)
-    if at not in x.models:
-        raise ValidationError([f"unknown-model: {at}"])
-    weights = x.models[at].beliefs.get(agent)
-    if weights is None:
-        raise UnknownAgent(f"{agent} holds no beliefs in {at}")
-    total = 0.0
-    for sid in sorted(weights):
-        w = weights[sid]
-        if w <= 0.0:
-            continue
-        s = x.models[sid]
-        rules = profile_rules_for_model(s.model, profile)
-        total += w * expected_utilities(s.model, rules).get(agent, 0.0)
-    return total
+    return _subjective_value(x, agent, at, _per_model_utilities(x, profile))
 
 
 def _profile_slots(
@@ -448,6 +508,79 @@ def _build_profile_slots(
     return tuple(relevant), tuple(rest)
 
 
+# Belief-weighted action values: a constant term (models where the agent has
+# no free decision) and, per information set, the value of each action.
+_ActionValues = tuple[float, dict[InformationSet, dict[str, float]]]
+
+
+def _action_values(
+    x: IiMaid,
+    agent: str,
+    at: str,
+    profile: IiPolicy,
+    utilities: Callable[[str], Mapping[str, float]],
+) -> _ActionValues | None:
+    """The agent's subjective value at ``at`` as a sum over information sets.
+
+    With at most one free decision in every positively believed model,
+    utility is additive over information sets (Koller & Milch 2003).  Each
+    such model adds its ``maid.decision_values`` table, weighted by belief,
+    into ``values[iset][action]``; the agent's own rows in ``profile`` are
+    not read.  A model where the agent has no free decision adds its
+    weighted utility, from ``utilities``, to the constant.  So any policy's
+    value is ``_priced(constant, values, rows)``.  Returns None when the
+    agent has two or more free decisions in a believed model.
+    """
+    believed = _believed(x, agent, at)
+    models = [(x.models[sid].model, sid, w) for sid, w in believed]
+    if any(len(_free_decisions(model, agent)) > 1 for model, _, _ in models):
+        return None
+    constant = 0.0
+    values: dict[InformationSet, dict[str, float]] = {}
+    for model, sid, w in models:
+        if not _free_decisions(model, agent):
+            constant += w * utilities(sid).get(agent, 0.0)
+            continue
+        (d,) = _free_decisions(model, agent)
+        rules = {**fixed_rules(model), **profile_rules_for_model(model, profile)}
+        cells = _decision_slots(model)[d].cells
+        for ctx, q_row in _decision_values(model, rules, d, agent).items():
+            iset = cells[ctx][0]
+            total = values.setdefault(iset, dict.fromkeys(iset.actions, 0.0))
+            for label, q in q_row.items():
+                total[label] += w * q
+    return constant, values
+
+
+def _priced(
+    constant: float, values: dict[InformationSet, dict[str, float]], rows: IiPolicy
+) -> float:
+    """The subjective value of the agent's ``rows`` from its action values.
+
+    Every caller sums in the same order, so a pure policy agreeing with the
+    best response is worth exactly the best-response value.
+    """
+    total = constant
+    for iset, q in values.items():
+        row = rows[iset]
+        total += sum(row[label] * v for label, v in q.items())
+    return total
+
+
+def _argmax_rows(
+    x: IiMaid, agent: str, at: str, values: dict[InformationSet, dict[str, float]]
+) -> dict[InformationSet, Row]:
+    """Per information set, ``maid.argmax_action`` of its values; the least
+    action where it has none."""
+    relevant, rest = _profile_slots(x, agent, at)
+    return {
+        iset: bn.point_row(
+            iset.actions, argmax_action(values[iset]) if iset in values else iset.actions[0]
+        )
+        for iset in relevant + rest
+    }
+
+
 def best_response_ii(
     x: IiMaid,
     agent: str,
@@ -463,42 +596,27 @@ def best_response_ii(
     belief, into per-information-set action values, and each information set
     takes ``maid.argmax_action`` (the package tie rule; see ``maid``).
     Information sets never reached with positive probability, and those not
-    encounterable in any believed model, take the least action.  Otherwise
-    every pure policy over the encounterable information sets is enumerated,
-    first maximizer in lexicographic order winning, and ``cap`` bounds only
-    that fallback.
+    encounterable in any believed model, take the least action.  The value
+    returned is then read off those action values rather than recomputed by
+    ``subjective_expected_utility``, from which it may differ by rounding
+    (at most 1e-12 in the tests).  Otherwise every pure policy over the
+    encounterable information sets is enumerated, first maximizer in
+    lexicographic order winning, and ``cap`` bounds only that fallback.
     """
     at = at or x.objective
     relevant, rest = _profile_slots(x, agent, at)
-    believed = [
-        (x.models[sid].model, w)
-        for sid, w in sorted(x.models[at].beliefs[agent].items())
-        if w > 0.0
-    ]
-    if any(len(free_decisions(model, agent)) > 1 for model, _ in believed):
-        return _best_response_ii_exhaustive(x, agent, others, at, cap)
-    least = {iset: _default_row(iset.actions) for iset in relevant + rest}
-    # The agent's own rows are placeholders here: each believed model's
-    # table leaves the agent's one decision open.
-    placeholders = {**dict(others), **least}
-    values: dict[InformationSet, dict[str, float]] = {}
-    for model, w in believed:
-        m = base_maid(model)
-        rules = profile_rules_for_model(model, placeholders)
-        for d in free_decisions(model, agent):
-            pa, actions = m.parents[d], m.variables[d].domain
-            for ctx, q_row in decision_values(model, rules, d, agent).items():
-                iset = InformationSet(agent, tuple(zip(pa, ctx)), actions)
-                total = values.setdefault(iset, dict.fromkeys(actions, 0.0))
-                for label, q in q_row.items():
-                    total[label] += w * q
-    best = {
-        iset: bn.point_row(iset.actions, argmax_action(values[iset]))
-        if iset in values
-        else least[iset]
-        for iset in relevant + rest
+    # The agent's own rows are placeholders: no believed model's table
+    # reads them.
+    placeholders = {
+        **dict(others), **{iset: _default_row(iset.actions) for iset in relevant + rest}
     }
-    return best, subjective_expected_utility(x, agent, at, {**dict(others), **best})
+    table = _action_values(
+        x, agent, at, placeholders, _per_model_utilities(x, placeholders)
+    )
+    if table is None:
+        return _best_response_ii_exhaustive(x, agent, others, at, cap)
+    best = _argmax_rows(x, agent, at, table[1])
+    return best, _priced(*table, best)
 
 
 def _best_response_ii_exhaustive(
@@ -555,18 +673,35 @@ def is_nash_ii(
     with their best response there.  A regret above ``tol`` fails the check;
     the ``maid`` module docstring sets out the tolerance defaults and the tie
     rule that both equilibrium families share.
+
+    Where ``best_response_ii`` takes its per-information-set path, one
+    ``maid.decision_values`` pass per believed model yields both values: the
+    achieved one prices the profile's rows, the best one the argmax rows, off
+    the same action values.  They may differ from a
+    ``subjective_expected_utility`` recomputation by rounding (at most 1e-12
+    in the tests), and a pure profile agreeing with the best response has a
+    regret of exactly 0.0.  In the exhaustive fallback the achieved value
+    comes from each model's expected utilities, computed once per call and
+    shared by every agent.
     """
     issues = validate_ii_policy(x, profile)
     if issues:
         raise ValidationError(issues)
+    at = x.objective
+    utilities = _per_model_utilities(x, profile)
     regrets: dict[str, float] = {}
     for agent in x.agents:
-        if agent not in x.models[x.objective].beliefs:
+        if agent not in x.models[at].beliefs:
             continue
-        own = information_sets(x, agent)
-        others = {i: r for i, r in profile.items() if i not in own}
-        achieved = subjective_expected_utility(x, agent, x.objective, profile)
-        _, brv = best_response_ii(x, agent, others, cap=cap)
+        table = _action_values(x, agent, at, profile, utilities)
+        if table is None:
+            own = information_sets(x, agent)
+            others = {i: r for i, r in profile.items() if i not in own}
+            _, brv = _best_response_ii_exhaustive(x, agent, others, at, cap)
+            achieved = _subjective_value(x, agent, at, utilities)
+        else:
+            brv = _priced(*table, _argmax_rows(x, agent, at, table[1]))
+            achieved = _priced(*table, profile)
         regrets[agent] = brv - achieved
     return all(r <= tol for r in regrets.values()), regrets
 

@@ -20,6 +20,15 @@ achieved value) with a separate, caller-chosen tolerance.  The library
 defaults differ: ``is_nash`` and ``find_pure_nash`` use ``tol=1e-9``, while
 ``incomplete.is_nash_ii`` and ``incomplete.find_nash_ii`` use ``tol=1e-6``;
 the CLI passes 1e-6 to both families unless ``--tol`` says otherwise.
+
+Where ``incomplete.best_response_ii`` takes its per-information-set path,
+it and ``incomplete.is_nash_ii`` read subjective values off the
+belief-weighted Q-table (``decision_values``) rather than re-evaluating
+the profile, so they may differ from an
+``incomplete.subjective_expected_utility`` recomputation by rounding (at
+most 1e-12 in the tests).  The achieved and best-response values are summed
+in the same order, so a pure profile agreeing with the best response has a
+regret of exactly 0.0.
 """
 
 from __future__ import annotations
@@ -175,8 +184,18 @@ def fixed_rules(model: Model) -> Mapping[str, Cpd]:
 
 
 def free_decisions(model: Model, agent: str | None = None) -> list[str]:
+    """The open decisions (of one agent, or of all), sorted by name."""
+    return list(_free_decisions(model, agent))
+
+
+def _free_decisions(model: Model, agent: str | None = None) -> tuple[str, ...]:
+    """``free_decisions`` as a tuple, built once per model and agent."""
+    return bn.indexed(model, _build_free_decisions, agent)
+
+
+def _build_free_decisions(model: Model, agent: str | None) -> tuple[str, ...]:
     committed = set(fixed_rules(model))
-    return [d for d in base_maid(model).decisions(agent) if d not in committed]
+    return tuple(d for d in base_maid(model).decisions(agent) if d not in committed)
 
 
 def _check_rule(m: Maid, name: str, rule: Cpd) -> list[str]:
@@ -190,10 +209,14 @@ def _check_rule(m: Maid, name: str, rule: Cpd) -> list[str]:
         return issues
     dom = set(m.variables[name].domain)
     for ctx in sorted(rule.rows):
-        row = rule.rows[ctx]
-        if set(row) != dom or abs(sum(row.values()) - 1.0) > TOL:
+        if _row_invalid(rule.rows[ctx], dom):
             issues.append(f"rule-row-invalid: {name}{ctx}")
     return issues
+
+
+def _row_invalid(row: Row, domain: frozenset[str] | set[str]) -> bool:
+    """Whether a decision row misses the domain or does not sum to one."""
+    return set(row) != domain or abs(sum(row.values()) - 1.0) > TOL
 
 
 def uniform_rule(model: Model, name: str) -> Cpd:
@@ -253,8 +276,18 @@ def _topological_order(m: Maid) -> tuple[str, ...]:
 
 def expected_utilities(model: Model, rules: PolicyRules) -> dict[str, float]:
     """Each agent's expected sum of utility variables under the profile."""
+    return _expected_utilities(model, _merged_rules(model, rules))
+
+
+def _expected_utilities(model: Model, rules: PolicyRules) -> dict[str, float]:
+    """``expected_utilities`` given a checked rule for every decision.
+
+    Callers that assemble rules correct by construction (committed rules
+    are checked when the ``PostPolicyMaid`` is made) use this directly and
+    skip ``_merged_rules``' re-check.
+    """
     m = base_maid(model)
-    tables = {**m.cpds, **_merged_rules(model, rules)}
+    tables = {**m.cpds, **rules}
     order = topological_order(m)
     payoff_vars = [
         (name, m.variables[name].owner, m.variables[name].values)
@@ -300,12 +333,23 @@ def decision_values(
     ``sum(r(a | ctx) * Q[ctx][a])``.  Contexts of probability zero have no
     entry.  A rule for ``d`` in ``rules`` is ignored.
     """
-    m = base_maid(model)
-    if agent not in m.agents:
+    if agent not in base_maid(model).agents:
         raise UnknownAgent(agent)
-    if d not in free_decisions(model):
+    if d not in _free_decisions(model):
         raise ValidationError([f"not-a-free-decision: {d}"])
-    tables = {**m.cpds, **_merged_rules(model, rules, open_decision=d)}
+    return _decision_values(model, _merged_rules(model, rules, open_decision=d), d, agent)
+
+
+def _decision_values(
+    model: Model, rules: PolicyRules, d: str, agent: str
+) -> dict[tuple[str, ...], dict[str, float]]:
+    """``decision_values`` given a checked rule for every decision but ``d``.
+
+    As with ``_expected_utilities``, the rules are not checked again; a rule
+    for ``d`` is ignored.
+    """
+    m = base_maid(model)
+    tables = {**m.cpds, **rules}
     order = topological_order(m)
     payoff_vars = [(name, m.variables[name].values) for name in m.utilities(agent)]
     pa = m.parents[d]

@@ -1,5 +1,7 @@
 from iimaid import dot, efg, maid
+from iimaid.depth import DepthStack
 from iimaid.fixtures import truthful_match_rules
+from iimaid.incomplete import SubjectiveMaid
 
 
 def test_maid_dot_marks_observations_dashed(honesty):
@@ -45,3 +47,35 @@ def test_belief_tree_clusters(example1):
     assert "compound" in deep
     assert deep.count("ltail") == 6 and deep.count("lhead") == 6
     assert 'label="A:1"' in deep and 'label="H:1"' in deep
+
+
+def _renamed(stack, old, new):
+    """The stack with node ``old`` renamed to ``new``, beliefs included."""
+    rename = lambda nid: new if nid == old else nid
+    nodes = {}
+    for nid, s in stack.nodes.items():
+        beliefs = {a: {rename(t): p for t, p in row.items()} for a, row in s.beliefs.items()}
+        nodes[rename(nid)] = SubjectiveMaid(rename(nid), s.model, beliefs)
+    return DepthStack(stack.agents, rename(stack.objective), nodes)
+
+
+def test_stack_dot_quotes_node_ids(depth3):
+    s = dot.stack_dot(_renamed(depth3, "h_solo", 'h"solo'))
+    assert '  "h\\"solo" [shape=box];' in s
+    assert any(line.endswith('-> "h\\"solo" [label="H:1"];') for line in s.splitlines())
+    assert 'h"solo"' not in s
+
+
+def test_stack_dot_on_the_bundled_stack(depth3):
+    assert dot.stack_dot(depth3) == (
+        'digraph G {\n'
+        '  "a_view" [shape=box];\n'
+        '  "h_solo" [shape=box];\n'
+        '  "h_view" [shape=box];\n'
+        '  "objective" [shape=box];\n'
+        '  "a_view" -> "h_solo" [label="H:1"];\n'
+        '  "h_view" -> "a_view" [label="A:1"];\n'
+        '  "objective" -> "a_view" [label="A:1"];\n'
+        '  "objective" -> "h_view" [label="H:1"];\n'
+        '}\n'
+    )

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from iimaid import bn, incomplete as inc, maid
+from iimaid import bn, iiefg, incomplete as inc, maid
 from iimaid.bn import Cpd
 from iimaid.errors import MissingRule, SearchSpaceTooLarge, ValidationError
 from iimaid.incomplete import IiMaid, InformationSet, SubjectiveMaid
@@ -272,3 +272,49 @@ def test_find_nash_ii(example1):
 
 def test_has_perfect_recall_ii(example1):
     assert inc.has_perfect_recall_ii(example1)
+
+
+# ------------------------------------------------- checks on profile rows
+
+
+def _unnormalised(ne_profile, iset):
+    broken = dict(ne_profile)
+    broken[iset] = {"deploy": 0.6, "not_deploy": 0.6}
+    return broken
+
+
+def test_unnormalised_row_raises_in_every_evaluation(example1, ne_profile):
+    # H's full-observation rows are read in the ground-truth model, which H
+    # believes; H's report-only rows in the AI's model, which A believes
+    broken = _unnormalised(ne_profile, iset_full("high", "high"))
+    with pytest.raises(ValidationError) as e:
+        inc.subjective_expected_utility(example1, "H", "ground_truth", broken)
+    assert e.value.issues == ["rule-row-invalid: D_H('high', 'high')"]
+    with pytest.raises(ValidationError):
+        inc.is_nash_ii(example1, broken)
+    conv = iiefg.maid2efgII(example1)
+    with pytest.raises(ValidationError):
+        iiefg.verify_equivalence(example1, conv, profiles=[broken])
+    broken = _unnormalised(ne_profile, iset_report("H", "low"))
+    others = {k: v for k, v in broken.items() if k.agent == "H"}
+    with pytest.raises(ValidationError) as e:
+        inc.best_response_ii(example1, "A", others)
+    assert e.value.issues == ["rule-row-invalid: D_H('low',)"]
+
+
+def test_row_over_the_wrong_actions_raises(example1, ne_profile):
+    broken = dict(ne_profile)
+    broken[iset_full("low", "high")] = {"deploy": 1.0}
+    with pytest.raises(ValidationError) as e:
+        inc.subjective_expected_utility(example1, "H", "ground_truth", broken)
+    assert e.value.issues == ["rule-row-invalid: D_H('high', 'low')"]
+
+
+def test_missing_reachable_row_raises_in_best_response(example1, ne_profile):
+    partial = {k: v for k, v in ne_profile.items()
+               if k != iset_report("H", "high")}
+    others = {k: v for k, v in partial.items() if k.agent == "H"}
+    with pytest.raises(MissingRule):
+        inc.best_response_ii(example1, "A", others)
+    with pytest.raises(MissingRule):
+        inc.subjective_expected_utility(example1, "A", "ai_belief", partial)

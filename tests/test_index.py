@@ -80,3 +80,48 @@ def test_index_leaves_equality_repr_and_serialization_alone():
     assert after == (repr(fresh_x), gamedoc.serialize_document(fresh_x),
                      repr(fresh_m), gamedoc.serialize_document(fresh_m))
 
+
+
+def _shared_belief_game(x):
+    """The bundled game with H splitting belief between both models, so
+    both agents read the AI's model."""
+    gt = x.models["ground_truth"]
+    beliefs = {**gt.beliefs, "H": {"ai_belief": 0.5, "ground_truth": 0.5}}
+    return incomplete.IiMaid(x.agents, x.objective, {
+        **x.models,
+        "ground_truth": incomplete.SubjectiveMaid("ground_truth", gt.model, beliefs),
+    })
+
+
+def test_is_nash_ii_makes_one_value_pass_per_agent_and_believed_model(
+        monkeypatch, example1, ne_profile):
+    x = _shared_belief_game(example1)
+    passes = _counting(monkeypatch, incomplete, "_decision_values")
+    evaluations = _counting(monkeypatch, incomplete, "_expected_utilities")
+    incomplete.is_nash_ii(x, ne_profile)
+    model_id = {id(s.model): sid for sid, s in x.models.items()}
+    assert sorted((agent, model_id[id(model)]) for model, _, _, agent in passes) == [
+        ("A", "ai_belief"), ("H", "ai_belief"), ("H", "ground_truth")]
+    assert evaluations == []
+    passes.clear()
+    assert incomplete.is_nash_ii(example1, ne_profile) == (True, {"A": 0.0, "H": 0.0})
+    assert len(passes) == 2
+
+
+def test_verify_equivalence_evaluates_each_model_once_per_profile(
+        monkeypatch, example1, ne_profile):
+    x = _shared_belief_game(example1)
+    conv = iiefg.maid2efgII(x)
+    evaluations = _counting(monkeypatch, incomplete, "_expected_utilities")
+    plays = _counting(monkeypatch, iiefg, "state_strategy")
+    profiles = list(incomplete.iter_pure_ii_profiles(x))[:3] + [ne_profile]
+    assert iiefg.verify_equivalence(x, conv, profiles=profiles)[0]
+    assert len(evaluations) == len(profiles) * len(x.models)
+    assert len(plays) == len(profiles) * len(conv.game.space.states)
+
+
+def test_free_decisions_hands_out_a_fresh_list(honesty):
+    first = maid.free_decisions(honesty, "H")
+    first.append("X")
+    assert maid.free_decisions(honesty, "H") == ["D_H"]
+    assert maid.free_decisions(honesty) == ["D_A", "D_H"]

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from iimaid import bn, efg, gamedoc, incomplete, maid
+from iimaid import bn, efg, gamedoc, iiefg, incomplete, maid
 from iimaid.bn import Cpd
 from iimaid.incomplete import IiMaid, SubjectiveMaid
 
@@ -336,3 +336,90 @@ def test_best_response_ii_matches_exhaustive_enumeration(xp):
             for iset, row in br.items():
                 if iset.observation not in reached:
                     assert _point_label(row) == min(row)
+
+
+@st.composite
+def subjective_game_with_profile(draw, commit=True):
+    """A subjective game, not necessarily common-prior, and a mixed profile.
+
+    Beyond ``common_prior_game_with_profile``: belief rows may give a model
+    probability zero; with ``commit``, a model other than the objective one
+    may pre-commit D1, leaving P1 no free decision there; and P1 sometimes
+    acts a second time (E1, observing D1), which sends P1 to the exhaustive
+    fallback.
+    """
+    ids = [f"m{i}" for i in range(draw(st.integers(min_value=2, max_value=3)))]
+    d1_pa = draw(st.sampled_from([(), ("X0",), ("X1",)]))
+    models = {}
+    for mid in ids:
+        variables, edges, cpds = _chance_pair(draw)
+        d2_pa = draw(st.sampled_from([("D1",), ("X0",), ("D1", "X0")]))
+        variables += [bn.decision("D1", "P1", "lr"), bn.decision("D2", "P2", "lr")]
+        edges += [(p, "D1") for p in d1_pa] + [(p, "D2") for p in d2_pa]
+        u_pa = ("D1", "D2", "X0")
+        if draw(st.integers(min_value=0, max_value=3)) == 0:
+            variables.append(bn.decision("E1", "P1", "lr"))
+            edges += [(p, "E1") for p in ("D1",) + d1_pa]
+            u_pa = ("D1", "D2", "E1")
+        for name, owner in (("U1", "P1"), ("U2", "P2")):
+            var, u_edges, cpd = _payoff(name, owner, u_pa, draw)
+            variables.append(var)
+            edges += u_edges
+            cpds.append(cpd)
+        m = maid.Maid.build(("P1", "P2"), variables, edges, cpds)
+        if commit and mid != ids[0] and "E1" not in m.variables and draw(st.booleans()):
+            m = maid.PostPolicyMaid(m, {"D1": _random_pure_rule(draw, m, "D1")})
+        models[mid] = m
+    beliefs = {}
+    for mid in ids:
+        beliefs[mid] = {}
+        for agent in ("P1", "P2"):
+            raw = {j: draw(st.sampled_from([0, 0, 1, 3])) for j in ids}
+            raw[draw(st.sampled_from(ids))] += 1
+            beliefs[mid][agent] = {j: v / sum(raw.values()) for j, v in raw.items()}
+    x = IiMaid(("P1", "P2"), ids[0], {
+        mid: SubjectiveMaid(mid, models[mid], beliefs[mid]) for mid in ids})
+    profile = {}
+    for agent in x.agents:
+        for iset in sorted(incomplete.information_sets(x, agent)):
+            p = draw(st.sampled_from(PROBS))
+            profile[iset] = {iset.actions[0]: p, iset.actions[1]: 1.0 - p}
+    return x, profile
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(subjective_game_with_profile())
+def test_is_nash_ii_matches_three_pass_regrets(xp):
+    x, profile = xp
+    ok, regrets = incomplete.is_nash_ii(x, profile)
+    reference = {}
+    for agent in x.agents:
+        own = incomplete.information_sets(x, agent)
+        others = {i: r for i, r in profile.items() if i not in own}
+        achieved = incomplete.subjective_expected_utility(x, agent, x.objective, profile)
+        _, brv = incomplete._best_response_ii_exhaustive(x, agent, others, x.objective)
+        reference[agent] = brv - achieved
+    assert set(regrets) == set(reference)
+    for agent, r in reference.items():
+        assert abs(regrets[agent] - r) <= 1e-12
+    assert ok == all(r <= 1e-6 for r in reference.values())
+
+
+# Without commitments: maid2efgII raises GameError when a pure committed rule
+# hides an information set that no other model's tree has.
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(subjective_game_with_profile(commit=False), st.data())
+def test_verify_equivalence_matches_per_agent_recomputation(xp, data):
+    x, profile = xp
+    conv = iiefg.maid2efgII(x)
+    pure = {i: bn.point_row(i.actions, data.draw(st.sampled_from(i.actions)))
+            for i in profile}
+    worst = 0.0
+    for p in (profile, pure):
+        sigma = iiefg.strategy_from_ii_policy(conv, p)
+        for agent in x.agents:
+            lhs = incomplete.subjective_expected_utility(x, agent, x.objective, p)
+            rhs = iiefg.interim_utility(conv.game, sigma, agent, x.objective)
+            worst = max(worst, abs(lhs - rhs))
+    assert iiefg.verify_equivalence(x, conv, profiles=[profile, pure]) == (
+        worst <= bn.TOL, worst)
