@@ -264,10 +264,7 @@ def _cmd_verify_equivalence(args) -> tuple[int, dict, dict]:
     doc = _read_document(args.file)
     value = _expect(doc, "ii-maid")
     conv = iiefg.maid2efgII(value)
-    count = 1
-    for agent in value.agents:
-        for iset in incomplete.information_sets(value, agent):
-            count *= len(iset.actions)
+    count = incomplete.count_pure_ii_profiles(value)
     ok, worst = iiefg.verify_equivalence(value, conv, tol=args.tol, cap=args.cap)
     return (
         OK if ok else CHECK_FAILED,

@@ -15,7 +15,7 @@ from itertools import product
 from typing import Callable, Iterable, Mapping
 
 from . import bn
-from .bn import Row, TOL
+from .bn import Row
 from .errors import (
     CycleError,
     GameError,
@@ -29,6 +29,7 @@ from .incomplete import (
     InformationSet,
     SubjectiveMaid,
     _matching_decisions,
+    _structural_issues,
     _support_contexts,
     believers,
     model_information_sets,
@@ -60,26 +61,7 @@ class DepthStack:
     def __post_init__(self) -> None:
         object.__setattr__(self, "agents", tuple(sorted(self.agents)))
         object.__setattr__(self, "nodes", dict(self.nodes))
-        issues = []
-        if self.objective not in self.nodes:
-            issues.append(f"unknown-objective: {self.objective}")
-        for nid in sorted(self.nodes):
-            s = self.nodes[nid]
-            if s.id != nid:
-                issues.append(f"node-id-mismatch: {nid} vs {s.id}")
-            if not set(base_maid(s.model).agents) <= set(self.agents):
-                issues.append(f"unknown-agents-in-node: {nid}")
-            for agent in believers(s):
-                if agent not in self.agents:
-                    issues.append(f"unknown-believer: {agent} in {nid}")
-                row = s.beliefs[agent]
-                for target in sorted(row):
-                    if target not in self.nodes:
-                        issues.append(f"dangling-belief: {nid}.{agent} -> {target}")
-                if abs(sum(row.values()) - 1.0) > TOL or any(
-                    p < -TOL for p in row.values()
-                ):
-                    issues.append(f"belief-row-not-normalized: {nid}.{agent}")
+        issues = _structural_issues(self.agents, self.objective, self.nodes, "node")
         if issues:
             raise ValidationError(issues)
 

@@ -10,14 +10,21 @@ Solution concepts evaluate each agent's belief-weighted (interim) utility.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import partial
 from itertools import product
 from types import MappingProxyType
 from typing import Callable, Hashable, Iterable, Mapping
 
 from . import bn
 from .bn import Row, TOL
-from .efg import Efg, _info_sets, efg_expected_utility, info_sets, maid2efg, observation_of
+from .efg import (
+    Efg,
+    _info_sets,
+    efg_expected_utility,
+    info_sets,
+    maid2efg,
+    observation_of,
+)
 from .errors import (
     GameError,
     MissingRule,
@@ -28,11 +35,12 @@ from .errors import (
 from .incomplete import (
     IiMaid,
     InformationSet,
-    _per_model_utilities,
+    _decision_slots,
+    _profile_utilities,
     _rows_close,
     _subjective_value,
+    information_sets,
     iter_pure_ii_profiles,
-    model_information_sets,
 )
 from .maid import DEFAULT_CAP, Cpd, Maid, Model, PostPolicyMaid, base_maid, fixed_rules
 
@@ -225,6 +233,32 @@ def _build_observation_classes(
     return MappingProxyType({k: tuple(v) for k, v in out.items()})
 
 
+def _state_cells(
+    g: IiEfg, state: str
+) -> tuple[tuple[tuple[str, Hashable], MetaInfoSet], ...]:
+    """Each (agent, in-game key) of the state's tree with the cell it plays.
+
+    The cell is the agent's observation class at the state crossed with
+    their belief type there.  Agents come in ``g.agents`` order, keys in
+    the tree's information-set order; built once per game and state.
+    """
+    return bn.indexed(g, _build_state_cells, state)
+
+
+def _build_state_cells(
+    g: IiEfg, state: str
+) -> tuple[tuple[tuple[str, Hashable], MetaInfoSet], ...]:
+    game = g.space.games[state]
+    out = []
+    for agent in g.agents:
+        rep = _belief_types(g.space, agent)[state]
+        for key, members in _info_sets(game, agent).items():
+            actions = game.nodes[members[0]].actions
+            cell = MetaInfoSet(agent, g.observation(agent, state, key), actions, rep)
+            out.append(((agent, key), cell))
+    return tuple(out)
+
+
 def state_strategy(
     g: IiEfg, sigma: Strategy, state: str
 ) -> dict[tuple[str, Hashable], Row]:
@@ -233,16 +267,11 @@ def state_strategy(
     Each agent plays the rows of their own belief type at that state.
     """
     out: dict[tuple[str, Hashable], Row] = {}
-    game = g.space.games[state]
-    for agent in g.agents:
-        rep = _belief_types(g.space, agent)[state]
-        for key, members in _info_sets(game, agent).items():
-            actions = game.nodes[members[0]].actions
-            cell = MetaInfoSet(agent, g.observation(agent, state, key), actions, rep)
-            row = sigma.get(cell)
-            if row is None:
-                raise MissingRule(f"strategy lacks a row at {cell}")
-            out[(agent, key)] = row
+    for slot, cell in _state_cells(g, state):
+        row = sigma.get(cell)
+        if row is None:
+            raise MissingRule(f"strategy lacks a row at {cell}")
+        out[slot] = row
     return out
 
 
@@ -252,13 +281,20 @@ def interim_utility(g: IiEfg, sigma: Strategy, agent: str, state: str) -> float:
     Believed states are evaluated under the profile as played there, so other
     agents' types may differ from their types at the given state.
     """
-    return _interim_value(g, agent, state, lambda w: state_strategy(g, sigma, w))
+    return _interim_value(
+        g,
+        agent,
+        state,
+        lambda w: efg_expected_utility(
+            g.space.games[w], state_strategy(g, sigma, w), agent
+        ),
+    )
 
 
 def _interim_value(
-    g: IiEfg, agent: str, state: str, plays: Callable[[str], Mapping]
+    g: IiEfg, agent: str, state: str, payoff: Callable[[str], float]
 ) -> float:
-    """``interim_utility`` with ``plays(w)`` the profile as played at ``w``."""
+    """``interim_utility`` with ``payoff(w)`` the agent's payoff at ``w``."""
     if agent not in g.agents:
         raise UnknownAgent(agent)
     if state not in g.space.states:
@@ -267,7 +303,7 @@ def _interim_value(
     for w, p in sorted(g.space.beliefs[agent][state].items()):
         if p <= 0.0:
             continue
-        total += p * efg_expected_utility(g.space.games[w], plays(w), agent)
+        total += p * payoff(w)
     return total
 
 
@@ -275,19 +311,10 @@ def _deviation_cells(g: IiEfg, agent: str, state: str) -> list[MetaInfoSet]:
     """Cells of the agent's type at the state that their interim utility reads."""
     types = _belief_types(g.space, agent)
     rep = types[state]
-    support = [
-        w for w, p in g.space.beliefs[agent][state].items() if p > 0.0
-    ]
     cells = set()
-    for w in support:
-        game = g.space.games[w]
-        if types[w] != rep:
-            continue
-        for key, members in _info_sets(game, agent).items():
-            actions = game.nodes[members[0]].actions
-            cells.add(
-                MetaInfoSet(agent, g.observation(agent, w, key), actions, rep)
-            )
+    for w, p in g.space.beliefs[agent][state].items():
+        if p > 0.0 and types[w] == rep:
+            cells.update(cell for (a, _), cell in _state_cells(g, w) if a == agent)
     return sorted(cells)
 
 
@@ -355,7 +382,13 @@ def as_plain_maid(model: Model) -> Maid:
 @dataclass(frozen=True)
 class IiConversion:
     game: IiEfg
-    correspondence: dict[InformationSet, MetaInfoSet]
+    correspondence: Mapping[InformationSet, MetaInfoSet]
+
+    def __post_init__(self) -> None:
+        # Frozen, because the lift built from it is kept on the conversion.
+        object.__setattr__(
+            self, "correspondence", MappingProxyType(dict(self.correspondence))
+        )
 
 
 def maid2efgII(x: IiMaid) -> IiConversion:
@@ -366,6 +399,12 @@ def maid2efgII(x: IiMaid) -> IiConversion:
     diagram-level observations, which aligns information sets across states
     and yields a one-to-one correspondence between the diagram's information
     sets and the meta cells of the objective state's belief types.
+
+    Information sets come from support contexts judged with every decision
+    free, while each tree prunes the zero branches of its model's committed
+    rules.  So an information set may be reached in no tree at all; it
+    still gets its own cell, which has no in-game members and is therefore
+    not among ``meta_information_sets``.
     """
     for mid in sorted(x.models):
         for agent in x.agents:
@@ -395,14 +434,35 @@ def maid2efgII(x: IiMaid) -> IiConversion:
     correspondence: dict[InformationSet, MetaInfoSet] = {}
     for agent in x.agents:
         rep = _belief_types(space, agent)[x.objective]
-        cells = _meta_information_sets(g, agent)
-        for mid in sorted(x.models):
-            for iset in sorted(model_information_sets(x.models[mid].model, agent)):
-                cell = MetaInfoSet(agent, iset.observation, iset.actions, rep)
-                if cell not in cells:
-                    raise GameError(f"conversion lost the cell for {iset}")
-                correspondence[iset] = cell
+        for iset in sorted(information_sets(x, agent)):
+            correspondence[iset] = MetaInfoSet(agent, iset.observation, iset.actions, rep)
     return IiConversion(g, correspondence)
+
+
+def _lift(
+    conv: IiConversion,
+) -> Mapping[InformationSet, tuple[MetaInfoSet, tuple[MetaInfoSet, ...]]]:
+    """Each corresponded information set's cell and that cell's siblings,
+    the other cells of its observation class; built once per conversion.
+
+    It is kept on the conversion rather than on its game, because two
+    conversions may share one game under different correspondences.
+    """
+    return bn.indexed(conv, _build_lift)
+
+
+def _build_lift(
+    conv: IiConversion,
+) -> Mapping[InformationSet, tuple[MetaInfoSet, tuple[MetaInfoSet, ...]]]:
+    targets = {}
+    for iset, cell in conv.correspondence.items():
+        classes = _observation_classes(conv.game, cell.agent)
+        targets[iset] = (cell, tuple(
+            other
+            for other in classes.get((cell.observation, cell.actions), ())
+            if other != cell
+        ))
+    return MappingProxyType(targets)
 
 
 def strategy_from_ii_policy(conv: IiConversion, profile: IiPolicy) -> dict[MetaInfoSet, Row]:
@@ -412,19 +472,39 @@ def strategy_from_ii_policy(conv: IiConversion, profile: IiPolicy) -> dict[MetaI
     to the same observation class at every other belief type, so the lifted
     strategy is defined wherever any type plays.
     """
-    g = conv.game
+    targets = _lift(conv)
     sigma: dict[MetaInfoSet, Row] = {}
     for iset in sorted(profile):
-        cell = conv.correspondence.get(iset)
-        if cell is None:
+        if iset not in targets:
             raise MissingRule(f"policy covers unknown information set {iset}")
+        cell, siblings = targets[iset]
         row = dict(profile[iset])
         sigma[cell] = row
-        siblings = _observation_classes(g, cell.agent)[(cell.observation, cell.actions)]
         for other in siblings:
-            if other != cell:
-                sigma.setdefault(other, row)
+            sigma.setdefault(other, row)
     return sigma
+
+
+def _model_reads(model: Model) -> tuple[InformationSet, ...]:
+    """The information sets whose rows the model's open decisions read."""
+    return bn.indexed(model, _build_model_reads)
+
+
+def _build_model_reads(model: Model) -> tuple[InformationSet, ...]:
+    return tuple(sorted({
+        iset
+        for slots in _decision_slots(model).values()
+        for iset, _ in slots.cells.values()
+    }))
+
+
+def _memo(table: dict, key: Hashable, compute: Callable[[], object]):
+    """``table[key]``, computed on a miss; an error leaves no entry."""
+    try:
+        return table[key]
+    except KeyError:
+        value = table[key] = compute()
+        return value
 
 
 def verify_equivalence(
@@ -438,20 +518,65 @@ def verify_equivalence(
 
     Compares each agent's diagram-level subjective utility at the objective
     model with the interim utility of the lifted strategy at the objective
-    state; returns the largest absolute deviation seen.  Per profile, each
-    model's expected utilities and each state's played strategy are
-    computed once and shared by every agent, with the same arithmetic as
-    ``subjective_expected_utility`` and ``interim_utility``.
+    state; returns the largest absolute deviation seen.
+
+    A model's utilities depend only on the rows of the information sets its
+    open decisions read, and a state's payoffs only on the rows its tree
+    plays (Koller & Milch 2003, strategic relevance).  So each believed
+    model is evaluated once per distinct restriction of the profiles to the
+    former, and each believed state's tree walked once per distinct
+    restriction to the latter and agent believing it.  The cost is the sum
+    over models and states of their restricted profile spaces, not the
+    number of profiles times the number of models and states: the bundled
+    game's 256 pure profiles take 80 model evaluations and 80 tree walks.
+    Restrictions are compared by row contents (items, in order), so a
+    shared result is the very arithmetic of ``subjective_expected_utility``
+    and ``interim_utility`` on the lifted strategy, and the answer is the
+    same bit for bit.  A bad row raises what those would raise.  A result
+    is kept only where the restriction reads fewer rows than the profile
+    has; otherwise, among distinct profiles, its key could not come again.
+    So the default enumeration keeps at most each restricted space, never
+    an entry per profile.
     """
     if profiles is None:
         profiles = iter_pure_ii_profiles(x, cap)
+    models: dict[tuple, Mapping[str, float]] = {}
+    trees: dict[tuple, float] = {}
     worst = 0.0
     for profile in profiles:
         sigma = strategy_from_ii_policy(conv, profile)
-        utilities = _per_model_utilities(x, profile)
-        plays = cache(lambda w, sigma=sigma: state_strategy(conv.game, sigma, w))
+        utilities = partial(_model_utilities, x, profile, models)
         for agent in x.agents:
             lhs = _subjective_value(x, agent, x.objective, utilities)
-            rhs = _interim_value(conv.game, agent, x.objective, plays)
+            payoff = partial(_state_payoff, conv.game, profile, sigma, trees, agent)
+            rhs = _interim_value(conv.game, agent, x.objective, payoff)
             worst = max(worst, abs(lhs - rhs))
     return worst <= tol, worst
+
+
+def _model_utilities(
+    x: IiMaid, profile: IiPolicy, memo: dict, sid: str
+) -> Mapping[str, float]:
+    """Model ``sid``'s utilities, shared by profiles agreeing on what it reads."""
+    model = x.models[sid].model
+    reads = _model_reads(model)
+    if len(reads) >= len(profile):
+        return _profile_utilities(model, profile)
+    key = (sid, tuple(
+        None if (row := profile.get(iset)) is None else tuple(row.items())
+        for iset in reads
+    ))
+    return _memo(memo, key, partial(_profile_utilities, model, profile))
+
+
+def _state_payoff(
+    g: IiEfg, profile: IiPolicy, sigma: Strategy, memo: dict, agent: str, w: str
+) -> float:
+    """The agent's payoff at ``w`` under the lifted profile; one tree walk
+    per distinct strategy played there and agent."""
+    plays = state_strategy(g, sigma, w)
+    walk = partial(efg_expected_utility, g.space.games[w], plays, agent)
+    if len(plays) >= len(profile):
+        return walk()
+    key = (w, agent, tuple(tuple(row.items()) for row in plays.values()))
+    return _memo(memo, key, walk)

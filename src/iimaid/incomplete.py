@@ -89,31 +89,40 @@ class IiMaid:
     def __post_init__(self) -> None:
         object.__setattr__(self, "agents", tuple(sorted(self.agents)))
         object.__setattr__(self, "models", dict(self.models))
-        issues = _structural_issues(self)
+        issues = _structural_issues(self.agents, self.objective, self.models, "model")
         if issues:
             raise ValidationError(issues)
 
 
-def _structural_issues(x: IiMaid) -> list[str]:
+def _structural_issues(
+    agents: tuple[str, ...],
+    objective: str,
+    members: Mapping[str, SubjectiveMaid],
+    noun: str,
+) -> list[str]:
+    """Shape checks of a family of subjective models, ``IiMaid`` or
+    ``depth.DepthStack``, whose members are called ``noun``s in messages:
+    a known objective, ids matching keys, known agents and believers, and
+    normalised belief rows over known members."""
     issues: list[str] = []
-    if not x.models:
-        issues.append("empty-model-set")
+    if not members:
+        issues.append(f"empty-{noun}-set")
         return issues
-    if x.objective not in x.models:
-        issues.append(f"unknown-objective: {x.objective}")
-    for sid in sorted(x.models):
-        s = x.models[sid]
+    if objective not in members:
+        issues.append(f"unknown-objective: {objective}")
+    for sid in sorted(members):
+        s = members[sid]
         if s.id != sid:
-            issues.append(f"model-id-mismatch: {sid} vs {s.id}")
-        if not set(base_maid(s.model).agents) <= set(x.agents):
-            issues.append(f"unknown-agents-in-model: {sid}")
+            issues.append(f"{noun}-id-mismatch: {sid} vs {s.id}")
+        if not set(base_maid(s.model).agents) <= set(agents):
+            issues.append(f"unknown-agents-in-{noun}: {sid}")
         for agent in sorted(s.beliefs):
-            if agent not in x.agents:
+            if agent not in agents:
                 issues.append(f"unknown-believer: {agent} in {sid}")
                 continue
             row = s.beliefs[agent]
             for target in sorted(row):
-                if target not in x.models:
+                if target not in members:
                     issues.append(f"dangling-belief: {sid}.{agent} -> {target}")
             if abs(sum(row.values()) - 1.0) > TOL or any(p < -TOL for p in row.values()):
                 issues.append(f"belief-row-not-normalized: {sid}.{agent}")
@@ -706,18 +715,34 @@ def is_nash_ii(
     return all(r <= tol for r in regrets.values()), regrets
 
 
+def _pure_slots(x: IiMaid) -> tuple[InformationSet, ...]:
+    """Every agent's information sets, sorted: the slots of a pure profile."""
+    return bn.indexed(x, _build_pure_slots)
+
+
+def _build_pure_slots(x: IiMaid) -> tuple[InformationSet, ...]:
+    return tuple(sorted(iset for agent in x.agents for iset in information_sets(x, agent)))
+
+
+def count_pure_ii_profiles(x: IiMaid, cap: int | None = None) -> int:
+    """How many pure profiles ``iter_pure_ii_profiles`` yields.
+
+    With ``cap``, raises ``SearchSpaceTooLarge`` as soon as the running
+    product over the sorted information sets exceeds it.
+    """
+    count = 1
+    for iset in _pure_slots(x):
+        count *= len(iset.actions)
+        if cap is not None and count > cap:
+            raise SearchSpaceTooLarge(f"{count} pure profiles exceeds cap {cap}")
+    return count
+
+
 def iter_pure_ii_profiles(
     x: IiMaid, cap: int = DEFAULT_CAP
 ) -> Iterator[dict[InformationSet, Row]]:
-    slots: list[InformationSet] = []
-    for agent in x.agents:
-        slots.extend(sorted(information_sets(x, agent)))
-    slots.sort()
-    count = 1
-    for iset in slots:
-        count *= len(iset.actions)
-        if count > cap:
-            raise SearchSpaceTooLarge(f"{count} pure profiles exceeds cap {cap}")
+    count_pure_ii_profiles(x, cap)
+    slots = _pure_slots(x)
     for combo in product(*(iset.actions for iset in slots)):
         yield {
             iset: bn.point_row(iset.actions, label)

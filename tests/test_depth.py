@@ -43,6 +43,20 @@ def test_classify_depth_fixture(depth3):
     assert k == 3
 
 
+def test_stack_structure_issues_name_nodes(honesty):
+    with pytest.raises(ValidationError) as e:
+        DepthStack(("A", "H"), "missing", {
+            "a": SubjectiveMaid("b", honesty, {"H": {"c": 0.5}}),
+            "c": SubjectiveMaid("c", honesty, {"Z": {"a": 1.0}}),
+        })
+    assert e.value.issues == [
+        "unknown-objective: missing",
+        "node-id-mismatch: a vs b",
+        "belief-row-not-normalized: a.H",
+        "unknown-believer: Z in c",
+    ]
+
+
 def test_fully_committed_node_is_depth_zero(honesty):
     full = maid.PostPolicyMaid(honesty, dict(truthful_match_rules()))
     st = DepthStack(("A", "H"), "only",

@@ -1,9 +1,14 @@
+import random
+
 import pytest
 
-from iimaid import iiefg
-from iimaid.fixtures import evaluation_depth3_stack, ne_ii_profile
+from iimaid import iiefg, incomplete, maid
+from iimaid.errors import MissingRule
+from iimaid.fixtures import evaluation_depth3_stack, ne_ii_profile, truthful_match_rules
 from iimaid.iiefg import BeliefSpace, IiConversion
+from iimaid.incomplete import IiMaid, SubjectiveMaid
 from tests.test_incomplete import iset_full
+from tests.test_properties import _outcome, _per_agent_equivalence
 
 
 @pytest.fixture
@@ -137,6 +142,101 @@ def test_corrupted_correspondence_is_caught(example1, conversion):
     ok, worst = iiefg.verify_equivalence(example1, broken)
     assert not ok
     assert worst >= 0.1
+
+
+def test_conversion_freezes_its_correspondence(example1, conversion):
+    # The lift is built once per conversion, so the correspondence it is
+    # built from cannot change: later edits to the source dict do not reach
+    # it, and it takes no assignment.
+    corr = dict(conversion.correspondence)
+    kept = IiConversion(conversion.game, corr)
+    assert iiefg.verify_equivalence(example1, kept) == (True, 0.0)
+    a, b = iset_full("high", "high"), iset_full("low", "high")
+    corr[a], corr[b] = corr[b], corr[a]
+    assert kept.correspondence == conversion.correspondence
+    with pytest.raises(TypeError):
+        kept.correspondence[a] = corr[a]
+    assert iiefg.verify_equivalence(example1, kept) == (True, 0.0)
+
+
+def _truthful_ground_truth(example1):
+    """The bundled game with A's report committed to the truth in the
+    ground-truth model, whose tree then never reaches H's (high, low) and
+    (low, high) contexts; no other model has H observe both variables."""
+    gt = example1.models["ground_truth"]
+    truthful = maid.PostPolicyMaid(gt.model, {"D_A": truthful_match_rules()["D_A"]})
+    return IiMaid(example1.agents, example1.objective, {
+        **example1.models,
+        "ground_truth": SubjectiveMaid("ground_truth", truthful, gt.beliefs),
+    })
+
+
+def test_conversion_keeps_information_sets_no_tree_reaches(example1):
+    x = _truthful_ground_truth(example1)
+    conv = iiefg.maid2efgII(x)
+    corr = conv.correspondence
+    assert set(corr) == set().union(*(incomplete.information_sets(x, a) for a in x.agents))
+    assert len(set(corr.values())) == len(corr)
+    cells = iiefg.meta_information_sets(conv.game, "H")
+    lost = {iset_full("low", "high"), iset_full("high", "low")}
+    assert {i for i in corr if i.agent == "H" and corr[i] not in cells} == lost
+    sigma = iiefg.strategy_from_ii_policy(conv, ne_ii_profile())
+    assert all(corr[i] in sigma for i in lost)
+    ok, worst = iiefg.verify_equivalence(x, conv)
+    assert ok and worst <= 1e-9
+
+
+def _lift_by_hand(conv, profile):
+    """``strategy_from_ii_policy`` as specified: each row lands on its own
+    cell, and on the cell's siblings that no earlier row reached."""
+    sigma = {}
+    for iset in sorted(profile):
+        cell = conv.correspondence[iset]
+        row = dict(profile[iset])
+        sigma[cell] = row
+        for other in iiefg.meta_information_sets(conv.game, cell.agent):
+            if other != cell and (other.observation, other.actions) == (
+                    cell.observation, cell.actions):
+                sigma.setdefault(other, row)
+    return sigma
+
+
+@pytest.mark.parametrize("committed", [False, True])
+def test_verify_equivalence_follows_any_correspondence(example1, committed):
+    # Conversions sharing one game, whose correspondences swap, merge or
+    # cross belief types, each keep their own lift.  In the committed game
+    # two of H's information sets have cells no tree reads, so a merge or a
+    # cross can leave every read cell supplied, by more than one set.
+    x = _truthful_ground_truth(example1) if committed else example1
+    conv = iiefg.maid2efgII(x)
+    profiles = list(incomplete.iter_pure_ii_profiles(x))[::9]
+    assert iiefg.verify_equivalence(x, conv, profiles=profiles) == (
+        _per_agent_equivalence(x, conv, profiles, lift=_lift_by_hand))
+    rng = random.Random(6)
+    mine = sorted(i for i in conv.correspondence if i.agent == "H")
+    cells = sorted(iiefg.meta_information_sets(conv.game, "H"))
+    outcomes = []
+    for _ in range(40):
+        corr = dict(conv.correspondence)
+        for _ in range(2):
+            a, b = rng.sample(mine, 2)
+            kind = rng.choice(["swap", "merge", "cross"])
+            if kind == "swap":
+                corr[a], corr[b] = corr[b], corr[a]
+            elif kind == "merge":
+                corr[a] = corr[b]
+            else:
+                corr[a] = rng.choice([c for c in cells if c.type_rep != corr[a].type_rep])
+        broken = IiConversion(conv.game, corr)
+        for p in profiles[:2]:
+            assert iiefg.strategy_from_ii_policy(broken, p) == _lift_by_hand(broken, p)
+        for p in profiles:
+            got = _outcome(lambda: iiefg.verify_equivalence(x, broken, profiles=[p]))
+            assert got == _per_agent_equivalence(x, broken, [p], lift=_lift_by_hand)
+            outcomes.append(got[0])
+    assert {False, MissingRule} <= set(outcomes)
+    if committed:
+        assert True in outcomes
 
 
 def test_as_plain_maid_freezes_assigned_decisions():

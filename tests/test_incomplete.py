@@ -318,3 +318,13 @@ def test_missing_reachable_row_raises_in_best_response(example1, ne_profile):
         inc.best_response_ii(example1, "A", others)
     with pytest.raises(MissingRule):
         inc.subjective_expected_utility(example1, "A", "ai_belief", partial)
+
+
+def test_count_pure_ii_profiles_matches_enumeration(example1):
+    assert inc.count_pure_ii_profiles(example1) == 256
+    assert len(list(inc.iter_pure_ii_profiles(example1))) == 256
+    # the cap trips on the running product, as the enumeration's does
+    with pytest.raises(SearchSpaceTooLarge, match="^4 pure profiles exceeds cap 3$"):
+        inc.count_pure_ii_profiles(example1, cap=3)
+    with pytest.raises(SearchSpaceTooLarge, match="^4 pure profiles exceeds cap 3$"):
+        next(inc.iter_pure_ii_profiles(example1, cap=3))

@@ -108,16 +108,68 @@ def test_is_nash_ii_makes_one_value_pass_per_agent_and_believed_model(
     assert len(passes) == 2
 
 
-def test_verify_equivalence_evaluates_each_model_once_per_profile(
+def _distinct_restrictions(x, conv, profiles):
+    """How many model evaluations and tree walks ``verify_equivalence``
+    needs: distinct (model, rules it reads) over the models some agent
+    believes at the objective, and distinct (state, agent, strategy played
+    there) over the states the agent believes."""
+    models, trees = set(), set()
+    for profile in profiles:
+        sigma = iiefg.strategy_from_ii_policy(conv, profile)
+        for agent in x.agents:
+            for sid, w in x.models[x.objective].beliefs[agent].items():
+                if w <= 0.0:
+                    continue
+                rules = incomplete.profile_rules_for_model(x.models[sid].model, profile)
+                models.add((sid, repr(sorted((d, sorted(r.rows.items())) for d, r in rules.items()))))
+                played = iiefg.state_strategy(conv.game, sigma, sid)
+                trees.add((sid, agent, repr(sorted(played.items()))))
+    return len(models), len(trees)
+
+
+def test_verify_equivalence_evaluates_each_restriction_once(
         monkeypatch, example1, ne_profile):
+    evaluations = _counting(monkeypatch, incomplete, "_expected_utilities")
+    walks = _counting(monkeypatch, iiefg, "efg_expected_utility")
+    conv = iiefg.maid2efgII(example1)
+    profiles = list(incomplete.iter_pure_ii_profiles(example1))
+    assert iiefg.verify_equivalence(example1, conv) == (True, 0.0)
+    # A reads 16 restrictions of the AI's model, H 64 of the ground truth
+    assert (len(evaluations), len(walks)) == (80, 80) == _distinct_restrictions(
+        example1, conv, profiles)
+
     x = _shared_belief_game(example1)
     conv = iiefg.maid2efgII(x)
-    evaluations = _counting(monkeypatch, incomplete, "_expected_utilities")
-    plays = _counting(monkeypatch, iiefg, "state_strategy")
-    profiles = list(incomplete.iter_pure_ii_profiles(x))[:3] + [ne_profile]
+    profiles = list(incomplete.iter_pure_ii_profiles(x))[:3] + [ne_profile] * 2
+    evaluations.clear()
+    walks.clear()
     assert iiefg.verify_equivalence(x, conv, profiles=profiles)[0]
-    assert len(evaluations) == len(profiles) * len(x.models)
-    assert len(plays) == len(profiles) * len(conv.game.space.states)
+    assert (len(evaluations), len(walks)) == _distinct_restrictions(x, conv, profiles)
+    assert len(evaluations) < len(profiles) * len(x.models)
+
+
+def test_verify_equivalence_keeps_only_results_that_can_repeat(
+        monkeypatch, example1, honesty):
+    kept = []
+    original = iiefg._memo
+
+    def spy(table, key, compute):
+        value = original(table, key, compute)
+        kept.append((id(table), key))
+        return value
+
+    monkeypatch.setattr(iiefg, "_memo", spy)
+    # Each bundled restriction reads fewer rows than the 8 of a profile.
+    assert iiefg.verify_equivalence(example1, iiefg.maid2efgII(example1)) == (True, 0.0)
+    assert len(set(kept)) == 80 + 80
+
+    # One model reading all 6 rows of each of 64 profiles, and one state
+    # playing all 6: no key could repeat, so nothing is kept.
+    kept.clear()
+    m = {a: {"m": 1.0} for a in honesty.agents}
+    x = incomplete.IiMaid(honesty.agents, "m", {"m": incomplete.SubjectiveMaid("m", honesty, m)})
+    assert iiefg.verify_equivalence(x, iiefg.maid2efgII(x)) == (True, 0.0)
+    assert kept == []
 
 
 def test_free_decisions_hands_out_a_fresh_list(honesty):

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from iimaid import bn, efg, gamedoc, iiefg, incomplete, maid
 from iimaid.bn import Cpd
+from iimaid.errors import GameError, MissingRule
 from iimaid.incomplete import IiMaid, SubjectiveMaid
 
 
@@ -339,14 +340,13 @@ def test_best_response_ii_matches_exhaustive_enumeration(xp):
 
 
 @st.composite
-def subjective_game_with_profile(draw, commit=True):
+def subjective_game_with_profile(draw):
     """A subjective game, not necessarily common-prior, and a mixed profile.
 
     Beyond ``common_prior_game_with_profile``: belief rows may give a model
-    probability zero; with ``commit``, a model other than the objective one
-    may pre-commit D1, leaving P1 no free decision there; and P1 sometimes
-    acts a second time (E1, observing D1), which sends P1 to the exhaustive
-    fallback.
+    probability zero; a model other than the objective one may pre-commit
+    D1, leaving P1 no free decision there; and P1 sometimes acts a second
+    time (E1, observing D1), which sends P1 to the exhaustive fallback.
     """
     ids = [f"m{i}" for i in range(draw(st.integers(min_value=2, max_value=3)))]
     d1_pa = draw(st.sampled_from([(), ("X0",), ("X1",)]))
@@ -367,7 +367,7 @@ def subjective_game_with_profile(draw, commit=True):
             edges += u_edges
             cpds.append(cpd)
         m = maid.Maid.build(("P1", "P2"), variables, edges, cpds)
-        if commit and mid != ids[0] and "E1" not in m.variables and draw(st.booleans()):
+        if mid != ids[0] and "E1" not in m.variables and draw(st.booleans()):
             m = maid.PostPolicyMaid(m, {"D1": _random_pure_rule(draw, m, "D1")})
         models[mid] = m
     beliefs = {}
@@ -405,21 +405,64 @@ def test_is_nash_ii_matches_three_pass_regrets(xp):
     assert ok == all(r <= 1e-6 for r in reference.values())
 
 
-# Without commitments: maid2efgII raises GameError when a pure committed rule
-# hides an information set that no other model's tree has.
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(subjective_game_with_profile(commit=False), st.data())
+def _per_agent_equivalence(x, conv, profiles, lift=iiefg.strategy_from_ii_policy):
+    """``verify_equivalence`` recomputed agent by agent through the public
+    functions, or the error it raises first."""
+    try:
+        worst = 0.0
+        for p in profiles:
+            sigma = lift(conv, p)
+            for agent in x.agents:
+                lhs = incomplete.subjective_expected_utility(x, agent, x.objective, p)
+                rhs = iiefg.interim_utility(conv.game, sigma, agent, x.objective)
+                worst = max(worst, abs(lhs - rhs))
+        return worst <= bn.TOL, worst
+    except GameError as exc:
+        return type(exc), str(exc)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except GameError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(subjective_game_with_profile(), st.data())
 def test_verify_equivalence_matches_per_agent_recomputation(xp, data):
     x, profile = xp
     conv = iiefg.maid2efgII(x)
+    slots = sorted(profile)
     pure = {i: bn.point_row(i.actions, data.draw(st.sampled_from(i.actions)))
-            for i in profile}
-    worst = 0.0
-    for p in (profile, pure):
-        sigma = iiefg.strategy_from_ii_policy(conv, p)
-        for agent in x.agents:
-            lhs = incomplete.subjective_expected_utility(x, agent, x.objective, p)
-            rhs = iiefg.interim_utility(conv.game, sigma, agent, x.objective)
-            worst = max(worst, abs(lhs - rhs))
-    assert iiefg.verify_equivalence(x, conv, profiles=[profile, pure]) == (
-        worst <= bn.TOL, worst)
+            for i in slots}
+
+    def variant():
+        """An earlier profile with up to two rows redrawn, pure or mixed, so
+        that most models and trees see a restriction again."""
+        p = dict(data.draw(st.sampled_from([profile, pure])))
+        for i in data.draw(st.lists(st.sampled_from(slots), max_size=2)):
+            q = data.draw(st.sampled_from(PROBS))
+            p[i] = data.draw(st.sampled_from([
+                {i.actions[0]: q, i.actions[1]: 1.0 - q},
+                bn.point_row(i.actions, data.draw(st.sampled_from(i.actions)))]))
+        return p
+
+    profiles = [profile, pure] + [variant() for _ in range(4)] + [dict(profile)]
+    want = _per_agent_equivalence(x, conv, profiles)
+    assert isinstance(want[1], float)
+    assert iiefg.verify_equivalence(x, conv, profiles=profiles) == want
+
+    # A bad profile after one whose restrictions are already evaluated
+    # raises what the per-agent recomputation raises, if anything.
+    first = data.draw(st.sampled_from(profiles))
+    i = data.draw(st.sampled_from(slots))
+    bad_row = {**first, i: {i.actions[0]: 0.5, i.actions[1]: 0.6}}
+    missing = {k: r for k, r in first.items() if k != i}
+    unknown = {**first, incomplete.InformationSet("P1", (("Q", "z"),), ("l", "r")): {
+        "l": 1.0, "r": 0.0}}
+    for bad in (bad_row, missing, unknown):
+        got = _outcome(lambda: iiefg.verify_equivalence(x, conv, profiles=[first, bad]))
+        assert got == _per_agent_equivalence(x, conv, [first, bad])
+    assert _outcome(lambda: iiefg.verify_equivalence(
+        x, conv, profiles=[first, unknown]))[0] is MissingRule
