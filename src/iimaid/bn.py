@@ -5,6 +5,11 @@ Variables and outcome labels are iterated in sorted order everywhere, so
 identical inputs always produce identical outputs.  Inference is plain
 enumeration with zero-probability pruning, which is exact and fast enough
 for the network sizes this package targets (roughly twenty binary variables).
+
+Every CPD, decision-rule and belief row is judged by one predicate,
+``is_distribution``: each entry within ``TOL`` of [0, 1] (NaN and infinite
+entries never are), a sum within ``TOL`` of one, and, when a domain is
+given, exactly its labels.  Callers keep their own issue codes.
 """
 
 from __future__ import annotations
@@ -95,6 +100,21 @@ class Cpd:
 
     def row_for(self, assignment: Assignment) -> Row:
         return self.rows[tuple(assignment[p] for p in self.parents)]
+
+
+def bad_entry(row: Row) -> str | None:
+    """The first label whose entry is not within ``TOL`` of [0, 1], or None."""
+    for label, p in row.items():
+        if not -TOL <= p <= 1.0 + TOL:
+            return label
+    return None
+
+
+def is_distribution(row: Row, domain: Iterable[str] | None = None) -> bool:
+    """Whether ``row`` is a distribution (over ``domain``); see the module docstring."""
+    if domain is not None and set(row) != set(domain):
+        return False
+    return bad_entry(row) is None and abs(sum(row.values()) - 1.0) <= TOL
 
 
 def point_row(domain: Sequence[str], label: str) -> dict[str, float]:
@@ -210,10 +230,8 @@ def validate_net(net: BayesNet) -> list[str]:
             row = cpd.rows[ctx]
             if set(row) != set(var.domain):
                 issues.append(f"row-domain-mismatch: {child}{ctx}")
-                continue
-            total = sum(row.values())
-            if abs(total - 1.0) > TOL or any(p < -TOL or p > 1.0 + TOL for p in row.values()):
-                issues.append(f"row-not-normalized: {child}{ctx} sums to {total!r}")
+            elif not is_distribution(row):
+                issues.append(f"row-not-normalized: {child}{ctx} sums to {sum(row.values())!r}")
     try:
         topological_order(net)
     except CycleError as e:

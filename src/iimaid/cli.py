@@ -27,7 +27,11 @@ OK, CHECK_FAILED, ERROR = 0, 1, 2
 
 def _read_document(path: str) -> GameDocument:
     with open(path, "r", encoding="utf-8") as fh:
-        return gamedoc.parse_document(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise SchemaViolation("$", f"not UTF-8 text: {exc}") from None
+    return gamedoc.parse_document(text)
 
 
 def _expect(doc: GameDocument, *kinds: str) -> Any:

@@ -4,11 +4,14 @@ Documents carry an explicit format version and one of five kinds.  Numbers
 travel as decimal strings so files stay stable across writers; serialization
 is canonical (sorted keys, fixed list orders, two-space indent, trailing
 newline), making serialize(parse(text)) == text for canonical inputs.
+Parsing rejects non-finite numbers, rows that fail ``bn.is_distribution``
+and anything a document repeats, each as a ``SchemaViolation`` at its path.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
@@ -38,7 +41,7 @@ _VARIABLE = {
             "properties": {
                 "name": NAME,
                 "kind": {"const": "chance"},
-                "domain": {"type": "array", "items": NAME, "minItems": 1},
+                "domain": {"type": "array", "items": NAME, "minItems": 1, "uniqueItems": True},
             },
             "required": ["name", "kind", "domain"],
             "additionalProperties": False,
@@ -48,7 +51,7 @@ _VARIABLE = {
                 "name": NAME,
                 "kind": {"const": "decision"},
                 "owner": NAME,
-                "domain": {"type": "array", "items": NAME, "minItems": 1},
+                "domain": {"type": "array", "items": NAME, "minItems": 1, "uniqueItems": True},
             },
             "required": ["name", "kind", "owner", "domain"],
             "additionalProperties": False,
@@ -94,7 +97,7 @@ _CPD = {
 _GRAPH_PROPS = {
     "variables": {"type": "array", "items": _VARIABLE, "minItems": 1},
     "edges": {
-        "type": "array",
+        "type": "array", "uniqueItems": True,
         "items": {
             "type": "array",
             "items": NAME,
@@ -132,7 +135,7 @@ SCHEMAS: dict[str, dict] = {
         "properties": {
             "format_version": {"const": FORMAT_VERSION},
             "kind": {"const": "maid"},
-            "agents": {"type": "array", "items": NAME, "minItems": 1},
+            "agents": {"type": "array", "items": NAME, "minItems": 1, "uniqueItems": True},
             **_GRAPH_PROPS,
         },
         "required": ["format_version", "kind", "agents", "variables", "edges", "cpds"],
@@ -143,7 +146,7 @@ SCHEMAS: dict[str, dict] = {
         "properties": {
             "format_version": {"const": FORMAT_VERSION},
             "kind": {"const": "ii-maid"},
-            "agents": {"type": "array", "items": NAME, "minItems": 1},
+            "agents": {"type": "array", "items": NAME, "minItems": 1, "uniqueItems": True},
             "objective": NAME,
             "models": {"type": "array", "items": _SUBJECTIVE, "minItems": 1},
         },
@@ -155,7 +158,7 @@ SCHEMAS: dict[str, dict] = {
         "properties": {
             "format_version": {"const": FORMAT_VERSION},
             "kind": {"const": "depth-stack"},
-            "agents": {"type": "array", "items": NAME, "minItems": 1},
+            "agents": {"type": "array", "items": NAME, "minItems": 1, "uniqueItems": True},
             "objective": NAME,
             "nodes": {"type": "array", "items": _SUBJECTIVE, "minItems": 1},
         },
@@ -173,7 +176,7 @@ SCHEMAS: dict[str, dict] = {
                     "type": "object",
                     "properties": {
                         "decision": NAME,
-                        "parents": {"type": "array", "items": NAME},
+                        "parents": {"type": "array", "items": NAME, "uniqueItems": True},
                         "rows": _CPD["properties"]["rows"],
                     },
                     "required": ["decision", "parents", "rows"],
@@ -196,7 +199,7 @@ SCHEMAS: dict[str, dict] = {
                     "properties": {
                         "agent": NAME,
                         "observation": {
-                            "type": "array",
+                            "type": "array", "uniqueItems": True,
                             "items": {
                                 "type": "array",
                                 "items": NAME,
@@ -241,48 +244,57 @@ def _fmt(x: float) -> str:
 
 def _parse_prob(s: str, path: str) -> float:
     try:
-        return float(s)
+        x = float(s)
     except ValueError:
         raise SchemaViolation(path, f"not a decimal number: {s!r}") from None
+    if not math.isfinite(x):
+        raise SchemaViolation(path, f"not a finite number: {s!r}")
+    return x
 
 
-def _check_row_sum(row: Mapping[str, float], path: str) -> None:
-    total = sum(row.values())
-    if abs(total - 1.0) > 1e-9 or any(p < -1e-9 for p in row.values()):
-        raise SchemaViolation(path, f"row sums to {_fmt(total)}, expected 1")
+def _row_from_doc(doc: Mapping[str, str], path: str) -> dict[str, float]:
+    row = {label: _parse_prob(s, f"{path}.{label}") for label, s in doc.items()}
+    if not bn.is_distribution(row):
+        label = bn.bad_entry(row)
+        if label is not None:
+            raise SchemaViolation(f"{path}.{label}", f"{row[label]!r} is not a probability")
+        raise SchemaViolation(path, f"row sums to {_fmt(sum(row.values()))}, expected 1")
+    return row
 
 
-def _variables_from_doc(items: list[dict], path: str) -> list[Variable]:
-    out = []
+def _put(table: dict, key: Any, value: Any, path: str, what: str) -> None:
+    """``table[key] = value``, rejecting a repeated key at ``path``."""
+    if key in table:
+        raise SchemaViolation(path, f"duplicate {what}")
+    table[key] = value
+
+
+def _object(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    obj: dict[str, Any] = {}
+    for key, value in pairs:
+        _put(obj, key, value, "$", f"key {key!r}")
+    return obj
+
+
+def _variables_from_doc(items: list[dict], path: str) -> dict[str, Variable]:
+    out: dict[str, Variable] = {}
     for i, item in enumerate(items):
         if item["kind"] == "utility":
             values = {
                 label: _parse_prob(s, f"{path}[{i}].values.{label}")
                 for label, s in item["values"].items()
             }
-            out.append(
-                Variable(
-                    item["name"], tuple(sorted(values)), bn.UTILITY,
-                    item["owner"], values,
-                )
-            )
+            v = Variable(item["name"], tuple(sorted(values)), bn.UTILITY, item["owner"], values)
         else:
-            out.append(
-                Variable(
-                    item["name"],
-                    tuple(item["domain"]),
-                    item["kind"],
-                    item.get("owner"),
-                    None,
-                )
-            )
+            v = Variable(item["name"], tuple(item["domain"]), item["kind"], item.get("owner"))
+        _put(out, v.name, v, f"{path}[{i}].name", f"variable {v.name}")
     return out
 
 
 def _cpd_from_doc(
     item: dict, parents: tuple[str, ...], path: str
 ) -> Cpd:
-    rows = {}
+    rows: dict[tuple[str, ...], Row] = {}
     for j, entry in enumerate(item["rows"]):
         ctx = tuple(entry["context"])
         if len(ctx) != len(parents):
@@ -290,12 +302,8 @@ def _cpd_from_doc(
                 f"{path}.rows[{j}].context",
                 f"expected {len(parents)} values for parents {list(parents)}",
             )
-        row = {
-            label: _parse_prob(s, f"{path}.rows[{j}].row.{label}")
-            for label, s in entry["row"].items()
-        }
-        _check_row_sum(row, f"{path}.rows[{j}].row")
-        rows[ctx] = row
+        row = _row_from_doc(entry["row"], f"{path}.rows[{j}].row")
+        _put(rows, ctx, row, f"{path}.rows[{j}].context", f"context {list(ctx)}")
     return Cpd(item["child"], parents, rows)
 
 
@@ -303,11 +311,9 @@ def _model_from_doc(
     doc: Mapping[str, Any], path: str, agents: Iterable[str]
 ) -> Model:
     variables = _variables_from_doc(doc["variables"], f"{path}.variables")
-    names = {v.name for v in variables}
-    kinds = {v.name: v.kind for v in variables}
-    parents: dict[str, list[str]] = {v.name: [] for v in variables}
+    parents: dict[str, list[str]] = {name: [] for name in variables}
     for i, (u, v) in enumerate(doc["edges"]):
-        if u not in names or v not in names:
+        if u not in variables or v not in variables:
             raise SchemaViolation(
                 f"{path}.edges[{i}]", f"unknown variable in ({u}, {v})"
             )
@@ -315,20 +321,19 @@ def _model_from_doc(
     cpds = {}
     for i, item in enumerate(doc["cpds"]):
         child = item["child"]
-        if child not in names:
+        if child not in variables:
             raise SchemaViolation(f"{path}.cpds[{i}].child", f"unknown variable {child}")
-        if kinds[child] == bn.DECISION:
+        if variables[child].kind == bn.DECISION:
             raise SchemaViolation(
                 f"{path}.cpds[{i}]", f"decision {child} must use xi, not cpds"
             )
-        cpds[child] = _cpd_from_doc(
-            item, tuple(sorted(parents[child])), f"{path}.cpds[{i}]"
-        )
-    for v in variables:
+        cpd = _cpd_from_doc(item, tuple(sorted(parents[child])), f"{path}.cpds[{i}]")
+        _put(cpds, child, cpd, f"{path}.cpds[{i}].child", f"table for {child}")
+    for v in variables.values():
         if v.kind != bn.DECISION and v.name not in cpds:
             raise SchemaViolation(f"{path}.cpds", f"missing table for {v.name}")
     try:
-        maid = Maid.build(agents, variables, doc["edges"], cpds.values())
+        maid = Maid.build(agents, variables.values(), doc["edges"], cpds.values())
     except ValidationError as exc:
         raise SchemaViolation(path, "; ".join(exc.issues)) from None
     xi_items = doc.get("xi", [])
@@ -337,37 +342,22 @@ def _model_from_doc(
     xi = {}
     for i, item in enumerate(xi_items):
         child = item["child"]
-        if child not in names or kinds[child] != bn.DECISION:
+        if child not in variables or variables[child].kind != bn.DECISION:
             raise SchemaViolation(
                 f"{path}.xi[{i}].child", f"{child} is not a decision"
             )
-        xi[child] = _cpd_from_doc(
-            item, tuple(sorted(parents[child])), f"{path}.xi[{i}]"
-        )
+        rule = _cpd_from_doc(item, tuple(sorted(parents[child])), f"{path}.xi[{i}]")
+        _put(xi, child, rule, f"{path}.xi[{i}].child", f"rule for {child}")
     try:
         return PostPolicyMaid(maid, xi)
     except ValidationError as exc:
         raise SchemaViolation(f"{path}.xi", "; ".join(exc.issues)) from None
 
 
-def _beliefs_from_doc(
-    doc: Mapping[str, float], path: str
-) -> dict[str, dict[str, float]]:
-    out = {}
-    for agent in sorted(doc):
-        row = {
-            target: _parse_prob(s, f"{path}.{agent}.{target}")
-            for target, s in doc[agent].items()
-        }
-        _check_row_sum(row, f"{path}.{agent}")
-        out[agent] = row
-    return out
-
-
 def parse_document(text: str) -> GameDocument:
     """Validate and build the typed object a JSON document describes."""
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise SchemaViolation("$", f"invalid JSON: {exc}") from None
     if not isinstance(raw, dict) or "kind" not in raw:
@@ -383,10 +373,7 @@ def parse_document(text: str) -> GameDocument:
         raise SchemaViolation(err.json_path, err.message)
 
     if kind == "maid":
-        model = _model_from_doc(raw, "$", raw["agents"])
-        if isinstance(model, PostPolicyMaid):
-            raise SchemaViolation("$.xi", "plain game documents cannot carry xi")
-        return GameDocument(kind, model)
+        return GameDocument(kind, _model_from_doc(raw, "$", raw["agents"]))
 
     if kind in ("ii-maid", "depth-stack"):
         key = "models" if kind == "ii-maid" else "nodes"
@@ -394,8 +381,12 @@ def parse_document(text: str) -> GameDocument:
         for i, item in enumerate(raw[key]):
             path = f"$.{key}[{i}]"
             model = _model_from_doc(item, path, raw["agents"])
-            beliefs = _beliefs_from_doc(item["beliefs"], f"{path}.beliefs")
-            members[item["id"]] = SubjectiveMaid(item["id"], model, beliefs)
+            beliefs = {
+                agent: _row_from_doc(row, f"{path}.beliefs.{agent}")
+                for agent, row in sorted(item["beliefs"].items())
+            }
+            member = SubjectiveMaid(item["id"], model, beliefs)
+            _put(members, item["id"], member, f"{path}.id", f"id {item['id']}")
         try:
             if kind == "ii-maid":
                 return GameDocument(
@@ -410,26 +401,22 @@ def parse_document(text: str) -> GameDocument:
     if kind == "maid-profile":
         rules = {}
         for i, item in enumerate(raw["rules"]):
-            rules[item["decision"]] = _cpd_from_doc(
-                {"child": item["decision"], "rows": item["rows"]},
-                tuple(item["parents"]),
-                f"$.rules[{i}]",
+            d = item["decision"]
+            rule = _cpd_from_doc(
+                {"child": d, "rows": item["rows"]}, tuple(item["parents"]), f"$.rules[{i}]"
             )
+            _put(rules, d, rule, f"$.rules[{i}].decision", f"rule for {d}")
         return GameDocument(kind, MaidProfile(rules))
 
     rules = {}
     for i, item in enumerate(raw["rules"]):
-        row = {
-            label: _parse_prob(s, f"$.rules[{i}].row.{label}")
-            for label, s in item["row"].items()
-        }
-        _check_row_sum(row, f"$.rules[{i}].row")
+        row = _row_from_doc(item["row"], f"$.rules[{i}].row")
         iset = InformationSet(
             item["agent"],
             tuple(sorted((v, val) for v, val in item["observation"])),
             tuple(sorted(row)),
         )
-        rules[iset] = row
+        _put(rules, iset, row, f"$.rules[{i}]", f"rule for {iset}")
     return GameDocument("ii-profile", IiProfile(rules))
 
 

@@ -72,7 +72,7 @@ class BeliefSpace:
         return tuple(sorted(self.beliefs))
 
 
-def validate_belief_space(space: BeliefSpace, tol: float = TOL) -> list[str]:
+def validate_belief_space(space: BeliefSpace) -> list[str]:
     """Well-formedness plus belief coherence.
 
     Coherence: whenever an agent gives a state positive mass, their belief row
@@ -91,12 +91,10 @@ def validate_belief_space(space: BeliefSpace, tol: float = TOL) -> list[str]:
             row = by_state[w]
             if set(row) - set(space.states):
                 issues.append(f"belief-row-over-unknown-states: {agent}@{w}")
-            if abs(sum(row.values()) - 1.0) > tol or any(
-                p < -tol for p in row.values()
-            ):
+            if not bn.is_distribution(row):
                 issues.append(f"belief-row-not-normalized: {agent}@{w}")
             for w2, p in sorted(row.items()):
-                if p > tol and not _rows_close(by_state.get(w2, {}), row, tol):
+                if p > TOL and not _rows_close(by_state.get(w2, {}), row):
                     issues.append(
                         f"incoherent-beliefs: {agent} at {w} trusts {w2} "
                         "which holds a different row"

@@ -32,10 +32,8 @@ from .maid import (
     _decision_values,
     _expected_utilities,
     _free_decisions,
-    _row_invalid,
     argmax_action,
     base_maid,
-    fixed_rules,
     free_decisions,
     has_perfect_recall,
     topological_order,
@@ -124,7 +122,7 @@ def _structural_issues(
             for target in sorted(row):
                 if target not in members:
                     issues.append(f"dangling-belief: {sid}.{agent} -> {target}")
-            if abs(sum(row.values()) - 1.0) > TOL or any(p < -TOL for p in row.values()):
+            if not bn.is_distribution(row):
                 issues.append(f"belief-row-not-normalized: {sid}.{agent}")
     return issues
 
@@ -395,7 +393,6 @@ class _DecisionSlots(NamedTuple):
 
     parents: tuple[str, ...]
     actions: tuple[str, ...]
-    domain: frozenset[str]
     cells: Mapping[tuple[str, ...], tuple[InformationSet, bool]]
 
 
@@ -415,7 +412,7 @@ def _build_decision_slots(model: Model) -> Mapping[str, _DecisionSlots]:
                 ctx: (InformationSet(agent, tuple(zip(pa, ctx)), actions), ctx in support)
                 for ctx in product(*(m.variables[p].domain for p in pa))
             }
-            out[d] = _DecisionSlots(pa, actions, frozenset(actions), MappingProxyType(cells))
+            out[d] = _DecisionSlots(pa, actions, MappingProxyType(cells))
     return MappingProxyType(out)
 
 
@@ -424,11 +421,11 @@ def profile_rules_for_model(model: Model, profile: IiPolicy) -> dict[str, Cpd]:
 
     Contexts that are unreachable under every policy (chance zeros) fall back
     to a lexicographic default; reachable contexts must be covered.  Each
-    row read from the profile must cover the decision's actions and sum to
-    one, so the rules need no further check (see ``_profile_utilities``).
+    row read from the profile must be a distribution over the decision's
+    actions, so the rules need no further check.
     """
     rules: dict[str, Cpd] = {}
-    for d, (pa, actions, domain, cells) in _decision_slots(model).items():
+    for d, (pa, actions, cells) in _decision_slots(model).items():
         rows = {}
         for ctx, (key, in_support) in cells.items():
             row = profile.get(key)
@@ -436,7 +433,7 @@ def profile_rules_for_model(model: Model, profile: IiPolicy) -> dict[str, Cpd]:
                 if in_support:
                     raise MissingRule(f"no rule for {key}")
                 row = _default_row(actions)
-            elif _row_invalid(row, domain):
+            elif not bn.is_distribution(row, actions):
                 raise ValidationError([f"rule-row-invalid: {d}{ctx}"])
             rows[ctx] = row
         rules[d] = Cpd(d, pa, rows)
@@ -444,14 +441,9 @@ def profile_rules_for_model(model: Model, profile: IiPolicy) -> dict[str, Cpd]:
 
 
 def _profile_utilities(model: Model, profile: IiPolicy) -> dict[str, float]:
-    """Every agent's expected utility in the model under the profile.
-
-    The rules come from ``profile_rules_for_model``, which checks each row it
-    reads, plus the model's committed rules, checked when it was made; so
-    ``maid._expected_utilities`` evaluates them without a second check.
-    """
-    rules = {**fixed_rules(model), **profile_rules_for_model(model, profile)}
-    return _expected_utilities(model, rules)
+    """Every agent's expected utility in the model under the profile, whose
+    rows ``profile_rules_for_model`` checks as it reads them."""
+    return _expected_utilities(model, profile_rules_for_model(model, profile))
 
 
 def _believed(x: IiMaid, agent: str, at: str) -> list[tuple[str, float]]:
@@ -551,7 +543,7 @@ def _action_values(
             constant += w * utilities(sid).get(agent, 0.0)
             continue
         (d,) = _free_decisions(model, agent)
-        rules = {**fixed_rules(model), **profile_rules_for_model(model, profile)}
+        rules = profile_rules_for_model(model, profile)
         cells = _decision_slots(model)[d].cells
         for ctx, q_row in _decision_values(model, rules, d, agent).items():
             iset = cells[ctx][0]
@@ -667,8 +659,7 @@ def validate_ii_policy(x: IiMaid, profile: IiPolicy) -> list[str]:
     for iset in sorted(set(profile) - wanted, key=repr):
         issues.append(f"unknown-information-set: {iset}")
     for iset in sorted(set(profile) & wanted):
-        row = profile[iset]
-        if set(row) != set(iset.actions) or abs(sum(row.values()) - 1.0) > TOL:
+        if not bn.is_distribution(profile[iset], iset.actions):
             issues.append(f"row-not-normalized: {iset}")
     return issues
 

@@ -5,6 +5,11 @@ and utility kinds, with decisions and utilities owned by agents.  Policies
 supply the missing decision CPDs; everything else reduces to exact inference
 on the induced network.
 
+Public functions check each rule their caller passes once, on entry, and
+a ``PostPolicyMaid`` checks its committed rules when it is made.  The
+``_``-prefixed kernels assume checked rules and add the model's committed
+ones themselves.
+
 Tolerances and ties
 -------------------
 Every solver that picks an action maximizes a table of action values at one
@@ -35,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Union
 
 from . import bn
@@ -161,7 +167,8 @@ class PostPolicyMaid:
     assigned: Mapping[str, Cpd]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "assigned", dict(self.assigned))
+        # read-only: the rules are checked here, once
+        object.__setattr__(self, "assigned", MappingProxyType(dict(self.assigned)))
         issues = []
         for name, rule in self.assigned.items():
             if name not in self.base.variables or self.base.kind(name) != DECISION:
@@ -199,24 +206,15 @@ def _build_free_decisions(model: Model, agent: str | None) -> tuple[str, ...]:
 
 
 def _check_rule(m: Maid, name: str, rule: Cpd) -> list[str]:
-    issues = []
     if tuple(rule.parents) != m.parents[name]:
-        issues.append(f"rule-parents-mismatch: {name}")
-        return issues
-    expected = set(product(*(m.variables[p].domain for p in rule.parents)))
-    if set(rule.rows) != expected:
-        issues.append(f"rule-context-mismatch: {name}")
-        return issues
-    dom = set(m.variables[name].domain)
-    for ctx in sorted(rule.rows):
-        if _row_invalid(rule.rows[ctx], dom):
-            issues.append(f"rule-row-invalid: {name}{ctx}")
-    return issues
-
-
-def _row_invalid(row: Row, domain: frozenset[str] | set[str]) -> bool:
-    """Whether a decision row misses the domain or does not sum to one."""
-    return set(row) != domain or abs(sum(row.values()) - 1.0) > TOL
+        return [f"rule-parents-mismatch: {name}"]
+    if set(rule.rows) != set(product(*(m.variables[p].domain for p in rule.parents))):
+        return [f"rule-context-mismatch: {name}"]
+    return [
+        f"rule-row-invalid: {name}{ctx}"
+        for ctx in sorted(rule.rows)
+        if not bn.is_distribution(rule.rows[ctx], m.variables[name].domain)
+    ]
 
 
 def uniform_rule(model: Model, name: str) -> Cpd:
@@ -240,29 +238,31 @@ def decision_rule(model: Model, name: str, choose) -> Cpd:
     )
 
 
-def _merged_rules(
-    model: Model, rules: PolicyRules, open_decision: str | None = None
+def _checked_rules(
+    model: Model, rules: PolicyRules, open_decisions: Iterable[str] = ()
 ) -> dict[str, Cpd]:
+    """The caller's rules but those for ``open_decisions``, checked; with the
+    committed rules they must cover every other decision."""
     m = base_maid(model)
-    merged = {**fixed_rules(model), **dict(rules)}
-    merged.pop(open_decision, None)
-    issues = []
+    rules = {d: r for d, r in rules.items() if d not in open_decisions}
     for d in m.decisions():
-        if d not in merged and d != open_decision:
+        if d not in rules and d not in fixed_rules(model) and d not in open_decisions:
             raise MissingRule(f"no rule for decision {d}")
-    for name in merged:
+    issues = []
+    for name, rule in rules.items():
         if name not in m.variables or m.kind(name) != DECISION:
             raise MissingRule(f"rule for non-decision {name}")
-        issues.extend(_check_rule(m, name, merged[name]))
+        issues.extend(_check_rule(m, name, rule))
     if issues:
         raise ValidationError(issues)
-    return merged
+    return rules
 
 
 def induced_network(model: Model, rules: PolicyRules) -> bn.BayesNet:
     """The Bayes net obtained by plugging decision rules into the diagram."""
     m = base_maid(model)
-    return bn.BayesNet(m.variables, {**m.cpds, **_merged_rules(model, rules)})
+    rules = _checked_rules(model, rules)
+    return bn.BayesNet(m.variables, {**m.cpds, **fixed_rules(model), **rules})
 
 
 def topological_order(model: Model) -> tuple[str, ...]:
@@ -276,18 +276,13 @@ def _topological_order(m: Maid) -> tuple[str, ...]:
 
 def expected_utilities(model: Model, rules: PolicyRules) -> dict[str, float]:
     """Each agent's expected sum of utility variables under the profile."""
-    return _expected_utilities(model, _merged_rules(model, rules))
+    return _expected_utilities(model, _checked_rules(model, rules))
 
 
 def _expected_utilities(model: Model, rules: PolicyRules) -> dict[str, float]:
-    """``expected_utilities`` given a checked rule for every decision.
-
-    Callers that assemble rules correct by construction (committed rules
-    are checked when the ``PostPolicyMaid`` is made) use this directly and
-    skip ``_merged_rules``' re-check.
-    """
+    """``expected_utilities`` given a checked rule for every open decision."""
     m = base_maid(model)
-    tables = {**m.cpds, **rules}
+    tables = {**m.cpds, **fixed_rules(model), **rules}
     order = topological_order(m)
     payoff_vars = [
         (name, m.variables[name].owner, m.variables[name].values)
@@ -337,19 +332,16 @@ def decision_values(
         raise UnknownAgent(agent)
     if d not in _free_decisions(model):
         raise ValidationError([f"not-a-free-decision: {d}"])
-    return _decision_values(model, _merged_rules(model, rules, open_decision=d), d, agent)
+    return _decision_values(model, _checked_rules(model, rules, (d,)), d, agent)
 
 
 def _decision_values(
     model: Model, rules: PolicyRules, d: str, agent: str
 ) -> dict[tuple[str, ...], dict[str, float]]:
-    """``decision_values`` given a checked rule for every decision but ``d``.
-
-    As with ``_expected_utilities``, the rules are not checked again; a rule
-    for ``d`` is ignored.
-    """
+    """``decision_values`` given a checked rule for every open decision but
+    ``d``, whose rule, if any, is ignored."""
     m = base_maid(model)
-    tables = {**m.cpds, **rules}
+    tables = {**m.cpds, **fixed_rules(model), **rules}
     order = topological_order(m)
     payoff_vars = [(name, m.variables[name].values) for name in m.utilities(agent)]
     pa = m.parents[d]
@@ -443,9 +435,16 @@ def best_response(
     ``cap`` bounds only that fallback.  The value is the expected utility
     of the returned rules.
     """
-    m = base_maid(model)
-    if agent not in m.agents:
+    if agent not in base_maid(model).agents:
         raise UnknownAgent(agent)
+    own = _free_decisions(model, agent)
+    return _best_response(model, _checked_rules(model, others, own), agent, cap)
+
+
+def _best_response(
+    model: Model, others: PolicyRules, agent: str, cap: int = DEFAULT_CAP
+) -> tuple[dict[str, Cpd], float]:
+    """``best_response`` given checked rules for the other open decisions."""
     recall, order = has_perfect_recall(model, agent)
     if not recall:
         return _best_response_exhaustive(model, others, agent, cap)
@@ -455,7 +454,7 @@ def best_response(
     for i in reversed(range(len(order))):
         d = order[i]
         earlier = {e: uniform_rule(model, e) for e in order[:i]}
-        q = tables[d] = decision_values(model, {**dict(others), **earlier, **chosen}, d, agent)
+        q = tables[d] = _decision_values(model, {**others, **earlier, **chosen}, d, agent)
         chosen[d] = _argmax_rule(model, d, q, lambda ctx: True)
     for i in range(1, len(order)):
         # Perfect recall puts every earlier own decision among d's parents, so
@@ -466,7 +465,7 @@ def best_response(
         )
         chosen[order[i]] = _argmax_rule(model, order[i], tables[order[i]], reachable)
     rules = {d: chosen[d] for d in sorted(chosen)}
-    return rules, expected_utility(model, {**dict(others), **rules}, agent)
+    return rules, _expected_utilities(model, {**others, **rules})[agent]
 
 
 def _argmax_rule(
@@ -488,12 +487,12 @@ def _best_response_exhaustive(
     """Best response by enumerating every pure policy (at most ``cap``).
 
     The first maximizer in ``iter_pure_rules`` order wins, which selects the
-    least action at indifferent contexts.
+    least action at indifferent contexts.  It checks no rule.
     """
     best_rules: dict[str, Cpd] | None = None
     best_value = 0.0
     for cand in iter_pure_rules(model, free_decisions(model, agent), cap):
-        value = expected_utility(model, {**dict(others), **cand}, agent)
+        value = _expected_utilities(model, {**others, **cand})[agent]
         if best_rules is None or value > best_value:
             best_rules, best_value = cand, value
     assert best_rules is not None
@@ -509,12 +508,13 @@ def is_nash(
     this default relates to ``incomplete.is_nash_ii``'s.
     """
     m = base_maid(model)
-    achieved = expected_utilities(model, rules)
+    rules = _checked_rules(model, rules)
+    achieved = _expected_utilities(model, rules)
     regrets: dict[str, float] = {}
     for agent in m.agents:
-        own = set(free_decisions(model, agent))
+        own = set(_free_decisions(model, agent))
         others = {d: r for d, r in rules.items() if d not in own}
-        _, brv = best_response(model, others, agent, cap)
+        _, brv = _best_response(model, others, agent, cap)
         regrets[agent] = brv - achieved[agent]
     return all(r <= tol for r in regrets.values()), regrets
 
@@ -527,6 +527,7 @@ def find_pure_nash(
     The verdict per profile is ``is_nash``'s, but an agent's best-response
     value depends only on the other agents' rules, so it is computed once
     per agent and choice of the others' actions and reused across profiles.
+    The profiles are valid by construction, so no rule is checked.
     """
     m = base_maid(model)
     decisions = free_decisions(model)
@@ -543,13 +544,13 @@ def find_pure_nash(
         product(*(m.variables[d].domain for d, _ in slots)),
         iter_pure_rules(model, decisions, cap),
     ):
-        achieved = expected_utilities(model, profile)
+        achieved = _expected_utilities(model, profile)
         regrets = []
         for agent in m.agents:
             key = (agent, tuple(combo[i] for i in others_at[agent]))
             if key not in br_values:
                 others = {d: r for d, r in profile.items() if d not in own[agent]}
-                br_values[key] = best_response(model, others, agent, cap)[1]
+                br_values[key] = _best_response(model, others, agent, cap)[1]
             regrets.append(br_values[key] - achieved[agent])
         if all(r <= tol for r in regrets):
             found.append(profile)

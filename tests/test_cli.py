@@ -44,6 +44,29 @@ def test_validate_malformed_exits_two(capsys, tmp_path, data_dir):
     assert "row sums to 0.9" in err["message"]
 
 
+def test_non_utf8_document_exits_two(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe" + fixtures.data_text("honesty_eval.maid.json").encode())
+    code, report = run_json(capsys, "validate", str(bad))
+    assert code == 2
+    assert report["error"]["type"] == "SchemaViolation"
+    assert report["error"]["path"] == "$"
+    assert report["error"]["message"].startswith("not UTF-8 text")
+
+
+def test_non_finite_profile_entry_exits_two(capsys, tmp_path, data_dir):
+    profile = json.loads(fixtures.data_text("truthful_match.profile.json"))
+    profile["rules"][0]["rows"][0]["row"] = {"high": "1e400", "low": "-1e400"}
+    bad = tmp_path / "bad.profile.json"
+    bad.write_text(json.dumps(profile))
+    code, report = run_json(
+        capsys, "eu", path_of(data_dir, "honesty_eval.maid.json"), "--profile", str(bad))
+    assert code == 2
+    assert report["error"] == {
+        "type": "SchemaViolation", "path": "$.rules[0].rows[0].row.high",
+        "message": "not a finite number: '1e400'"}
+
+
 def test_missing_file_exits_two(capsys, data_dir):
     code, report = run_json(capsys, "validate", path_of(data_dir, "nope.json"))
     assert code == 2

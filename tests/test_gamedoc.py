@@ -140,3 +140,67 @@ def test_profile_observation_order_is_normalized():
 def test_parse_rejects_non_object():
     with pytest.raises(SchemaViolation):
         gamedoc.parse_document("[1, 2]")
+
+
+def _repeat(items, i=0):
+    items.append(json.loads(json.dumps(items[i])))
+
+
+# (document, mutation repeating one entry, path of the repeat)
+DUPLICATES = [
+    ("honesty_eval.maid.json", lambda d: _repeat(d["variables"]), "$.variables[5].name"),
+    ("honesty_eval.maid.json", lambda d: _repeat(d["cpds"], 1), "$.cpds[3].child"),
+    ("honesty_eval.maid.json", lambda d: _repeat(d["cpds"][0]["rows"]),
+     "$.cpds[0].rows[1].context"),
+    ("evaluation_game.iimaid.json", lambda d: _repeat(d["models"]), "$.models[2].id"),
+    ("evaluation_game_depth3.stack.json", lambda d: _repeat(d["nodes"], 3), "$.nodes[4].id"),
+    ("evaluation_game_depth3.stack.json", lambda d: _repeat(d["nodes"][1]["xi"]),
+     "$.nodes[1].xi[1].child"),
+    ("truthful_match.profile.json", lambda d: _repeat(d["rules"]), "$.rules[2].decision"),
+    ("evaluation_game_ne.profile.json", lambda d: _repeat(d["rules"], 5), "$.rules[8]"),
+]
+
+
+@pytest.mark.parametrize("name, mutate, path", DUPLICATES)
+def test_duplicates_are_rejected_where_they_repeat(name, mutate, path):
+    payload = mutated(name)
+    mutate(payload)
+    with pytest.raises(SchemaViolation) as e:
+        reparse(payload)
+    assert e.value.path == path
+    assert e.value.message.startswith("duplicate ")
+
+
+def test_repeated_json_key_is_rejected():
+    text = fixtures.data_text("honesty_eval.maid.json")
+    with pytest.raises(SchemaViolation) as e:
+        gamedoc.parse_document(text.replace('"kind": "maid"', '"kind": "maid", "kind": "maid"'))
+    assert (e.value.path, e.value.message) == ("$", "duplicate key 'kind'")
+
+
+@pytest.mark.parametrize("name, mutate, path", [
+    ("honesty_eval.maid.json",
+     lambda d: d["variables"][0].update(domain=["high", "high", "low"]), "$.variables[0]"),
+    # a repeated edge into a decision used to be merged silently
+    ("honesty_eval.maid.json", lambda d: _repeat(d["edges"]), "$.edges"),
+    ("honesty_eval.maid.json", lambda d: _repeat(d["agents"]), "$.agents"),
+    ("truthful_match.profile.json", lambda d: _repeat(d["rules"][1]["parents"]),
+     "$.rules[1].parents"),
+    ("evaluation_game_ne.profile.json", lambda d: _repeat(d["rules"][0]["observation"]),
+     "$.rules[0].observation"),
+])
+def test_repeated_list_items_fail_the_schema(name, mutate, path):
+    payload = mutated(name)
+    mutate(payload)
+    with pytest.raises(SchemaViolation) as e:
+        reparse(payload)
+    assert e.value.path == path
+
+
+def test_non_finite_utility_value_is_rejected():
+    payload = mutated("honesty_eval.maid.json")
+    payload["variables"][3]["values"]["1"] = "1e400"
+    with pytest.raises(SchemaViolation) as e:
+        reparse(payload)
+    assert e.value.path == "$.variables[3].values.1"
+    assert e.value.message == "not a finite number: '1e400'"

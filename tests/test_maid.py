@@ -1,6 +1,6 @@
 import pytest
 
-from iimaid import bn, maid
+from iimaid import bn, fixtures, gamedoc, maid
 from iimaid.bn import Cpd
 from iimaid.errors import SearchSpaceTooLarge, ValidationError
 from iimaid.fixtures import (
@@ -229,3 +229,16 @@ def test_induced_network_marginals(honesty):
     net = maid.induced_network(honesty, truthful_match_rules())
     dist = bn.marginal(net, [DEPLOY])
     assert dist[(GO,)] == pytest.approx(1.0)
+
+
+def test_committed_rules_are_read_only(capability):
+    xi = {REPORT: always_low_deploy_low_rules()[REPORT]}
+    fixed = maid.PostPolicyMaid(capability, xi)
+    with pytest.raises(TypeError):
+        fixed.assigned[REPORT] = truthful_match_rules()[REPORT]
+    xi[REPORT] = truthful_match_rules()[REPORT]  # the caller's mapping was copied
+    assert fixed.assigned[REPORT] == always_low_deploy_low_rules()[REPORT]
+    assert fixed == maid.PostPolicyMaid(
+        capability, {REPORT: always_low_deploy_low_rules()[REPORT]})
+    assert gamedoc.serialize_document(fixtures.evaluation_depth3_stack()) == (
+        fixtures.data_text("evaluation_game_depth3.stack.json"))
