@@ -20,7 +20,7 @@ from . import bn, depth, dot, efg, gamedoc, iiefg, incomplete, maid
 from .errors import GameError, SchemaViolation, ValidationError
 from .simulate import simulate as run_rollouts
 from .gamedoc import GameDocument, IiProfile, MaidProfile
-from .incomplete import IiMaid, InformationSet
+from .incomplete import InformationSet
 
 OK, CHECK_FAILED, ERROR = 0, 1, 2
 

@@ -10,9 +10,8 @@ and repeat until the objective model is fully committed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from itertools import product
-from typing import Callable, Iterable, Mapping
+from dataclasses import dataclass
+from typing import Callable, Mapping
 
 from . import bn
 from .bn import Row
@@ -28,19 +27,20 @@ from .incomplete import (
     IiMaid,
     InformationSet,
     SubjectiveMaid,
+    _decision_slots,
     _matching_decisions,
     _structural_issues,
-    _support_contexts,
     believers,
+    is_encounterable,
     model_information_sets,
 )
 from .maid import (
     Cpd,
-    Maid,
     Model,
     PostPolicyMaid,
     argmax_action,
     base_maid,
+    decision_rule,
     fixed_rules,
     free_decisions,
     has_perfect_recall,
@@ -179,8 +179,6 @@ def is_open_minded(
     For each node and each agent holding beliefs there, every information set
     arising in that node's model must arise in some positively believed node.
     """
-    from .incomplete import is_encounterable
-
     gaps = []
     for nid in sorted(stack.nodes):
         s = stack.nodes[nid]
@@ -242,10 +240,7 @@ def _net_rows(model: Model, pinned: Mapping[str, Row]) -> bn.BayesNet:
     for d, rule in fixed_rules(model).items():
         cpds[d] = rule
     for d, row in pinned.items():
-        cpds[d] = Cpd(d, m.parents[d], {
-            ctx: dict(row)
-            for ctx in product(*(m.variables[p].domain for p in m.parents[d]))
-        })
+        cpds[d] = decision_rule(m, d, lambda ctx: row)
     return bn.make_net(m.variables.values(), cpds.values())
 
 
@@ -348,15 +343,31 @@ def believed_action_value(
     return total
 
 
-def _complete_rule(
-    m: Maid, d: str, chosen: Mapping[tuple[str, ...], str]
+def _supported_sets(model: Model, d: str) -> dict[tuple[str, ...], InformationSet]:
+    """The information set of each of the decision's supported contexts."""
+    return {
+        ctx: iset
+        for ctx, (iset, supported) in _decision_slots(model)[d].cells.items()
+        if supported
+    }
+
+
+def _commit_rule(
+    model: Model, d: str, rows: Mapping[InformationSet, Row], nid: str
 ) -> Cpd:
-    pa = m.parents[d]
-    domain = m.variables[d].domain
-    rows = {}
-    for ctx in product(*(m.variables[p].domain for p in pa)):
-        rows[ctx] = bn.point_row(domain, chosen.get(ctx, domain[0]))
-    return Cpd(d, pa, rows)
+    """The decision's rule: each supported context takes its information
+    set's row from ``rows``, every other context the least action.  This is
+    the one writer of rules the reduction commits."""
+    pa, actions, cells = _decision_slots(model)[d]
+    out = {}
+    for ctx, (iset, supported) in cells.items():
+        if not supported:
+            out[ctx] = bn.point_row(actions, actions[0])
+        elif iset in rows:
+            out[ctx] = dict(rows[iset])
+        else:
+            raise NotOpenMinded(f"{iset} never resolved for {nid}")
+    return Cpd(d, pa, out)
 
 
 def final_decision_assignment(
@@ -381,15 +392,8 @@ def final_decision_assignment(
     ready: list[tuple[str, str, dict[tuple[str, ...], InformationSet]]] = []
     for cid in children:
         c = stack.nodes[cid]
-        m = base_maid(c.model)
         for d in free_decisions(c.model, agent):
-            pa = m.parents[d]
-            isets = {
-                ctx: InformationSet(
-                    agent, tuple(zip(pa, ctx)), m.variables[d].domain
-                )
-                for ctx in _support_contexts(c.model, d)
-            }
+            isets = _supported_sets(c.model, d)
             if set(isets.values()) <= finals:
                 ready.append((cid, d, isets))
 
@@ -403,7 +407,7 @@ def final_decision_assignment(
 
     to_assign = sorted({i for _, _, isets in ready for i in isets.values()})
     steps = []
-    picks: dict[InformationSet, str] = {}
+    picks: dict[InformationSet, Row] = {}
     for iset in to_assign:
         values = {
             action: believed_action_value(stack, nid, agent, iset, action, value_fn)
@@ -411,7 +415,7 @@ def final_decision_assignment(
         }
         best_action = argmax_action(values)
         best_value = values[best_action]
-        picks[iset] = best_action
+        picks[iset] = bn.point_row(iset.actions, best_action)
         written = tuple(
             cid for cid, _, isets in ready if iset in set(isets.values())
         )
@@ -421,10 +425,10 @@ def final_decision_assignment(
 
     new_nodes = dict(stack.nodes)
     per_child: dict[str, dict[str, Cpd]] = {}
-    for cid, d, isets in ready:
-        m = base_maid(stack.nodes[cid].model)
-        chosen = {ctx: picks[i] for ctx, i in isets.items()}
-        per_child.setdefault(cid, {})[d] = _complete_rule(m, d, chosen)
+    for cid, d, _ in ready:
+        per_child.setdefault(cid, {})[d] = _commit_rule(
+            stack.nodes[cid].model, d, picks, cid
+        )
     for cid, new_rules in per_child.items():
         c = new_nodes[cid]
         model = PostPolicyMaid(
@@ -461,14 +465,10 @@ def depth1_best_response(
     policy: dict[InformationSet, Row] = {}
     for cid in children:
         c = stack.nodes[cid]
-        m = base_maid(c.model)
-        for d in sorted(fixed_rules(c.model)):
-            if m.kind(d) != bn.DECISION or m.variables[d].owner != agent:
+        for d, rule in sorted(fixed_rules(c.model).items()):
+            if base_maid(c.model).variables[d].owner != agent:
                 continue
-            rule = fixed_rules(c.model)[d]
-            pa = m.parents[d]
-            for ctx in _support_contexts(c.model, d):
-                iset = InformationSet(agent, tuple(zip(pa, ctx)), m.variables[d].domain)
+            for ctx, iset in _supported_sets(c.model, d).items():
                 policy[iset] = dict(rule.rows[ctx])
     return stack, policy, steps
 
@@ -493,23 +493,10 @@ def reduce_stack(
             )
             steps.extend(got)
             node = stack.nodes[nid]
-            m = base_maid(node.model)
-            new_rules = {}
-            for d in free_decisions(node.model, agent):
-                pa = m.parents[d]
-                domain = m.variables[d].domain
-                support = _support_contexts(node.model, d)
-                rows = {}
-                for ctx in product(*(m.variables[p].domain for p in pa)):
-                    if ctx in support:
-                        iset = InformationSet(agent, tuple(zip(pa, ctx)), domain)
-                        row = policy.get(iset)
-                        if row is None:
-                            raise NotOpenMinded(f"{iset} never resolved for {nid}")
-                        rows[ctx] = dict(row)
-                    else:
-                        rows[ctx] = bn.point_row(domain, domain[0])
-                new_rules[d] = Cpd(d, pa, rows)
+            new_rules = {
+                d: _commit_rule(node.model, d, policy, nid)
+                for d in free_decisions(node.model, agent)
+            }
             model = PostPolicyMaid(
                 base_maid(node.model), {**fixed_rules(node.model), **new_rules}
             )

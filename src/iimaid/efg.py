@@ -8,9 +8,9 @@ by the observed parent context.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
 from . import bn
 from .bn import CHANCE, DECISION, Row

@@ -470,6 +470,26 @@ def _beliefs_to_doc(beliefs: Mapping[str, Mapping[str, float]]) -> dict:
     }
 
 
+def _family_to_doc(
+    kind: str, key: str, value: IiMaid | DepthStack, members: Mapping[str, SubjectiveMaid]
+) -> dict[str, Any]:
+    """An ``ii-maid`` or ``depth-stack`` document, whose members sit under ``key``."""
+    return {
+        "format_version": FORMAT_VERSION,
+        "kind": kind,
+        "agents": list(value.agents),
+        "objective": value.objective,
+        key: [
+            {
+                "id": sid,
+                **_graph_to_doc(members[sid].model),
+                "beliefs": _beliefs_to_doc(members[sid].beliefs),
+            }
+            for sid in sorted(members)
+        ],
+    }
+
+
 def serialize_document(value: object) -> str:
     """Render any supported object as canonical document text."""
     if isinstance(value, GameDocument):
@@ -482,35 +502,9 @@ def serialize_document(value: object) -> str:
             **_graph_to_doc(value),
         }
     elif isinstance(value, IiMaid):
-        doc = {
-            "format_version": FORMAT_VERSION,
-            "kind": "ii-maid",
-            "agents": list(value.agents),
-            "objective": value.objective,
-            "models": [
-                {
-                    "id": mid,
-                    **_graph_to_doc(value.models[mid].model),
-                    "beliefs": _beliefs_to_doc(value.models[mid].beliefs),
-                }
-                for mid in sorted(value.models)
-            ],
-        }
+        doc = _family_to_doc("ii-maid", "models", value, value.models)
     elif isinstance(value, DepthStack):
-        doc = {
-            "format_version": FORMAT_VERSION,
-            "kind": "depth-stack",
-            "agents": list(value.agents),
-            "objective": value.objective,
-            "nodes": [
-                {
-                    "id": nid,
-                    **_graph_to_doc(value.nodes[nid].model),
-                    "beliefs": _beliefs_to_doc(value.nodes[nid].beliefs),
-                }
-                for nid in sorted(value.nodes)
-            ],
-        }
+        doc = _family_to_doc("depth-stack", "nodes", value, value.nodes)
     elif isinstance(value, MaidProfile):
         doc = {
             "format_version": FORMAT_VERSION,

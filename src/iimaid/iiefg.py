@@ -23,7 +23,6 @@ from .efg import (
     efg_expected_utility,
     info_sets,
     maid2efg,
-    observation_of,
 )
 from .errors import (
     GameError,
@@ -37,12 +36,21 @@ from .incomplete import (
     InformationSet,
     _decision_slots,
     _profile_utilities,
+    _row_classes,
     _rows_close,
     _subjective_value,
     information_sets,
     iter_pure_ii_profiles,
 )
-from .maid import DEFAULT_CAP, Cpd, Maid, Model, PostPolicyMaid, base_maid, fixed_rules
+from .maid import (
+    DEFAULT_CAP,
+    Maid,
+    Model,
+    PostPolicyMaid,
+    _free_decisions,
+    base_maid,
+    fixed_rules,
+)
 
 IiPolicy = Mapping[InformationSet, Row]
 
@@ -119,18 +127,9 @@ def _belief_types(space: BeliefSpace, agent: str) -> Mapping[str, str]:
 
 
 def _build_belief_types(space: BeliefSpace, agent: str) -> Mapping[str, str]:
-    reps: dict[str, str] = {}
-    groups: list[tuple[Mapping[str, float], str]] = []
-    for w in space.states:
-        row = space.beliefs[agent][w]
-        for other, rep in groups:
-            if _rows_close(row, other, TOL):
-                reps[w] = rep
-                break
-        else:
-            groups.append((row, w))
-            reps[w] = w
-    return MappingProxyType(reps)
+    by_state = space.beliefs[agent]
+    classes = _row_classes((w, by_state[w]) for w in space.states)
+    return MappingProxyType({w: members[0] for members in classes for w in members})
 
 
 @dataclass(frozen=True, order=True)
@@ -148,26 +147,23 @@ class IiEfg:
     """A belief space with an observation labelling that aligns states.
 
     ``iset_obs`` maps (agent, state, in-game info-set key) to an observation
-    label shared across states; when absent, the positional observation of
-    the info set inside its own tree is used.
+    label shared across states.
     """
 
     space: BeliefSpace
-    iset_obs: Mapping[tuple[str, str, Hashable], tuple] | None = None
+    iset_obs: Mapping[tuple[str, str, Hashable], tuple]
 
     @property
     def agents(self) -> tuple[str, ...]:
         return self.space.agents
 
     def observation(self, agent: str, state: str, key: Hashable) -> tuple:
-        if self.iset_obs is not None:
-            try:
-                return self.iset_obs[(agent, state, key)]
-            except KeyError:
-                raise MissingRule(
-                    f"no observation label for {agent} at {state}:{key!r}"
-                ) from None
-        return tuple(observation_of(self.space.games[state], agent, key))
+        try:
+            return self.iset_obs[(agent, state, key)]
+        except KeyError:
+            raise MissingRule(
+                f"no observation label for {agent} at {state}:{key!r}"
+            ) from None
 
 
 Strategy = Mapping[MetaInfoSet, Row]
@@ -414,13 +410,14 @@ def maid2efgII(x: IiMaid) -> IiConversion:
     games = {}
     obs_map: dict[tuple[str, str, Hashable], tuple] = {}
     for mid in sorted(x.models):
-        plain = as_plain_maid(x.models[mid].model)
-        game, _ = maid2efg(plain)
+        model = x.models[mid].model
+        game, _ = maid2efg(as_plain_maid(model))
         games[mid] = game
+        slots = _decision_slots(model)
         for agent in x.agents:
             for key in info_sets(game, agent):
                 var, ctx = key
-                obs_map[(agent, mid, key)] = tuple(zip(plain.parents[var], ctx))
+                obs_map[(agent, mid, key)] = slots[var].cells[ctx][0].observation
 
     beliefs = {
         agent: {mid: dict(x.models[mid].beliefs[agent]) for mid in sorted(x.models)}
@@ -489,10 +486,9 @@ def _model_reads(model: Model) -> tuple[InformationSet, ...]:
 
 
 def _build_model_reads(model: Model) -> tuple[InformationSet, ...]:
+    slots = _decision_slots(model)
     return tuple(sorted({
-        iset
-        for slots in _decision_slots(model).values()
-        for iset, _ in slots.cells.values()
+        iset for d in _free_decisions(model) for iset, _ in slots[d].cells.values()
     }))
 
 

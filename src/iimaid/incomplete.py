@@ -28,7 +28,6 @@ from .maid import (
     Cpd,
     Maid,
     Model,
-    PostPolicyMaid,
     _decision_values,
     _expected_utilities,
     _free_decisions,
@@ -164,13 +163,11 @@ def validate_coherence(x: IiMaid, tol: float = TOL) -> list[CoherenceViolation]:
     return violations
 
 
-def belief_type_classes(x: IiMaid, agent: str) -> list[list[str]]:
-    """Partition of the models (where the agent holds beliefs) by belief row."""
+def _row_classes(rows: Iterable[tuple[str, Mapping[str, float]]]) -> list[list[str]]:
+    """Group ids, in order, by belief row: each joins the first class whose
+    first member's row is within ``TOL`` of its own, or opens a new one."""
     classes: list[tuple[Mapping[str, float], list[str]]] = []
-    for sid in sorted(x.models):
-        row = x.models[sid].beliefs.get(agent)
-        if row is None:
-            continue
+    for sid, row in rows:
         for rep_row, members in classes:
             if _rows_close(row, rep_row):
                 members.append(sid)
@@ -178,6 +175,12 @@ def belief_type_classes(x: IiMaid, agent: str) -> list[list[str]]:
         else:
             classes.append((row, [sid]))
     return [members for _, members in classes]
+
+
+def belief_type_classes(x: IiMaid, agent: str) -> list[list[str]]:
+    """Partition of the models (where the agent holds beliefs) by belief row."""
+    rows = ((sid, x.models[sid].beliefs.get(agent)) for sid in sorted(x.models))
+    return _row_classes((sid, row) for sid, row in rows if row is not None)
 
 
 @dataclass(frozen=True)
@@ -327,14 +330,13 @@ def model_information_sets(model: Model, agent: str) -> frozenset[InformationSet
 
 
 def _build_model_information_sets(model: Model, agent: str) -> frozenset[InformationSet]:
-    m = base_maid(model)
-    out: set[InformationSet] = set()
-    for d in free_decisions(model, agent):
-        actions = m.variables[d].domain
-        pa = m.parents[d]
-        for ctx in _support_contexts(model, d):
-            out.add(InformationSet(agent, tuple(zip(pa, ctx)), actions))
-    return frozenset(out)
+    slots = _decision_slots(model)
+    return frozenset(
+        iset
+        for d in _free_decisions(model, agent)
+        for iset, supported in slots[d].cells.values()
+        if supported
+    )
 
 
 def information_sets(x: IiMaid, agent: str) -> frozenset[InformationSet]:
@@ -385,7 +387,7 @@ def _default_row(actions: tuple[str, ...]) -> Row:
 
 
 class _DecisionSlots(NamedTuple):
-    """One open decision's slots in a model.
+    """One decision's slots in a diagram.
 
     ``cells`` maps each parent context to its information set and whether
     the context is in the decision's support.
@@ -397,17 +399,19 @@ class _DecisionSlots(NamedTuple):
 
 
 def _decision_slots(model: Model) -> Mapping[str, _DecisionSlots]:
-    """Every open decision's slots, by owner then name, built once per model."""
-    return bn.indexed(model, _build_decision_slots)
+    """Every decision's slots, by owner then name: the one place where parent
+    contexts meet their information sets.  Support is judged on the base
+    diagram, so the table is indexed there and covers committed decisions
+    too; callers pick the open ones through ``maid._free_decisions``."""
+    return bn.indexed(base_maid(model), _build_decision_slots)
 
 
-def _build_decision_slots(model: Model) -> Mapping[str, _DecisionSlots]:
-    m = base_maid(model)
+def _build_decision_slots(m: Maid) -> Mapping[str, _DecisionSlots]:
     out = {}
     for agent in m.agents:
-        for d in free_decisions(model, agent):
+        for d in m.decisions(agent):
             pa, actions = m.parents[d], m.variables[d].domain
-            support = _support_contexts(model, d)
+            support = _support_contexts(m, d)
             cells = {
                 ctx: (InformationSet(agent, tuple(zip(pa, ctx)), actions), ctx in support)
                 for ctx in product(*(m.variables[p].domain for p in pa))
@@ -424,8 +428,11 @@ def profile_rules_for_model(model: Model, profile: IiPolicy) -> dict[str, Cpd]:
     row read from the profile must be a distribution over the decision's
     actions, so the rules need no further check.
     """
+    open_decisions = _free_decisions(model)
     rules: dict[str, Cpd] = {}
     for d, (pa, actions, cells) in _decision_slots(model).items():
+        if d not in open_decisions:
+            continue
         rows = {}
         for ctx, (key, in_support) in cells.items():
             row = profile.get(key)
@@ -687,6 +694,13 @@ def is_nash_ii(
     issues = validate_ii_policy(x, profile)
     if issues:
         raise ValidationError(issues)
+    return _is_nash_ii(x, profile, tol, cap)
+
+
+def _is_nash_ii(
+    x: IiMaid, profile: IiPolicy, tol: float, cap: int
+) -> tuple[bool, dict[str, float]]:
+    """``is_nash_ii`` on a profile ``validate_ii_policy`` passes."""
     at = x.objective
     utilities = _per_model_utilities(x, profile)
     regrets: dict[str, float] = {}
@@ -752,7 +766,8 @@ def find_nash_ii(
     Tries exhaustive pure-profile enumeration first (lexicographic order,
     first hit wins).  If the pure space exceeds the cap, falls back to
     iterated best responses from the uniform profile; returns None when
-    neither stage produces a profile passing the check.
+    neither stage produces a profile passing the check.  Profiles of both
+    stages are valid by construction, so none is validated.
     """
     for agent in x.agents:
         for sid in sorted(x.models):
@@ -761,7 +776,7 @@ def find_nash_ii(
                 raise ValidationError([f"imperfect-recall: {agent} in {sid}"])
     try:
         for profile in iter_pure_ii_profiles(x, cap):
-            ok, _ = is_nash_ii(x, profile, tol, cap)
+            ok, _ = _is_nash_ii(x, profile, tol, cap)
             if ok:
                 return profile
         return None
@@ -784,7 +799,7 @@ def find_nash_ii(
                 if not _rows_close(profile[iset], row):
                     changed = True
                 profile[iset] = row
-        ok, _ = is_nash_ii(x, profile, tol, cap)
+        ok, _ = _is_nash_ii(x, profile, tol, cap)
         if ok:
             return profile
         if not changed:

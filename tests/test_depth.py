@@ -3,7 +3,7 @@ import pytest
 from iimaid import bn, depth as dp, maid
 from iimaid.bn import Cpd
 from iimaid.depth import DepthStack
-from iimaid.errors import CycleError, ValidationError
+from iimaid.errors import CycleError, NotOpenMinded, ValidationError
 from iimaid.fixtures import (
     always_low_match_rules, capability_evaluation, honesty_evaluation,
     truthful_match_rules,
@@ -32,6 +32,31 @@ def chain_stack():
         "root": SubjectiveMaid("root", chain, {"P": {"inner": 1.0}}),
         "inner": SubjectiveMaid("inner", chain, {}),
     })
+
+
+def observed_chance_game(x_row):
+    """P observes X, drawn from ``x_row`` over a, b, c, and is paid for r."""
+    variables = [
+        bn.chance("X", ("a", "b", "c")),
+        bn.decision("D", "P", ("l", "r")),
+        bn.utility("U", "P", {"lose": 0.0, "win": 1.0}),
+    ]
+    cpds = [
+        Cpd("X", (), {(): x_row}),
+        Cpd("U", ("D",), {("l",): {"lose": 1.0, "win": 0.0},
+                          ("r",): {"lose": 0.0, "win": 1.0}}),
+    ]
+    return maid.Maid.build(("P",), variables, [("X", "D"), ("D", "U")], cpds)
+
+
+def observed_chance_stack(root_row, inner_row):
+    return DepthStack(("P",), "root", {
+        "root": SubjectiveMaid("root", observed_chance_game(root_row), {"P": {"inner": 1.0}}),
+        "inner": SubjectiveMaid("inner", observed_chance_game(inner_row), {}),
+    })
+
+
+NO_C = {"a": 0.5, "b": 0.5, "c": 0.0}
 
 
 # ------------------------------------------------------------ classification
@@ -247,6 +272,36 @@ def test_reduce_copies_precommitted_rows_verbatim():
     assert [(s.info_set.observation, s.action, s.value) for s in steps] == [
         ((), "r", 1.0)]
     assert dp.classify_depth(reduced) == ({"inner": 0, "root": 0}, 0)
+
+
+def test_unsupported_contexts_commit_the_least_action():
+    win, least = {"l": 0.0, "r": 1.0}, {"l": 1.0, "r": 0.0}
+    st = observed_chance_stack(NO_C, NO_C)
+    committed, policy, _ = dp.depth1_best_response(st, "root", "P")
+    inner = maid.fixed_rules(committed.nodes["inner"].model)["D"]
+    assert dict(inner.rows) == {("a",): win, ("b",): win, ("c",): least}
+    # the policy read back is the committed rows at the supported contexts
+    assert policy == {
+        InformationSet("P", (("X", ctx),), ("l", "r")): inner.rows[(ctx,)]
+        for ctx in ("a", "b")
+    }
+    # X=c is resolved in the believed model, yet unsupported at the root
+    st = observed_chance_stack(NO_C, {"a": 0.4, "b": 0.3, "c": 0.3})
+    _, policy, _ = dp.depth1_best_response(st, "root", "P")
+    assert policy[InformationSet("P", (("X", "c"),), ("l", "r"))] == win
+    reduced, _ = dp.reduce_stack(st)
+    root = maid.fixed_rules(reduced.nodes["root"].model)["D"]
+    assert dict(root.rows) == {("a",): win, ("b",): win, ("c",): least}
+
+
+def test_set_no_believed_model_realizes_is_never_resolved():
+    st = observed_chance_stack({"a": 0.4, "b": 0.3, "c": 0.3}, NO_C)
+    assert dp.is_open_minded(st)[0]   # X=c is in the child's domain
+    with pytest.raises(NotOpenMinded) as e:
+        dp.reduce_stack(st)
+    assert str(e.value) == (
+        "InformationSet(agent='P', observation=(('X', 'c'),), actions=('l', 'r')) "
+        "never resolved for root")
 
 
 def test_reduce_drops_depth_by_one(depth3):

@@ -7,7 +7,7 @@ from iimaid.errors import MissingRule
 from iimaid.fixtures import evaluation_depth3_stack, ne_ii_profile, truthful_match_rules
 from iimaid.iiefg import BeliefSpace, IiConversion
 from iimaid.incomplete import IiMaid, SubjectiveMaid
-from tests.test_incomplete import iset_full
+from tests.test_incomplete import iset_full, random_common_prior_iimaid
 from tests.test_properties import _outcome, _per_agent_equivalence
 
 
@@ -51,6 +51,18 @@ def test_belief_types(conversion):
         "ai_belief": "ai_belief", "ground_truth": "ai_belief"}
     assert iiefg.belief_types(sp, "H") == {
         "ai_belief": "ai_belief", "ground_truth": "ground_truth"}
+
+
+def test_belief_types_group_states_as_belief_type_classes_groups_models(example1):
+    for x in [example1] + [random_common_prior_iimaid(seed) for seed in range(8)]:
+        space = iiefg.maid2efgII(x).game.space
+        for agent in x.agents:
+            groups = {}
+            for w, rep in iiefg.belief_types(space, agent).items():
+                groups.setdefault(rep, []).append(w)
+            want = incomplete.belief_type_classes(x, agent)
+            assert [sorted(groups[rep]) for rep in sorted(groups)] == want
+            assert all(rep == min(members) for rep, members in groups.items())
 
 
 def test_meta_information_set_counts(conversion):

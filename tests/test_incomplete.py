@@ -270,6 +270,14 @@ def test_find_nash_ii(example1):
     assert sol[iset_full("low", "low")] == {"deploy": 1.0, "not_deploy": 0.0}
 
 
+def test_is_nash_ii_validates_its_profile_once(monkeypatch, example1, ne_profile):
+    calls = []
+    validate = inc.validate_ii_policy
+    monkeypatch.setattr(inc, "validate_ii_policy", lambda *a: calls.append(a) or validate(*a))
+    inc.is_nash_ii(example1, ne_profile)
+    assert calls == [(example1, ne_profile)]
+
+
 def test_has_perfect_recall_ii(example1):
     assert inc.has_perfect_recall_ii(example1)
 

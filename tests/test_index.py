@@ -1,5 +1,5 @@
 """The per-object structural index: built once, shared, immutable, invisible."""
-from iimaid import bn, efg, fixtures, gamedoc, iiefg, incomplete, maid
+from iimaid import bn, depth, efg, fixtures, gamedoc, iiefg, incomplete, maid
 from iimaid.fixtures import always_low_match_rules, truthful_match_rules
 
 
@@ -170,6 +170,16 @@ def test_verify_equivalence_keeps_only_results_that_can_repeat(
     x = incomplete.IiMaid(honesty.agents, "m", {"m": incomplete.SubjectiveMaid("m", honesty, m)})
     assert iiefg.verify_equivalence(x, iiefg.maid2efgII(x)) == (True, 0.0)
     assert kept == []
+
+
+def test_recursive_best_response_builds_one_slot_table_per_base_diagram(
+        monkeypatch, depth3):
+    builds = _counting(monkeypatch, incomplete, "_build_decision_slots")
+    result = depth.recursive_best_response(depth3)
+    bases = {id(maid.base_maid(s.model)) for s in depth3.nodes.values()}
+    assert sorted(id(m) for m, in builds) == sorted(bases)
+    # every committed model reuses its base's table
+    assert {id(maid.base_maid(s.model)) for s in result.final.nodes.values()} == bases
 
 
 def test_free_decisions_hands_out_a_fresh_list(honesty):

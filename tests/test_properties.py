@@ -1,12 +1,13 @@
 """Randomized invariants over small two-agent games."""
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from iimaid import bn, efg, gamedoc, iiefg, incomplete, maid
 from iimaid.bn import Cpd
-from iimaid.errors import GameError, MissingRule
+from iimaid.errors import GameError, MissingRule, ValidationError
 from iimaid.incomplete import IiMaid, SubjectiveMaid
 
 
@@ -403,6 +404,34 @@ def test_is_nash_ii_matches_three_pass_regrets(xp):
     for agent, r in reference.items():
         assert abs(regrets[agent] - r) <= 1e-12
     assert ok == all(r <= 1e-6 for r in reference.values())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(subjective_game_with_profile(), st.sampled_from([2, 16, 256]))
+def test_find_nash_ii_checks_no_profile_it_builds(xp, cap):
+    """The search validates none of its profiles, and finds, misses or
+    raises exactly as a search validating each one through ``is_nash_ii``.
+    A small ``cap`` sends it to iterated best responses, whose exhaustive
+    fallback may then raise."""
+    x, _ = xp
+    validate, kernel = incomplete.validate_ii_policy, incomplete._is_nash_ii
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return validate(*args)
+
+    def checked(x, profile, tol, cap):
+        issues = validate(x, profile)
+        if issues:
+            raise ValidationError(issues)
+        return kernel(x, profile, tol, cap)
+
+    with mock.patch.object(incomplete, "validate_ii_policy", counted):
+        got = _outcome(lambda: incomplete.find_nash_ii(x, cap=cap))
+    assert calls == []
+    with mock.patch.object(incomplete, "_is_nash_ii", checked):
+        assert _outcome(lambda: incomplete.find_nash_ii(x, cap=cap)) == got
 
 
 def _per_agent_equivalence(x, conv, profiles, lift=iiefg.strategy_from_ii_policy):
