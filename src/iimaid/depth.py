@@ -177,7 +177,8 @@ def is_open_minded(
     """Every information set an agent could face must be believed possible.
 
     For each node and each agent holding beliefs there, every information set
-    arising in that node's model must arise in some positively believed node.
+    the node's model faces must be faced in some positively believed node,
+    by the one rule of ``model_information_sets``: at a supported context.
     """
     gaps = []
     for nid in sorted(stack.nodes):
@@ -208,27 +209,21 @@ def final_information_sets(
     """Information sets after which the agent takes no further open decision.
 
     Scans the agent's positively believed nodes: a set is final when no such
-    node realizes it at a decision that feeds a later open decision of the
+    node faces it at a decision that feeds a later open decision of the
     same agent.
     """
     _check_depth1(stack, nid, agent)
-    s = stack.nodes[nid]
-    children = [stack.nodes[t] for t in _positive_targets(s, agent)]
-    candidates: set[InformationSet] = set()
-    for c in children:
-        candidates |= model_information_sets(c.model, agent)
-    out = set()
-    for iset in candidates:
-        final = True
-        for c in children:
-            m = base_maid(c.model)
-            later = free_decisions(c.model, agent)
-            for d in _matching_decisions(c.model, iset):
-                if any(d in m.parents[d2] for d2 in later if d2 != d):
-                    final = False
-        if final:
-            out.add(iset)
-    return out
+    faced: set[InformationSet] = set()
+    feeding: set[InformationSet] = set()
+    for t in _positive_targets(stack.nodes[nid], agent):
+        model = stack.nodes[t].model
+        m, later = base_maid(model), free_decisions(model, agent)
+        for iset in model_information_sets(model, agent):
+            faced.add(iset)
+            if any(d in m.parents[d2]
+                   for d in _matching_decisions(model, iset) for d2 in later if d2 != d):
+                feeding.add(iset)
+    return faced - feeding
 
 
 def _net_rows(model: Model, pinned: Mapping[str, Row]) -> bn.BayesNet:
@@ -255,7 +250,8 @@ def conditional_utility(
     """
     m = base_maid(model)
     pin = {decision: bn.point_row(m.variables[decision].domain, action)}
-    for net in (_net_rows(model, pin), _net_rows(m, pin)):
+    # a generator, so the fallback measure is built only when it is needed
+    for net in (_net_rows(measure, pin) for measure in (model, m)):
         try:
             total = 0.0
             for u in m.utilities(agent):
@@ -277,7 +273,7 @@ def _walk_conditional_utility(
     """Independent recomputation of ``conditional_utility`` by direct recursion."""
     m = base_maid(model)
     pin = {decision: bn.point_row(m.variables[decision].domain, action)}
-    for net in (_net_rows(model, pin), _net_rows(m, pin)):
+    for net in (_net_rows(measure, pin) for measure in (model, m)):
         order = bn.topological_order(net)
         values = {
             u: m.variables[u].values for u in m.utilities(agent)
@@ -319,7 +315,13 @@ def believed_action_value(
     action: str,
     value_fn: ValueFn = conditional_utility,
 ) -> float:
-    """Belief-weighted conditional utility of an action at an information set."""
+    """Belief-weighted conditional utility of an action at an information set.
+
+    Each positively believed node that faces the set (``is_encounterable``)
+    adds its weight times ``value_fn`` at its first decision facing it.  A
+    node that cannot reach the observation adds nothing, and the weights are
+    not renormalised.
+    """
     s = stack.nodes[nid]
     row = s.beliefs.get(agent)
     if row is None:

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
-import jsonschema
-
 from . import bn
 from .bn import Cpd, Row, Variable
 from .errors import SchemaViolation, ValidationError
@@ -356,6 +354,8 @@ def _model_from_doc(
 
 def parse_document(text: str) -> GameDocument:
     """Validate and build the typed object a JSON document describes."""
+    import jsonschema  # slow to import, so loaded only when a document is read
+
     try:
         raw = json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:

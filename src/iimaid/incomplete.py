@@ -33,7 +33,6 @@ from .maid import (
     _free_decisions,
     argmax_action,
     base_maid,
-    free_decisions,
     has_perfect_recall,
     topological_order,
 )
@@ -179,6 +178,8 @@ def _row_classes(rows: Iterable[tuple[str, Mapping[str, float]]]) -> list[list[s
 
 def belief_type_classes(x: IiMaid, agent: str) -> list[list[str]]:
     """Partition of the models (where the agent holds beliefs) by belief row."""
+    if agent not in x.agents:
+        raise UnknownAgent(agent)
     rows = ((sid, x.models[sid].beliefs.get(agent)) for sid in sorted(x.models))
     return _row_classes((sid, row) for sid, row in rows if row is not None)
 
@@ -285,17 +286,13 @@ def _snap(v: float, eps: float = 1e-12) -> float:
     return float(v)
 
 
-def _support_contexts(model: Model, name: str) -> frozenset[tuple[str, ...]]:
+def _build_support_contexts(m: Maid, name: str) -> frozenset[tuple[str, ...]]:
     """Parent contexts of a decision reachable when every decision is free.
 
     Positivity is judged with all decisions, including pre-committed ones,
     replaced by free uniform choices; only chance zeros can rule a context out.
-    So the contexts depend on the base diagram alone, and are indexed there.
+    So the contexts depend on the base diagram alone.
     """
-    return bn.indexed(base_maid(model), _build_support_contexts, name)
-
-
-def _build_support_contexts(m: Maid, name: str) -> frozenset[tuple[str, ...]]:
     pa = m.parents[name]
     if not pa:
         return frozenset({()})
@@ -325,18 +322,9 @@ def _build_support_contexts(m: Maid, name: str) -> frozenset[tuple[str, ...]]:
 
 
 def model_information_sets(model: Model, agent: str) -> frozenset[InformationSet]:
-    """The agent's information sets arising from one model's open decisions."""
-    return bn.indexed(model, _build_model_information_sets, agent)
-
-
-def _build_model_information_sets(model: Model, agent: str) -> frozenset[InformationSet]:
-    slots = _decision_slots(model)
-    return frozenset(
-        iset
-        for d in _free_decisions(model, agent)
-        for iset, supported in slots[d].cells.values()
-        if supported
-    )
+    """The agent's information sets that the model's open decisions face:
+    by the package's one rule (``_faced_sets``), at supported contexts only."""
+    return frozenset(iset for iset in _faced_sets(model) if iset.agent == agent)
 
 
 def information_sets(x: IiMaid, agent: str) -> frozenset[InformationSet]:
@@ -354,32 +342,14 @@ def _build_information_sets(x: IiMaid, agent: str) -> frozenset[InformationSet]:
 
 
 def is_encounterable(iset: InformationSet, s: SubjectiveMaid) -> bool:
-    """Whether some open decision in the model could face this information set.
-
-    Purely domain-based: the decision's parents must be exactly the observed
-    variables, the observed outcomes must lie in their domains, and the action
-    set must match.
-    """
-    return bool(_matching_decisions(s.model, iset))
+    """Whether some open decision in the model faces this information set at
+    a supported context, the rule of ``model_information_sets``."""
+    return iset in _faced_sets(s.model)
 
 
 def _matching_decisions(model: Model, iset: InformationSet) -> tuple[str, ...]:
-    """The model's open decisions of ``iset.agent`` that can face the set."""
-    return bn.indexed(model, _build_matching_decisions, iset)
-
-
-def _build_matching_decisions(model: Model, iset: InformationSet) -> tuple[str, ...]:
-    m = base_maid(model)
-    obs_vars = tuple(v for v, _ in iset.observation)
-    matches = []
-    for d in free_decisions(model, iset.agent):
-        if m.parents[d] != obs_vars:
-            continue
-        if m.variables[d].domain != iset.actions:
-            continue
-        if all(val in m.variables[v].domain for v, val in iset.observation):
-            matches.append(d)
-    return tuple(matches)
+    """The model's open decisions that face ``iset``, in name order."""
+    return _faced_sets(model).get(iset, ())
 
 
 def _default_row(actions: tuple[str, ...]) -> Row:
@@ -400,9 +370,10 @@ class _DecisionSlots(NamedTuple):
 
 def _decision_slots(model: Model) -> Mapping[str, _DecisionSlots]:
     """Every decision's slots, by owner then name: the one place where parent
-    contexts meet their information sets.  Support is judged on the base
-    diagram, so the table is indexed there and covers committed decisions
-    too; callers pick the open ones through ``maid._free_decisions``."""
+    contexts meet their information sets and their support.  Support is
+    judged on the base diagram, so the table is indexed there and covers
+    committed decisions too; callers pick the open ones through
+    ``maid._free_decisions``."""
     return bn.indexed(base_maid(model), _build_decision_slots)
 
 
@@ -411,12 +382,30 @@ def _build_decision_slots(m: Maid) -> Mapping[str, _DecisionSlots]:
     for agent in m.agents:
         for d in m.decisions(agent):
             pa, actions = m.parents[d], m.variables[d].domain
-            support = _support_contexts(m, d)
+            support = _build_support_contexts(m, d)
             cells = {
                 ctx: (InformationSet(agent, tuple(zip(pa, ctx)), actions), ctx in support)
                 for ctx in product(*(m.variables[p].domain for p in pa))
             }
             out[d] = _DecisionSlots(pa, actions, MappingProxyType(cells))
+    return MappingProxyType(out)
+
+
+def _faced_sets(model: Model) -> Mapping[InformationSet, tuple[str, ...]]:
+    """Each information set that an open decision of the model faces at a
+    supported context (positive probability with every decision free), mapped
+    to those decisions in name order: the one rule for which sets a model
+    can face."""
+    return bn.indexed(model, _build_faced_sets)
+
+
+def _build_faced_sets(model: Model) -> Mapping[InformationSet, tuple[str, ...]]:
+    slots = _decision_slots(model)
+    out: dict[InformationSet, tuple[str, ...]] = {}
+    for d in _free_decisions(model):
+        for iset, supported in slots[d].cells.values():
+            if supported:
+                out[iset] = out.get(iset, ()) + (d,)
     return MappingProxyType(out)
 
 
@@ -503,10 +492,7 @@ def _profile_slots(
 def _build_profile_slots(
     x: IiMaid, agent: str, at: str
 ) -> tuple[tuple[InformationSet, ...], tuple[InformationSet, ...]]:
-    weights = x.models[at].beliefs.get(agent)
-    if weights is None:
-        raise UnknownAgent(f"{agent} holds no beliefs in {at}")
-    believed = [x.models[sid] for sid, w in sorted(weights.items()) if w > 0.0]
+    believed = [x.models[sid] for sid, _ in _believed(x, agent, at)]
     relevant, rest = [], []
     for iset in sorted(information_sets(x, agent)):
         if any(is_encounterable(iset, s) for s in believed):
@@ -767,7 +753,8 @@ def find_nash_ii(
     first hit wins).  If the pure space exceeds the cap, falls back to
     iterated best responses from the uniform profile; returns None when
     neither stage produces a profile passing the check.  Profiles of both
-    stages are valid by construction, so none is validated.
+    stages are valid by construction, so none is validated, and both list
+    their information sets in sorted order.
     """
     for agent in x.agents:
         for sid in sorted(x.models):
@@ -783,10 +770,7 @@ def find_nash_ii(
     except SearchSpaceTooLarge:
         pass
 
-    profile = {}
-    for agent in x.agents:
-        for iset in information_sets(x, agent):
-            profile[iset] = bn.uniform_row(iset.actions)
+    profile = {iset: bn.uniform_row(iset.actions) for iset in _pure_slots(x)}
     for _ in range(max_sweeps):
         changed = False
         for agent in x.agents:

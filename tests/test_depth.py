@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies
 
 from iimaid import bn, depth as dp, maid
 from iimaid.bn import Cpd
@@ -296,12 +297,59 @@ def test_unsupported_contexts_commit_the_least_action():
 
 def test_set_no_believed_model_realizes_is_never_resolved():
     st = observed_chance_stack({"a": 0.4, "b": 0.3, "c": 0.3}, NO_C)
-    assert dp.is_open_minded(st)[0]   # X=c is in the child's domain
+    # X=c is in the child's domain, but its chance row rules it out
+    assert dp.is_open_minded(st) == (
+        False, [("root", "P", InformationSet("P", (("X", "c"),), ("l", "r")))])
     with pytest.raises(NotOpenMinded) as e:
         dp.reduce_stack(st)
     assert str(e.value) == (
         "InformationSet(agent='P', observation=(('X', 'c'),), actions=('l', 'r')) "
         "never resolved for root")
+
+
+def test_believed_model_that_cannot_reach_the_observation_adds_nothing():
+    full = {"a": 0.4, "b": 0.3, "c": 0.3}
+    st = DepthStack(("P",), "root", {
+        "root": SubjectiveMaid("root", observed_chance_game(full), {"P": {"c0": 0.5, "c1": 0.5}}),
+        "c0": SubjectiveMaid("c0", observed_chance_game(NO_C), {}),
+        "c1": SubjectiveMaid("c1", observed_chance_game(full), {}),
+    })
+    assert dp.validate_stack(st) == [] and dp.is_open_minded(st) == (True, [])
+    res = dp.recursive_best_response(st)
+    # c0 cannot reach X=c, so only c1's half of the belief prices it
+    assert [(s.info_set.observation, s.action, pytest.approx(s.value), s.written_to)
+            for s in res.trace] == [
+        ((("X", "a"),), "r", 1.0, ("c0", "c1")),
+        ((("X", "b"),), "r", 1.0, ("c0", "c1")),
+        ((("X", "c"),), "r", 0.5, ("c1",)),
+    ]
+    assert dp.audit_trace(st, res) == []
+
+
+# X's row over a, b, c, from small integer weights, so that zeros are common
+chance_rows = strategies.lists(
+    strategies.integers(0, 2), min_size=3, max_size=3).filter(any).map(
+    lambda w: {x: c / sum(w) for x, c in zip("abc", w)})
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(chance_rows, strategies.lists(
+    strategies.tuples(chance_rows, strategies.integers(1, 3)), min_size=1, max_size=3))
+def test_open_minded_stacks_solve_and_the_rest_fail_up_front(root_row, believed):
+    total = sum(w for _, w in believed)
+    st = DepthStack(("P",), "root", {
+        "root": SubjectiveMaid("root", observed_chance_game(root_row), {
+            "P": {f"c{i}": w / total for i, (_, w) in enumerate(believed)}}),
+        **{f"c{i}": SubjectiveMaid(f"c{i}", observed_chance_game(row), {})
+           for i, (row, _) in enumerate(believed)},
+    })
+    ok, gaps = dp.is_open_minded(st)
+    if ok:
+        assert dp.audit_trace(st, dp.recursive_best_response(st)) == []
+    else:
+        with pytest.raises(NotOpenMinded) as e:
+            dp.recursive_best_response(st)
+        assert str(e.value) == f"{len(gaps)} unbelieved information sets, first: {gaps[0]}"
 
 
 def test_reduce_drops_depth_by_one(depth3):

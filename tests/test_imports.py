@@ -1,5 +1,8 @@
 """Every name a package module imports is used in that module."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import iimaid
@@ -30,3 +33,16 @@ def test_modules_import_no_unused_names():
         if unused:
             found[path.name] = unused
     assert found == {}
+
+
+def test_import_loads_neither_jsonschema_nor_scipy():
+    code = (
+        "import sys, iimaid\n"
+        "from iimaid import fixtures\n"
+        "print(sorted({'jsonschema', 'scipy'} & set(sys.modules)))\n"
+        "print(fixtures.load_bundled('evaluation_game.iimaid.json').kind)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    assert proc.stdout.splitlines() == ["[]", "ii-maid"]

@@ -4,7 +4,7 @@ import pytest
 
 from iimaid import bn, iiefg, incomplete as inc, maid
 from iimaid.bn import Cpd
-from iimaid.errors import MissingRule, SearchSpaceTooLarge, ValidationError
+from iimaid.errors import MissingRule, SearchSpaceTooLarge, UnknownAgent, ValidationError
 from iimaid.incomplete import IiMaid, InformationSet, SubjectiveMaid
 
 
@@ -81,6 +81,18 @@ def test_consistency_report(example1):
 def test_belief_type_classes(example1):
     assert inc.belief_type_classes(example1, "A") == [["ai_belief", "ground_truth"]]
     assert inc.belief_type_classes(example1, "H") == [["ai_belief"], ["ground_truth"]]
+
+
+def test_unknown_names_raise_the_package_errors(example1, ne_profile):
+    others = {i: r for i, r in ne_profile.items() if i.agent != "H"}
+    with pytest.raises(ValidationError) as e:
+        inc.best_response_ii(example1, "H", others, at="nope")
+    assert e.value.issues == ["unknown-model: nope"]
+    with pytest.raises(UnknownAgent):
+        inc.belief_type_classes(example1, "Z")
+    # a known agent who holds no beliefs has no classes
+    m = SubjectiveMaid("m", trivial_model(("P1", "P2")), {"P1": {"m": 1.0}})
+    assert inc.belief_type_classes(IiMaid(("P1", "P2"), "m", {"m": m}), "P2") == []
 
 
 def trivial_model(agents):

@@ -1,4 +1,6 @@
 """The per-object structural index: built once, shared, immutable, invisible."""
+from types import MappingProxyType
+
 from iimaid import bn, depth, efg, fixtures, gamedoc, iiefg, incomplete, maid
 from iimaid.fixtures import always_low_match_rules, truthful_match_rules
 
@@ -30,11 +32,9 @@ def test_post_policy_maids_share_their_base_support_contexts(monkeypatch, honest
     support = _counting(monkeypatch, incomplete, "_build_support_contexts")
     truthful = maid.PostPolicyMaid(honesty, {"D_A": truthful_match_rules()["D_A"]})
     low = maid.PostPolicyMaid(honesty, {"D_A": always_low_match_rules()["D_A"]})
-    for d in honesty.decisions():
-        assert incomplete._support_contexts(truthful, d) is incomplete._support_contexts(
-            low, d)
-        assert incomplete._support_contexts(honesty, d) is incomplete._support_contexts(
-            low, d)
+    slots = incomplete._decision_slots(honesty)
+    assert incomplete._decision_slots(truthful) is slots
+    assert incomplete._decision_slots(low) is slots
     assert sorted(name for _, name in support) == honesty.decisions()
 
 
@@ -42,7 +42,7 @@ def test_cached_structure_is_immutable(example1):
     gt = example1.models["ground_truth"].model
     assert isinstance(incomplete.model_information_sets(gt, "H"), frozenset)
     assert isinstance(incomplete.information_sets(example1, "H"), frozenset)
-    assert isinstance(incomplete._support_contexts(gt, "D_H"), frozenset)
+    assert isinstance(incomplete._faced_sets(gt), MappingProxyType)
     relevant, rest = incomplete._profile_slots(example1, "H", example1.objective)
     assert isinstance(relevant, tuple) and isinstance(rest, tuple)
     assert isinstance(incomplete._matching_decisions(gt, relevant[0]), tuple)
@@ -180,6 +180,29 @@ def test_recursive_best_response_builds_one_slot_table_per_base_diagram(
     assert sorted(id(m) for m, in builds) == sorted(bases)
     # every committed model reuses its base's table
     assert {id(maid.base_maid(s.model)) for s in result.final.nodes.values()} == bases
+
+
+def test_recursive_best_response_builds_one_faced_table_per_model(monkeypatch, depth3):
+    builds = _counting(monkeypatch, incomplete, "_build_faced_sets")
+    depth.recursive_best_response(depth3)
+    # the stack's 4 models, and 2 committed models the reductions read again
+    assert len(builds) == len({id(m) for m, in builds}) == 6
+
+
+def test_conditional_utility_builds_the_fallback_measure_only_when_needed(
+        monkeypatch, depth3):
+    builds = _counting(monkeypatch, depth, "_net_rows")
+    for value_fn in (depth.conditional_utility, depth._walk_conditional_utility):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return value_fn(*args)
+
+        builds.clear()
+        depth.recursive_best_response(depth3, value_fn=counted)
+        # the committed measure rules out the observation in 4 of 16 calls
+        assert (len(calls), len(builds)) == (16, 20)
 
 
 def test_free_decisions_hands_out_a_fresh_list(honesty):

@@ -434,6 +434,17 @@ def test_find_nash_ii_checks_no_profile_it_builds(xp, cap):
         assert _outcome(lambda: incomplete.find_nash_ii(x, cap=cap)) == got
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(subjective_game_with_profile(), st.sampled_from([2, 256]))
+def test_find_nash_ii_lists_information_sets_in_sorted_order(xp, cap):
+    """Both stages, pure enumeration and (at a small ``cap``) iterated best
+    responses, return a profile whose order no hash seed changes."""
+    x, _ = xp
+    got = _outcome(lambda: incomplete.find_nash_ii(x, cap=cap))
+    if isinstance(got, dict):
+        assert list(got) == sorted(got)
+
+
 def _per_agent_equivalence(x, conv, profiles, lift=iiefg.strategy_from_ii_policy):
     """``verify_equivalence`` recomputed agent by agent through the public
     functions, or the error it raises first."""
