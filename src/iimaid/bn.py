@@ -2,9 +2,13 @@
 
 All types here are immutable values and the operations are pure functions.
 Variables and outcome labels are iterated in sorted order everywhere, so
-identical inputs always produce identical outputs.  Inference is plain
-enumeration with zero-probability pruning, which is exact and fast enough
-for the network sizes this package targets (roughly twenty binary variables).
+identical inputs always produce identical outputs.  Inference is one
+enumeration kernel, ``sweep``, with zero-probability pruning, exact and fast
+enough for the network sizes this package targets (roughly twenty binary
+variables).  ``marginal`` and the expected utilities, Q-tables and support
+contexts of ``maid`` and ``incomplete`` are leaves over it;
+``enumerate_support`` and ``depth._walk_conditional_utility`` are oracles
+kept apart from it.
 
 Every CPD, decision-rule and belief row is judged by one predicate,
 ``is_distribution``: each entry within ``TOL`` of [0, 1] (NaN and infinite
@@ -262,10 +266,48 @@ def joint_probability(net: BayesNet, assignment: Assignment) -> float:
     return prob
 
 
-def enumerate_support(
-    net: BayesNet,
+def weight_one(var: Variable) -> Cpd:
+    """A parentless table of weight 1.0 on every label: ``sweep`` branches on
+    them all and keeps the weight exact, since ``w * 1.0 == w``."""
+    return Cpd(var.name, (), {(): dict.fromkeys(var.domain, 1.0)})
+
+
+def sweep(
+    variables: Mapping[str, Variable],
+    tables: Mapping[str, Cpd],
+    order: Sequence[str],
+    leaf: Callable[[dict[str, str], float], None],
     evidence: Assignment | None = None,
-    order: Sequence[str] | None = None,
+) -> None:
+    """Walk ``order`` depth first over sorted labels (only the evidence label,
+    if any), each weighted by its entry in ``tables[name].row_for(a)``; an
+    entry that is not positive prunes the branch.  Calls ``leaf(a, weight)``
+    once per surviving assignment; ``a`` is live, so a leaf keeps a copy."""
+    ev = evidence or {}
+    steps = [(name, tables[name].rows, tables[name].parents,
+              (ev[name],) if name in ev else variables[name].domain) for name in order]
+    last = len(steps)
+    a: dict[str, str] = {}
+
+    def visit(i: int, weight: float) -> None:
+        if i == last:
+            leaf(a, weight)
+            return
+        name, rows, parents, labels = steps[i]
+        row = rows[tuple(map(a.__getitem__, parents))]
+        for label in labels:
+            p = row.get(label, 0.0)
+            if p <= 0.0:
+                continue
+            a[name] = label
+            visit(i + 1, weight * p)
+        a.pop(name, None)
+
+    visit(0, 1.0)
+
+
+def enumerate_support(
+    net: BayesNet, evidence: Assignment | None = None
 ) -> Iterator[tuple[dict[str, str], float]]:
     """Yield (assignment, probability) over full assignments with positive mass.
 
@@ -274,7 +316,7 @@ def enumerate_support(
     """
     ev = dict(evidence or {})
     _check_evidence(net, ev)
-    names = list(order) if order is not None else topological_order(net)
+    names = topological_order(net)
     a: dict[str, str] = {}
 
     def rec(i: int, prob: float) -> Iterator[tuple[dict[str, str], float]]:
@@ -310,13 +352,18 @@ def marginal(
     for t in names:
         if t not in net.variables:
             raise ValueError(f"unknown target variable {t!r}")
+    _check_evidence(net, evidence or {})
     table = {
         combo: 0.0 for combo in product(*(net.variables[t].domain for t in names))
     }
     total = 0.0
-    for a, p in enumerate_support(net, evidence):
-        table[tuple(a[t] for t in names)] += p
-        total += p
+
+    def leaf(a: dict[str, str], weight: float) -> None:
+        nonlocal total
+        table[tuple(a[t] for t in names)] += weight
+        total += weight
+
+    sweep(net.variables, net.cpds, topological_order(net), leaf, evidence)
     if total <= 0.0:
         raise ZeroProbabilityEvidence(
             f"evidence {sorted((evidence or {}).items())} has probability 0"

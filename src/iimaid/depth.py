@@ -249,6 +249,10 @@ def conditional_utility(
     falls back to the measure with every decision uniform.
     """
     m = base_maid(model)
+    if agent not in m.agents:
+        raise UnknownAgent(agent)
+    if decision not in m.variables or m.kind(decision) != bn.DECISION:
+        raise ValidationError([f"unknown-decision: {decision}"])
     pin = {decision: bn.point_row(m.variables[decision].domain, action)}
     # a generator, so the fallback measure is built only when it is needed
     for net in (_net_rows(measure, pin) for measure in (model, m)):
@@ -322,6 +326,8 @@ def believed_action_value(
     node that cannot reach the observation adds nothing, and the weights are
     not renormalised.
     """
+    if nid not in stack.nodes:
+        raise ValidationError([f"unknown-node: {nid}"])
     s = stack.nodes[nid]
     row = s.beliefs.get(agent)
     if row is None:

@@ -294,30 +294,11 @@ def _build_support_contexts(m: Maid, name: str) -> frozenset[tuple[str, ...]]:
     So the contexts depend on the base diagram alone.
     """
     pa = m.parents[name]
-    if not pa:
-        return frozenset({()})
     order = [v for v in topological_order(m) if m.kind(v) != bn.UTILITY]
-    cut = max(order.index(p) for p in pa) + 1
-    order = order[:cut]
+    order = order[: max((order.index(p) + 1 for p in pa), default=0)]
+    tables = {**m.cpds, **{d: bn.weight_one(m.variables[d]) for d in m.decisions()}}
     found: set[tuple[str, ...]] = set()
-    a: dict[str, str] = {}
-
-    def rec(i: int) -> None:
-        if i == len(order):
-            found.add(tuple(a[p] for p in pa))
-            return
-        v = order[i]
-        if m.kind(v) == bn.CHANCE:
-            row = m.cpds[v].row_for(a)
-            labels = [lbl for lbl in m.variables[v].domain if row.get(lbl, 0.0) > 0.0]
-        else:
-            labels = list(m.variables[v].domain)
-        for lbl in labels:
-            a[v] = lbl
-            rec(i + 1)
-            del a[v]
-
-    rec(0)
+    bn.sweep(m.variables, tables, order, lambda a, w: found.add(tuple(a[p] for p in pa)))
     return frozenset(found)
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies
 from iimaid import bn, depth as dp, maid
 from iimaid.bn import Cpd
 from iimaid.depth import DepthStack
-from iimaid.errors import CycleError, NotOpenMinded, ValidationError
+from iimaid.errors import CycleError, NotOpenMinded, UnknownAgent, ValidationError
 from iimaid.fixtures import (
     always_low_match_rules, capability_evaluation, honesty_evaluation,
     truthful_match_rules,
@@ -198,6 +198,19 @@ def test_believed_action_value(depth3):
         depth3, "a_view", "H", iset_report("H", "low"), "deploy") == pytest.approx(1.0)
     assert dp.believed_action_value(
         depth3, "a_view", "H", iset_report("H", "high"), "deploy") == pytest.approx(-5.0)
+
+
+def test_value_inputs_name_what_is_unknown(depth3):
+    obj = depth3.nodes[depth3.objective].model
+    for bad in ("C", "nope"):  # a chance variable, and no variable at all
+        with pytest.raises(ValidationError) as e:
+            dp.conditional_utility(obj, "H", bad, {}, "high")
+        assert e.value.issues == [f"unknown-decision: {bad}"]
+    with pytest.raises(UnknownAgent):
+        dp.conditional_utility(obj, "nobody", "D_H", {"D_A": "low"}, "deploy")
+    with pytest.raises(ValidationError) as e:
+        dp.believed_action_value(depth3, "nope", "H", iset_report("H", "low"), "deploy")
+    assert e.value.issues == ["unknown-node: nope"]
 
 
 # ----------------------------------------------------- assignment operators

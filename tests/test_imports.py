@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module."""
+"""Source lints: every name a package module imports is used in that module,
+and only the enumeration kernel, its oracles and the tree walks recurse."""
 import ast
 import os
 import subprocess
@@ -33,6 +34,39 @@ def test_modules_import_no_unused_names():
         if unused:
             found[path.name] = unused
     assert found == {}
+
+
+# The top-level functions whose nested helpers call themselves: the one
+# enumeration kernel, the oracles kept apart from it, and the walks over
+# trees and belief stacks.  Any other exact inference goes through the kernel.
+RECURSIVE = {
+    ("bn", "sweep"), ("bn", "enumerate_support"), ("depth", "_walk_conditional_utility"),
+    ("efg", "maid2efg"), ("efg", "efg_expected_utility"), ("depth", "classify_depth"),
+    ("depth", "unroll"), ("dot", "belief_tree_dot"),
+}
+
+
+def _recursive_nested(tree: ast.Module) -> set[str]:
+    found = set()
+    for top in tree.body:
+        if not isinstance(top, ast.FunctionDef):
+            continue
+        for node in ast.walk(top):
+            if node is top or not isinstance(node, ast.FunctionDef):
+                continue
+            called = {c.func.id for c in ast.walk(node)
+                      if isinstance(c, ast.Call) and isinstance(c.func, ast.Name)}
+            if node.name in called:
+                found.add(top.name)
+    return found
+
+
+def test_only_the_kernel_oracles_and_walks_recurse():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found |= {(path.stem, name) for name in _recursive_nested(tree)}
+    assert found == RECURSIVE
 
 
 def test_import_loads_neither_jsonschema_nor_scipy():
