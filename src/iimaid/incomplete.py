@@ -18,6 +18,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 from . import bn
 from .bn import Row, TOL
 from .errors import (
+    GameError,
     MissingRule,
     SearchSpaceTooLarge,
     UnknownAgent,
@@ -192,7 +193,9 @@ class ConsistencyReport:
     conditioning.  ``strongly_consistent`` additionally requires some solution
     to give positive mass to every belief type that actually occurs.
     ``mass_bounds`` (when computed) gives the feasible [min, max] prior mass
-    per model, which exposes forced-zero models.
+    per model, which exposes forced-zero models.  Each bound is within 1e-12
+    of what a separate per-bound linear program gives; every other field is
+    exactly what it gives (see "Tolerances and ties" in ``maid``).
     """
 
     eq_feasible: bool
@@ -210,7 +213,14 @@ def check_consistency(x: IiMaid, include_bounds: bool = True) -> ConsistencyRepo
     model S', p(S') = sum_S P_i^S(S') p(S).  Strong consistency maximizes the
     minimum prior mass over realized belief-type classes and asks for a
     strictly positive optimum.
+
+    The call makes two HiGHS solves, or one without ``include_bounds``,
+    whatever the number k of models: the strong-consistency program, and
+    one block-diagonal program holding all 2k mass-bound programs, whose
+    bounds may differ from separate solves by at most 1e-12.  A mass-bound
+    solve that fails raises ``GameError`` with HiGHS's status message.
     """
+    import numpy as np
     from scipy.optimize import linprog
 
     ids = sorted(x.models)
@@ -264,17 +274,24 @@ def check_consistency(x: IiMaid, include_bounds: bool = True) -> ConsistencyRepo
 
     bounds = None
     if include_bounds:
-        bounds = {}
-        for sid in ids:
-            lo_hi = []
-            for sign in (1.0, -1.0):
-                c = [0.0] * k
-                c[idx[sid]] = sign
-                r = linprog(
-                    c=c, A_eq=a_eq, b_eq=b_eq, bounds=[(0.0, 1.0)] * k, method="highs"
-                )
-                lo_hi.append(_snap(abs(r.fun)) if r.success else 0.0)
-            bounds[sid] = (lo_hi[0], lo_hi[1])
+        # One program of 2k independent copies of the equality system, each
+        # over its own k masses: copy 2j minimizes model j's mass and copy
+        # 2j+1 maximizes it, so each copy's optimum is one bound.
+        copies = 2 * k
+        r = linprog(
+            c=np.kron(np.eye(k), [[1.0], [-1.0]]).ravel(),
+            A_eq=np.kron(np.eye(copies), a_eq),
+            b_eq=np.tile(b_eq, copies),
+            bounds=(0.0, 1.0),
+            method="highs",
+        )
+        if not r.success:
+            raise GameError(f"mass-bound linear program failed: {r.message}")
+        xs = r.x.reshape(copies, k)
+        bounds = {
+            sid: (_snap(abs(xs[2 * j, j])), _snap(abs(xs[2 * j + 1, j])))
+            for j, sid in enumerate(ids)
+        }
     return ConsistencyReport(True, sample, strongly, min_type_mass, bounds, type_classes)
 
 

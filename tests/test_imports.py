@@ -1,5 +1,6 @@
 """Source lints: every name a package module imports is used in that module,
-and only the enumeration kernel, its oracles and the tree walks recurse."""
+only the enumeration kernel, its oracles and the tree walks recurse, and
+`import iimaid` loads neither jsonschema, scipy nor numpy."""
 import ast
 import os
 import subprocess
@@ -80,3 +81,16 @@ def test_import_loads_neither_jsonschema_nor_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, check=True)
     assert proc.stdout.splitlines() == ["[]", "ii-maid"]
+
+
+def test_import_does_not_load_numpy():
+    code = (
+        "import sys, iimaid\n"
+        "from iimaid import fixtures\n"
+        "fixtures.evaluation_iimaid()\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    assert proc.stdout.splitlines() == ["False"]
