@@ -32,6 +32,7 @@ from .maid import (
     _decision_values,
     _expected_utilities,
     _free_decisions,
+    _priced,
     argmax_action,
     base_maid,
     has_perfect_recall,
@@ -520,7 +521,7 @@ def _action_values(
     into ``values[iset][action]``; the agent's own rows in ``profile`` are
     not read.  A model where the agent has no free decision adds its
     weighted utility, from ``utilities``, to the constant.  So any policy's
-    value is ``_priced(constant, values, rows)``.  Returns None when the
+    value is ``maid._priced(constant, values, rows)``.  Returns None when the
     agent has two or more free decisions in a believed model.
     """
     believed = _believed(x, agent, at)
@@ -542,21 +543,6 @@ def _action_values(
             for label, q in q_row.items():
                 total[label] += w * q
     return constant, values
-
-
-def _priced(
-    constant: float, values: dict[InformationSet, dict[str, float]], rows: IiPolicy
-) -> float:
-    """The subjective value of the agent's ``rows`` from its action values.
-
-    Every caller sums in the same order, so a pure policy agreeing with the
-    best response is worth exactly the best-response value.
-    """
-    total = constant
-    for iset, q in values.items():
-        row = rows[iset]
-        total += sum(row[label] * v for label, v in q.items())
-    return total
 
 
 def _argmax_rows(

@@ -27,14 +27,20 @@ defaults differ: ``is_nash`` and ``find_pure_nash`` use ``tol=1e-9``, while
 ``incomplete.is_nash_ii`` and ``incomplete.find_nash_ii`` use ``tol=1e-6``;
 the CLI passes 1e-6 to both families unless ``--tol`` says otherwise.
 
-Where ``incomplete.best_response_ii`` takes its per-information-set path,
-it and ``incomplete.is_nash_ii`` read subjective values off the
-belief-weighted Q-table (``decision_values``) rather than re-evaluating
-the profile, so they may differ from an
-``incomplete.subjective_expected_utility`` recomputation by rounding (at
-most 1e-12 in the tests).  The achieved and best-response values are summed
-in the same order, so a pure profile agreeing with the best response has a
-regret of exactly 0.0.
+Both families price achieved and best values off the same Q-table
+(``decision_values``; belief-weighted per information set in
+``incomplete``) with one helper, ``_priced``, rather than re-evaluating the
+profile.  ``best_response`` takes its value off the table of the agent's
+earliest decision; ``is_nash`` and ``find_pure_nash`` price both values off
+one table for an agent with exactly one free decision, and so do
+``incomplete.best_response_ii`` and ``incomplete.is_nash_ii`` on their
+per-information-set path.  These values may differ from an
+``expected_utilities`` (or ``incomplete.subjective_expected_utility``)
+recomputation by rounding, at most 1e-12 in the tests.  Achieved and best
+values are summed in the same order, so a pure profile agreeing with the
+best response at every reached context has a regret of exactly 0.0.
+Agents with no free decision, or with several, and the exhaustive
+fallbacks take their values from expected utilities.
 
 ``incomplete.check_consistency`` takes every feasible [min, max] model mass
 from one block-diagonal linear program rather than one program per bound.
@@ -51,7 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, TypeVar, Union
 
 from . import bn
 from .bn import CHANCE, DECISION, TOL, UTILITY, Cpd, Row, Variable
@@ -69,6 +75,12 @@ DecisionRule = Cpd
 
 # A (possibly partial) policy profile: decision variable name -> rule.
 PolicyRules = Mapping[str, Cpd]
+
+# A decision's Q-table: parent context -> action -> value (see decision_values).
+QTable = dict[tuple[str, ...], dict[str, float]]
+
+# What a table of action values is keyed by: parent contexts or information sets.
+K = TypeVar("K")
 
 
 @dataclass(frozen=True)
@@ -404,6 +416,25 @@ def iter_pure_rules(
         yield {d: Cpd(d, m.parents[d], rows) for d, rows in cells.items()}
 
 
+def _priced(
+    constant: float, values: Mapping[K, Mapping[str, float]], rows: Mapping[K, Row]
+) -> float:
+    """The value of ``rows`` against a table of action values, plus ``constant``.
+
+    ``values`` maps a key to ``{action: q}`` and ``rows`` maps the same keys
+    to distributions over actions: a Q-table from ``decision_values`` against
+    a rule's ``rows``, or ``incomplete``'s per-information-set values against
+    a profile.  Only the keys of ``values`` are read.  Every caller sums in
+    this one order, so a pure rule agreeing with the best response is worth
+    exactly the best-response value.
+    """
+    total = constant
+    for key, q in values.items():
+        row = rows[key]
+        total += sum(row[label] * v for label, v in q.items())
+    return total
+
+
 def best_response(
     model: Model, others: PolicyRules, agent: str, cap: int = DEFAULT_CAP
 ) -> tuple[dict[str, Cpd], float]:
@@ -414,31 +445,42 @@ def best_response(
     per parent context of its ``decision_values`` table, with earlier own
     decisions uniform and later ones at the rules already chosen.  Contexts
     that have probability zero under the returned profile get the least
-    action.  Without perfect recall every pure policy is enumerated, and
-    ``cap`` bounds only that fallback.  The value is the expected utility
-    of the returned rules.
+    action.  The value is the returned rules priced off the earliest
+    decision's table, so it may differ from an ``expected_utilities``
+    recomputation by rounding (see the module docstring).  An agent with no
+    free decision gets ``({}, expected_utilities(...)[agent])``.  Without
+    perfect recall every pure policy is enumerated, its expected utility is
+    the value, and ``cap`` bounds only that fallback.
     """
     if agent not in base_maid(model).agents:
         raise UnknownAgent(agent)
     own = _free_decisions(model, agent)
-    return _best_response(model, _checked_rules(model, others, own), agent, cap)
+    return _best_response(model, _checked_rules(model, others, own), agent, cap)[:2]
 
 
 def _best_response(
     model: Model, others: PolicyRules, agent: str, cap: int = DEFAULT_CAP
-) -> tuple[dict[str, Cpd], float]:
-    """``best_response`` given checked rules for the other open decisions."""
+) -> tuple[dict[str, Cpd], float, QTable | None]:
+    """``best_response`` given checked rules for the other open decisions,
+    and, when the agent has exactly one free decision, its Q-table, which
+    prices any rule for that decision."""
     recall, order = has_perfect_recall(model, agent)
     if not recall:
-        return _best_response_exhaustive(model, others, agent, cap)
+        return (*_best_response_exhaustive(model, others, agent, cap), None)
     assert order is not None
-    tables: dict[str, dict[tuple[str, ...], dict[str, float]]] = {}
+    if not order:
+        return {}, _expected_utilities(model, others)[agent], None
+    tables: dict[str, QTable] = {}
     chosen: dict[str, Cpd] = {}
     for i in reversed(range(len(order))):
         d = order[i]
         earlier = {e: uniform_rule(model, e) for e in order[:i]}
         q = tables[d] = _decision_values(model, {**others, **earlier, **chosen}, d, agent)
         chosen[d] = _argmax_rule(model, d, q, lambda ctx: True)
+    # The earliest table holds the later decisions at the rules chosen so
+    # far; the fix-up below changes them only at contexts of probability
+    # zero, so that table still prices the returned rules.
+    value = _priced(0.0, tables[order[0]], chosen[order[0]].rows)
     for i in range(1, len(order)):
         # Perfect recall puts every earlier own decision among d's parents, so
         # a context is unreachable exactly when an earlier rule never takes
@@ -448,7 +490,7 @@ def _best_response(
         )
         chosen[order[i]] = _argmax_rule(model, order[i], tables[order[i]], reachable)
     rules = {d: chosen[d] for d in sorted(chosen)}
-    return rules, _expected_utilities(model, {**others, **rules})[agent]
+    return rules, value, tables[order[0]] if len(order) == 1 else None
 
 
 def _argmax_rule(
@@ -482,23 +524,52 @@ def _best_response_exhaustive(
     return best_rules, best_value
 
 
+def _regrets(
+    model: Model,
+    rules: PolicyRules,
+    best: Mapping[str, tuple[float, QTable | None]],
+) -> dict[str, float]:
+    """Each agent's best value, from ``best``, minus its achieved value.
+
+    An agent with a Q-table prices its own rule off it; the others share one
+    ``_expected_utilities`` of the profile, computed only if some agent needs
+    it.
+    """
+    regrets: dict[str, float] = {}
+    achieved: dict[str, float] | None = None
+    for agent, (brv, q) in best.items():
+        if q is not None:
+            (d,) = _free_decisions(model, agent)
+            regrets[agent] = brv - _priced(0.0, q, rules[d].rows)
+            continue
+        if achieved is None:
+            achieved = _expected_utilities(model, rules)
+        regrets[agent] = brv - achieved[agent]
+    return regrets
+
+
 def is_nash(
     model: Model, rules: PolicyRules, tol: float = 1e-9, cap: int = DEFAULT_CAP
 ) -> tuple[bool, dict[str, float]]:
     """Check the profile for unilateral pure deviations; returns per-agent regret.
 
-    A regret above ``tol`` fails the check; see the module docstring for how
-    this default relates to ``incomplete.is_nash_ii``'s.
+    For an agent with exactly one free decision, one ``decision_values``
+    table prices both the best response and the profile's rule, so a pure
+    rule agreeing with the best response at every reached context has
+    regret exactly 0.0.  Other agents
+    compare ``best_response``'s value with the profile's expected utility,
+    computed at most once per call.  A regret above ``tol`` fails the check;
+    see the module docstring for how this default relates to
+    ``incomplete.is_nash_ii``'s.
     """
     m = base_maid(model)
     rules = _checked_rules(model, rules)
-    achieved = _expected_utilities(model, rules)
-    regrets: dict[str, float] = {}
+    best = {}
     for agent in m.agents:
-        own = set(_free_decisions(model, agent))
+        own = _free_decisions(model, agent)
         others = {d: r for d, r in rules.items() if d not in own}
-        _, brv = _best_response(model, others, agent, cap)
-        regrets[agent] = brv - achieved[agent]
+        best[agent] = _best_response(model, others, agent, cap)[1:]
+    regrets = _regrets(model, rules, best)
     return all(r <= tol for r in regrets.values()), regrets
 
 
@@ -507,10 +578,13 @@ def find_pure_nash(
 ) -> list[dict[str, Cpd]]:
     """All pure-policy Nash equilibria, in lexicographic profile order.
 
-    The verdict per profile is ``is_nash``'s, but an agent's best-response
-    value depends only on the other agents' rules, so it is computed once
-    per agent and choice of the others' actions and reused across profiles.
-    The profiles are valid by construction, so no rule is checked.
+    The verdict per profile is ``is_nash``'s, with the same arithmetic.  An
+    agent's best-response value, and the Q-table that prices its own rule
+    when it has one free decision, depend only on the other agents' rules,
+    so they are computed once per agent and choice of the others' actions
+    and reused across profiles.  A profile's expected utilities are computed
+    only if some agent has no or several free decisions.  The profiles are
+    valid by construction, so no rule is checked.
     """
     m = base_maid(model)
     decisions = free_decisions(model)
@@ -520,22 +594,21 @@ def find_pure_nash(
         agent: [i for i, (d, _) in enumerate(slots) if d not in own[agent]]
         for agent in m.agents
     }
-    br_values: dict[tuple[str, tuple[str, ...]], float] = {}
+    cache: dict[tuple[str, tuple[str, ...]], tuple[float, QTable | None]] = {}
     found = []
     # iter_pure_rules enumerates the same slots in the same product order
     for combo, profile in zip(
         product(*(m.variables[d].domain for d, _ in slots)),
         iter_pure_rules(model, decisions, cap),
     ):
-        achieved = _expected_utilities(model, profile)
-        regrets = []
+        best = {}
         for agent in m.agents:
             key = (agent, tuple(combo[i] for i in others_at[agent]))
-            if key not in br_values:
+            if key not in cache:
                 others = {d: r for d, r in profile.items() if d not in own[agent]}
-                br_values[key] = _best_response(model, others, agent, cap)[1]
-            regrets.append(br_values[key] - achieved[agent])
-        if all(r <= tol for r in regrets):
+                cache[key] = _best_response(model, others, agent, cap)[1:]
+            best[agent] = cache[key]
+        if all(r <= tol for r in _regrets(model, profile, best).values()):
             found.append(profile)
     return found
 

@@ -242,3 +242,52 @@ def test_committed_rules_are_read_only(capability):
         capability, {REPORT: always_low_deploy_low_rules()[REPORT]})
     assert gamedoc.serialize_document(fixtures.evaluation_depth3_stack()) == (
         fixtures.data_text("evaluation_game_depth3.stack.json"))
+
+
+def test_agent_with_no_free_decision_has_no_regret(capability):
+    rules = always_low_deploy_low_rules()
+    committed = maid.PostPolicyMaid(capability, {REPORT: rules[REPORT]})
+    others = {DEPLOY: rules[DEPLOY]}
+    assert maid.best_response(committed, others, AI) == (
+        {}, maid.expected_utilities(committed, others)[AI])
+    ok, regrets = maid.is_nash(committed, others)
+    assert ok and regrets[AI] == 0.0
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """Counts of ``bn.sweep`` and ``maid._expected_utilities`` calls."""
+    counts = {"sweep": 0, "expected_utilities": 0}
+
+    def counted(name, f):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return f(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(bn, "sweep", counted("sweep", bn.sweep))
+    monkeypatch.setattr(maid, "_expected_utilities",
+                        counted("expected_utilities", maid._expected_utilities))
+    return counts
+
+
+@pytest.mark.parametrize("game, profile", [
+    (honesty_evaluation, truthful_match_rules),
+    (honesty_evaluation, always_low_match_rules),
+    (fixtures.capability_evaluation, always_low_deploy_low_rules),
+])
+def test_equilibrium_checks_sweep_once_per_decision(work, game, profile):
+    """Both agents act once, so each check prices every value off one
+    Q-table per agent and never recomputes expected utilities."""
+    m, rules = game(), profile()
+    maid.is_nash(m, rules)
+    assert work == {"sweep": 2, "expected_utilities": 0}
+    work["sweep"] = 0
+    maid.best_response(m, {DEPLOY: rules[DEPLOY]}, AI)
+    assert work == {"sweep": 1, "expected_utilities": 0}
+
+
+def test_find_pure_nash_sweeps_once_per_opponent_choice(work, honesty):
+    # 64 profiles; 16 choices of H's rule and 4 of A's, one sweep each
+    assert len(maid.find_pure_nash(honesty)) == 9
+    assert work == {"sweep": 20, "expected_utilities": 0}

@@ -258,6 +258,56 @@ def test_find_pure_nash_matches_is_nash_over_every_profile(gp):
     assert maid.find_pure_nash(model) == oracle
 
 
+def _eu_regrets(model, rules):
+    """Regrets recomputed from scratch: achieved values from
+    ``expected_utilities``, best values by enumerating every pure policy."""
+    achieved = maid.expected_utilities(model, rules)
+    regrets = {}
+    for agent in maid.base_maid(model).agents:
+        own = maid.free_decisions(model, agent)
+        others = {d: r for d, r in rules.items() if d not in own}
+        regrets[agent] = maid._best_response_exhaustive(model, others, agent)[1] - achieved[agent]
+    return regrets
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(recall_game_with_profile())
+def test_is_nash_matches_expected_utility_regrets(gp):
+    model, profile = gp
+    ok, regrets = maid.is_nash(model, profile, tol=1e-9)
+    reference = _eu_regrets(model, profile)
+    assert set(regrets) == set(reference)
+    for agent, r in reference.items():
+        assert abs(regrets[agent] - r) <= 1e-12
+    assert ok == all(r <= 1e-9 for r in reference.values())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(recall_game_with_profile())
+def test_pure_equilibria_have_exactly_zero_regret(gp):
+    """Every agent acting once prices its best response and its equilibrium
+    rule off one Q-table, in one order, so where the two rules agree at
+    every reached context the regret is exactly 0.0.  An equilibrium may
+    instead take another action whose value ties the best one up to
+    rounding; its regret is then at most rounding."""
+    model, _ = gp
+    decisions = maid.free_decisions(model)
+    assume(maid.count_pure_policies(model, decisions) <= 128)
+    for eq in maid.find_pure_nash(model):
+        regrets = maid.is_nash(model, eq)[1]
+        for agent in ("P1", "P2"):
+            own = maid.free_decisions(model, agent)
+            if len(own) != 1:
+                continue
+            others = {d: r for d, r in eq.items() if d not in own}
+            br, _ = maid.best_response(model, others, agent)
+            reached = maid.decision_values(model, eq, own[0], agent)
+            if all(br[own[0]].rows[ctx] == eq[own[0]].rows[ctx] for ctx in reached):
+                assert regrets[agent] == 0.0, regrets
+            else:
+                assert abs(regrets[agent]) <= 1e-12, regrets
+
+
 @st.composite
 def common_prior_game_with_profile(draw):
     """A subjective game whose beliefs come from one prior, and a pure profile.
