@@ -6,9 +6,9 @@ identical inputs always produce identical outputs.  Inference is one
 enumeration kernel, ``sweep``, with zero-probability pruning, exact and fast
 enough for the network sizes this package targets (roughly twenty binary
 variables).  ``marginal`` and the expected utilities, Q-tables and support
-contexts of ``maid`` and ``incomplete`` are leaves over it;
-``enumerate_support`` and ``depth._walk_conditional_utility`` are oracles
-kept apart from it.
+contexts of ``maid`` and ``incomplete``, and so ``depth``'s conditional
+utilities, are leaves over it.  ``enumerate_support`` is the one oracle kept
+apart from it; ``depth._walk_conditional_utility`` is a leaf over that.
 
 Every CPD, decision-rule and belief row is judged by one predicate,
 ``is_distribution``: each entry within ``TOL`` of [0, 1] (NaN and infinite

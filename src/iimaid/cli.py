@@ -82,15 +82,11 @@ def _cmd_info_sets(args) -> tuple[int, dict, dict]:
     doc = _read_document(args.file)
     value = _expect(doc, "maid", "ii-maid")
     per_agent = {}
-    if doc.kind == "maid":
-        agents = value.agents
-        sets_of = lambda a: incomplete.model_information_sets(value, a)
-    else:
-        agents = value.agents
-        sets_of = lambda a: incomplete.information_sets(value, a)
+    sets_of = (incomplete.model_information_sets if doc.kind == "maid"
+               else incomplete.information_sets)
     total = 0
-    for agent in agents:
-        isets = sorted(sets_of(agent))
+    for agent in value.agents:
+        isets = sorted(sets_of(value, agent))
         total += len(isets)
         per_agent[agent] = {
             "count": len(isets),
@@ -132,12 +128,11 @@ def _cmd_check_nash(args) -> tuple[int, dict, dict]:
     if doc.kind == "maid":
         rules = _load_maid_profile(args)
         ok, regrets = maid.is_nash(value, rules, tol=args.tol, cap=args.cap)
-        work = {"agents_checked": len(regrets)}
     else:
         profile = _load_ii_profile(args)
         ok, regrets = incomplete.is_nash_ii(value, profile, tol=args.tol, cap=args.cap)
-        work = {"agents_checked": len(regrets)}
     code = OK if ok else CHECK_FAILED
+    work = {"agents_checked": len(regrets)}
     return code, {"is_nash": ok, "regrets": regrets, "tol": args.tol}, work
 
 

@@ -11,6 +11,7 @@ and repeat until the objective model is fully committed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable, Mapping
 
 from . import bn
@@ -38,12 +39,14 @@ from .maid import (
     Cpd,
     Model,
     PostPolicyMaid,
+    _decision_values,
     argmax_action,
     base_maid,
     decision_rule,
     fixed_rules,
     free_decisions,
     has_perfect_recall,
+    induced_network,
     uniform_rule,
 )
 
@@ -226,17 +229,31 @@ def final_information_sets(
     return faced - feeding
 
 
-def _net_rows(model: Model, pinned: Mapping[str, Row]) -> bn.BayesNet:
-    """The model's network under its commitments, uniform where open."""
+def _net_rows(model: Model, decision: str, action: str) -> bn.BayesNet:
+    """The oracle's measure: the model's network under its commitments,
+    uniform where open, with ``decision`` pinned to ``action``."""
     m = base_maid(model)
-    cpds = dict(m.cpds)
-    for d in free_decisions(model):
-        cpds[d] = uniform_rule(m, d)
-    for d, rule in fixed_rules(model).items():
-        cpds[d] = rule
-    for d, row in pinned.items():
-        cpds[d] = decision_rule(m, d, lambda ctx: row)
-    return bn.make_net(m.variables.values(), cpds.values())
+    rules = {d: uniform_rule(m, d) for d in free_decisions(model)}
+    rules[decision] = decision_rule(m, decision, lambda ctx: action)
+    return induced_network(model, rules)
+
+
+def _conditional_values(measure: Model, agent: str, d: str) -> Mapping[tuple, float]:
+    """The agent's expected utility given each supported (context, action) of
+    ``d``, under the measure's commitments with its open decisions uniform:
+    the ``maid._decision_values`` Q-table over each context's probability."""
+    uniform = {e: uniform_rule(measure, e) for e in free_decisions(measure)}
+    q = _decision_values(measure, uniform, d, agent)
+    # a context's probability needs only the parents and their ancestors
+    net, pa = induced_network(measure, uniform), base_maid(measure).parents[d]
+    keep = set(pa)
+    for name in reversed(bn.topological_order(net)):
+        if name in keep:
+            keep.update(net.cpds[name].parents)
+    ancestral = bn.make_net(map(net.variables.get, keep), map(net.cpds.get, keep))
+    mass = bn.marginal(ancestral, pa)
+    return MappingProxyType({(ctx, a): v / mass[ctx] for ctx, row in q.items()
+                             for a, v in row.items()})
 
 
 def conditional_utility(
@@ -244,28 +261,27 @@ def conditional_utility(
 ) -> float:
     """Expected total utility for the agent given an observation and an action.
 
-    The measure uses the model's committed rules with open decisions uniform.
-    If the commitments give the observation zero probability, the expectation
-    falls back to the measure with every decision uniform.
+    The observation ``context`` is the decision's parent assignment.  The
+    measure uses the model's committed rules with open decisions uniform; if
+    they give the observation zero probability, it has every decision uniform.
+    Each measure keeps one ``_conditional_values`` table per agent and decision.
     """
     m = base_maid(model)
     if agent not in m.agents:
         raise UnknownAgent(agent)
     if decision not in m.variables or m.kind(decision) != bn.DECISION:
         raise ValidationError([f"unknown-decision: {decision}"])
-    pin = {decision: bn.point_row(m.variables[decision].domain, action)}
-    # a generator, so the fallback measure is built only when it is needed
-    for net in (_net_rows(measure, pin) for measure in (model, m)):
-        try:
-            total = 0.0
-            for u in m.utilities(agent):
-                table = bn.marginal(net, [u], dict(context))
-                total += sum(
-                    m.variables[u].values[label] * p for (label,), p in table.items()
-                )
-            return total
-        except ZeroProbabilityEvidence:
-            continue
+    pa = m.parents[decision]
+    key = tuple(context.get(p) for p in pa)
+    if len(context) != len(pa) or any(
+            k not in m.variables[p].domain for p, k in zip(pa, key)):
+        raise ValidationError([f"not-a-parent-assignment: {dict(context)} for {decision}"])
+    if action not in m.variables[decision].domain:
+        raise ValidationError([f"unknown-action: {action} for {decision}"])
+    for measure in (model, m):
+        value = bn.indexed(measure, _conditional_values, agent, decision).get((key, action))
+        if value is not None:
+            return value
     raise ZeroProbabilityEvidence(
         f"observation {dict(context)} unreachable in every measure of {decision}"
     )
@@ -274,38 +290,15 @@ def conditional_utility(
 def _walk_conditional_utility(
     model: Model, agent: str, decision: str, context: Mapping[str, str], action: str
 ) -> float:
-    """Independent recomputation of ``conditional_utility`` by direct recursion."""
+    """Independent recomputation of ``conditional_utility``: the pinned
+    network's support under the observation, from ``bn.enumerate_support``."""
     m = base_maid(model)
-    pin = {decision: bn.point_row(m.variables[decision].domain, action)}
-    for net in (_net_rows(measure, pin) for measure in (model, m)):
-        order = bn.topological_order(net)
-        values = {
-            u: m.variables[u].values for u in m.utilities(agent)
-        }
-
-        def rec(i: int, a: dict[str, str], p: float) -> tuple[float, float]:
-            if p <= 0.0:
-                return 0.0, 0.0
-            if i == len(order):
-                return p, p * sum(values[u][a[u]] for u in values)
-            v = order[i]
-            if v in context:
-                row = net.cpds[v].row_for(a)
-                a[v] = context[v]
-                got = rec(i + 1, a, p * row.get(context[v], 0.0))
-                del a[v]
-                return got
-            mass = gain = 0.0
-            row = net.cpds[v].row_for(a)
-            for label, q in row.items():
-                a[v] = label
-                dm, dg = rec(i + 1, a, p * q)
-                mass += dm
-                gain += dg
-                del a[v]
-            return mass, gain
-
-        mass, gain = rec(0, {}, 1.0)
+    payoffs = [(u, m.variables[u].values) for u in m.utilities(agent)]
+    for net in (_net_rows(measure, decision, action) for measure in (model, m)):
+        mass = gain = 0.0
+        for a, p in bn.enumerate_support(net, context):
+            mass += p
+            gain += p * sum(values[a[u]] for u, values in payoffs)
         if mass > 0.0:
             return gain / mass
     raise ZeroProbabilityEvidence(f"unreachable observation for {decision}")

@@ -39,6 +39,8 @@ from .maid import (
     topological_order,
 )
 
+MAX_ROUNDS = 1000  # of find_nash_ii's iterated best response
+
 
 @dataclass(frozen=True, order=True)
 class InformationSet:
@@ -729,16 +731,15 @@ def find_nash_ii(
     x: IiMaid,
     tol: float = 1e-6,
     cap: int = DEFAULT_CAP,
-    max_sweeps: int = 1000,
 ) -> dict[InformationSet, Row] | None:
     """Search for an equilibrium profile.
 
     Tries exhaustive pure-profile enumeration first (lexicographic order,
-    first hit wins).  If the pure space exceeds the cap, falls back to
-    iterated best responses from the uniform profile; returns None when
-    neither stage produces a profile passing the check.  Profiles of both
-    stages are valid by construction, so none is validated, and both list
-    their information sets in sorted order.
+    first hit wins).  If the pure space exceeds the cap, falls back to at
+    most ``MAX_ROUNDS`` rounds of iterated best responses from the uniform
+    profile; returns None when neither stage produces a profile passing the
+    check.  Profiles of both stages are valid by construction, so none is
+    validated, and both list their information sets in sorted order.
     """
     for agent in x.agents:
         for sid in sorted(x.models):
@@ -755,7 +756,7 @@ def find_nash_ii(
         pass
 
     profile = {iset: bn.uniform_row(iset.actions) for iset in _pure_slots(x)}
-    for _ in range(max_sweeps):
+    for _ in range(MAX_ROUNDS):
         changed = False
         for agent in x.agents:
             if agent not in x.models[x.objective].beliefs:

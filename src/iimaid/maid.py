@@ -38,9 +38,17 @@ per-information-set path.  These values may differ from an
 ``expected_utilities`` (or ``incomplete.subjective_expected_utility``)
 recomputation by rounding, at most 1e-12 in the tests.  Achieved and best
 values are summed in the same order, so a pure profile agreeing with the
-best response at every reached context has a regret of exactly 0.0.
-Agents with no free decision, or with several, and the exhaustive
-fallbacks take their values from expected utilities.
+best response at every reached context has a regret of exactly 0.0.  A
+rule that takes another action tied with the best within ``bn.TOL`` can
+leave a regret of rounding size instead (1.1e-16 seen).  In ``is_nash`` and
+``find_pure_nash`` an agent with no free decision has regret 0.0 unpriced;
+agents with several, and the exhaustive fallbacks, take their values from
+expected utilities.
+
+``depth.conditional_utility`` divides a Q-table by each context's
+probability.  Its trace values lie within 1e-12 absolute of a recomputation
+by ``depth._walk_conditional_utility``; the trace's actions, order and
+``written_to``, the profile and the objective rules are bit-identical.
 
 ``incomplete.check_consistency`` takes every feasible [min, max] model mass
 from one block-diagonal linear program rather than one program per bound.
@@ -529,13 +537,14 @@ def _regrets(
     rules: PolicyRules,
     best: Mapping[str, tuple[float, QTable | None]],
 ) -> dict[str, float]:
-    """Each agent's best value, from ``best``, minus its achieved value.
+    """Each agent's best value, from ``best``, minus its achieved value, in
+    agent order; an agent with no free decision has no entry and regret 0.0.
 
     An agent with a Q-table prices its own rule off it; the others share one
     ``_expected_utilities`` of the profile, computed only if some agent needs
     it.
     """
-    regrets: dict[str, float] = {}
+    regrets = dict.fromkeys(base_maid(model).agents, 0.0)
     achieved: dict[str, float] | None = None
     for agent, (brv, q) in best.items():
         if q is not None:
@@ -556,19 +565,19 @@ def is_nash(
     For an agent with exactly one free decision, one ``decision_values``
     table prices both the best response and the profile's rule, so a pure
     rule agreeing with the best response at every reached context has
-    regret exactly 0.0.  Other agents
-    compare ``best_response``'s value with the profile's expected utility,
-    computed at most once per call.  A regret above ``tol`` fails the check;
-    see the module docstring for how this default relates to
-    ``incomplete.is_nash_ii``'s.
+    regret exactly 0.0.  An agent with no free decision has regret 0.0 and
+    costs no sweep.  Other agents compare ``best_response``'s value with the
+    profile's expected utility, computed at most once per call.  A regret
+    above ``tol`` fails the check; see the module docstring for how this
+    default relates to ``incomplete.is_nash_ii``'s.
     """
     m = base_maid(model)
     rules = _checked_rules(model, rules)
     best = {}
     for agent in m.agents:
-        own = _free_decisions(model, agent)
-        others = {d: r for d, r in rules.items() if d not in own}
-        best[agent] = _best_response(model, others, agent, cap)[1:]
+        if own := _free_decisions(model, agent):
+            others = {d: r for d, r in rules.items() if d not in own}
+            best[agent] = _best_response(model, others, agent, cap)[1:]
     regrets = _regrets(model, rules, best)
     return all(r <= tol for r in regrets.values()), regrets
 
@@ -583,8 +592,8 @@ def find_pure_nash(
     when it has one free decision, depend only on the other agents' rules,
     so they are computed once per agent and choice of the others' actions
     and reused across profiles.  A profile's expected utilities are computed
-    only if some agent has no or several free decisions.  The profiles are
-    valid by construction, so no rule is checked.
+    only if some agent has several free decisions.  The profiles are valid
+    by construction, so no rule is checked.
     """
     m = base_maid(model)
     decisions = free_decisions(model)
@@ -593,6 +602,7 @@ def find_pure_nash(
     others_at = {
         agent: [i for i, (d, _) in enumerate(slots) if d not in own[agent]]
         for agent in m.agents
+        if own[agent]
     }
     cache: dict[tuple[str, tuple[str, ...]], tuple[float, QTable | None]] = {}
     found = []
@@ -602,7 +612,7 @@ def find_pure_nash(
         iter_pure_rules(model, decisions, cap),
     ):
         best = {}
-        for agent in m.agents:
+        for agent in others_at:
             key = (agent, tuple(combo[i] for i in others_at[agent]))
             if key not in cache:
                 others = {d: r for d, r in profile.items() if d not in own[agent]}

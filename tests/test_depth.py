@@ -1,15 +1,20 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies
 
 from iimaid import bn, depth as dp, maid
 from iimaid.bn import Cpd
 from iimaid.depth import DepthStack
-from iimaid.errors import CycleError, NotOpenMinded, UnknownAgent, ValidationError
+from iimaid.errors import (
+    CycleError, NotOpenMinded, UnknownAgent, ValidationError, ZeroProbabilityEvidence,
+)
 from iimaid.fixtures import (
     always_low_match_rules, capability_evaluation, honesty_evaluation,
     truthful_match_rules,
 )
 from iimaid.incomplete import InformationSet, SubjectiveMaid
+from perfbench import generators
 from tests.test_incomplete import iset_cap, iset_full, iset_report
 
 
@@ -211,6 +216,78 @@ def test_value_inputs_name_what_is_unknown(depth3):
     with pytest.raises(ValidationError) as e:
         dp.believed_action_value(depth3, "nope", "H", iset_report("H", "low"), "deploy")
     assert e.value.issues == ["unknown-node: nope"]
+
+
+def test_value_inputs_must_be_a_parent_assignment_and_an_action(depth3):
+    obj = depth3.nodes[depth3.objective].model  # D_H observes C and D_A
+    for ctx in ({"D_A": "low"}, {"C": "low", "D_A": "low", "X": "a"},
+                {"C": "low", "D_A": "medium"}):
+        with pytest.raises(ValidationError) as e:
+            dp.conditional_utility(obj, "H", "D_H", ctx, "deploy")
+        assert e.value.issues == [f"not-a-parent-assignment: {ctx} for D_H"]
+    with pytest.raises(ValidationError) as e:
+        dp.conditional_utility(obj, "H", "D_H", {"C": "low", "D_A": "low"}, "wait")
+    assert e.value.issues == ["unknown-action: wait for D_H"]
+
+
+def _value_cases(levels, seed, n_chance, obs):
+    """The models of a random stack of depth ``levels`` and of its solved
+    form, whose committed rules rule out observations that the all-uniform
+    fallback reaches; for ``levels`` 1, a game whose chance row rules an
+    observation out in every measure."""
+    if levels == 1:
+        rows = random.Random(seed).choice([NO_C, {"a": 0.0, "b": 1.0, "c": 0.0}])
+        return [observed_chance_game(rows)]
+    make = {2: generators.random_depth2_stack, 3: generators.random_depth3_stack}
+    stack = make[levels](random.Random(seed), n_chance, obs)
+    final = dp.recursive_best_response(stack).final
+    return [s.model for s in (*stack.nodes.values(), *final.nodes.values())]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(strategies.sampled_from([1, 2, 3]), strategies.integers(0, 2**16),
+       strategies.integers(3, 5), strategies.integers(1, 2), strategies.data())
+def test_conditional_utility_matches_the_enumeration_oracle(levels, seed, n_chance, obs, data):
+    models = _value_cases(levels, seed, n_chance, obs)
+    model = data.draw(strategies.sampled_from(models))
+    m = maid.base_maid(model)
+    d = data.draw(strategies.sampled_from(m.decisions()))
+    agent = data.draw(strategies.sampled_from(m.agents))
+    ctx = {p: data.draw(strategies.sampled_from(m.variables[p].domain)) for p in m.parents[d]}
+    action = data.draw(strategies.sampled_from(m.variables[d].domain))
+    try:
+        want = dp._walk_conditional_utility(model, agent, d, ctx, action)
+    except ZeroProbabilityEvidence as e:
+        with pytest.raises(ZeroProbabilityEvidence) as got:
+            dp.conditional_utility(model, agent, d, ctx, action)
+        assert type(got.value) is type(e)
+        return
+    assert abs(dp.conditional_utility(model, agent, d, ctx, action) - want) <= 1e-12
+
+
+def test_value_tables_leave_out_the_observations_a_measure_rules_out():
+    # the solved objective commits D1 to a pure rule of the one chance
+    # variable D2 also sees, so its measure rules out half of D2's
+    # observations, and the all-uniform fallback prices them
+    stack = generators.random_depth3_stack(random.Random(0), 4, 1)
+    solved = dp.recursive_best_response(stack).final.nodes["objective"].model
+    m = maid.base_maid(solved)
+    contexts = [{ctx for ctx, _ in bn.indexed(measure, dp._conditional_values, "P2", "D2")}
+                for measure in (solved, m)]
+    assert 2 * len(contexts[0]) == len(contexts[1]) == 2 ** len(m.parents["D2"])
+    # no measure reaches X = c when the chance row gives c no mass
+    with pytest.raises(ZeroProbabilityEvidence):
+        dp.conditional_utility(observed_chance_game(NO_C), "P", "D", {"X": "c"}, "r")
+
+
+def test_an_agent_without_utilities_still_needs_a_reachable_observation():
+    g = observed_chance_game(NO_C)
+    edges = [(p, v) for v in g.variables for p in g.parents[v]]
+    two = maid.Maid.build(("P", "Q"), g.variables.values(), edges, g.cpds.values())
+    for value_fn in (dp.conditional_utility, dp._walk_conditional_utility):
+        assert value_fn(two, "Q", "D", {"X": "a"}, "r") == 0.0
+        with pytest.raises(ZeroProbabilityEvidence):
+            value_fn(two, "Q", "D", {"X": "c"}, "r")
 
 
 # ----------------------------------------------------- assignment operators

@@ -191,18 +191,24 @@ def test_recursive_best_response_builds_one_faced_table_per_model(monkeypatch, d
 
 def test_conditional_utility_builds_the_fallback_measure_only_when_needed(
         monkeypatch, depth3):
-    builds = _counting(monkeypatch, depth, "_net_rows")
-    for value_fn in (depth.conditional_utility, depth._walk_conditional_utility):
+    def run(value_fn):
         calls = []
 
         def counted(*args):
             calls.append(args)
             return value_fn(*args)
 
-        builds.clear()
         depth.recursive_best_response(depth3, value_fn=counted)
-        # the committed measure rules out the observation in 4 of 16 calls
-        assert (len(calls), len(builds)) == (16, 20)
+        return len(calls)
+
+    # the committed measure rules out the observation in 4 of 16 calls
+    tables = _counting(monkeypatch, depth, "_conditional_values")
+    assert (run(depth.conditional_utility), len(tables)) == (16, 4)
+    # 3 committed measures, and the fallback: the base diagram itself
+    assert sorted(type(measure).__name__ for measure, *_ in tables) == [
+        "Maid", "PostPolicyMaid", "PostPolicyMaid", "PostPolicyMaid"]
+    nets = _counting(monkeypatch, depth, "_net_rows")
+    assert (run(depth._walk_conditional_utility), len(nets)) == (16, 20)
 
 
 def test_free_decisions_hands_out_a_fresh_list(honesty):

@@ -291,3 +291,18 @@ def test_find_pure_nash_sweeps_once_per_opponent_choice(work, honesty):
     # 64 profiles; 16 choices of H's rule and 4 of A's, one sweep each
     assert len(maid.find_pure_nash(honesty)) == 9
     assert work == {"sweep": 20, "expected_utilities": 0}
+
+
+def test_agent_with_no_free_decision_costs_no_sweep(work, capability):
+    rules = always_low_deploy_low_rules()
+    committed = maid.PostPolicyMaid(capability, {REPORT: rules[REPORT]})
+    # H's one Q-table prices both of H's values; A's regret is 0.0 unpriced
+    ok, regrets = maid.is_nash(committed, {DEPLOY: rules[DEPLOY]})
+    assert ok and list(regrets) == [AI, HUMAN] and regrets[AI] == 0.0
+    assert work == {"sweep": 1, "expected_utilities": 0}
+    work["sweep"] = 0
+    # 4 pure rules for D_H against the one committed D_A, which never
+    # reports high, so H's action there is free
+    found = maid.find_pure_nash(committed)
+    assert len(found) == 2 and {DEPLOY: rules[DEPLOY]} in found
+    assert work == {"sweep": 1, "expected_utilities": 0}
