@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable, Collection, Mapping
 
 from . import bn
 from .bn import Row
@@ -30,6 +30,7 @@ from .incomplete import (
     SubjectiveMaid,
     _decision_slots,
     _matching_decisions,
+    _rules_from_rows,
     _structural_issues,
     believers,
     is_encounterable,
@@ -353,22 +354,16 @@ def _supported_sets(model: Model, d: str) -> dict[tuple[str, ...], InformationSe
     }
 
 
-def _commit_rule(
-    model: Model, d: str, rows: Mapping[InformationSet, Row], nid: str
-) -> Cpd:
-    """The decision's rule: each supported context takes its information
-    set's row from ``rows``, every other context the least action.  This is
-    the one writer of rules the reduction commits."""
-    pa, actions, cells = _decision_slots(model)[d]
-    out = {}
-    for ctx, (iset, supported) in cells.items():
-        if not supported:
-            out[ctx] = bn.point_row(actions, actions[0])
-        elif iset in rows:
-            out[ctx] = dict(rows[iset])
-        else:
-            raise NotOpenMinded(f"{iset} never resolved for {nid}")
-    return Cpd(d, pa, out)
+def _committed(node: SubjectiveMaid, decisions: Collection[str],
+               rows: Mapping[InformationSet, Row], beliefs: Mapping) -> SubjectiveMaid:
+    """The node with ``decisions`` committed to rules read off ``rows`` by
+    ``incomplete._rules_from_rows``, holding ``beliefs``."""
+    rules = _rules_from_rows(
+        node.model, decisions, rows,
+        lambda iset: NotOpenMinded(f"{iset} never resolved for {node.id}"),
+    )
+    model = PostPolicyMaid(base_maid(node.model), {**fixed_rules(node.model), **rules})
+    return SubjectiveMaid(node.id, model, beliefs)
 
 
 def final_decision_assignment(
@@ -425,17 +420,12 @@ def final_decision_assignment(
         )
 
     new_nodes = dict(stack.nodes)
-    per_child: dict[str, dict[str, Cpd]] = {}
+    per_child: dict[str, list[str]] = {}
     for cid, d, _ in ready:
-        per_child.setdefault(cid, {})[d] = _commit_rule(
-            stack.nodes[cid].model, d, picks, cid
-        )
-    for cid, new_rules in per_child.items():
+        per_child.setdefault(cid, []).append(d)
+    for cid, decisions in per_child.items():
         c = new_nodes[cid]
-        model = PostPolicyMaid(
-            base_maid(c.model), {**fixed_rules(c.model), **new_rules}
-        )
-        new_nodes[cid] = SubjectiveMaid(c.id, model, c.beliefs)
+        new_nodes[cid] = _committed(c, decisions, picks, c.beliefs)
     return DepthStack(stack.agents, stack.objective, new_nodes), steps
 
 
@@ -494,16 +484,11 @@ def reduce_stack(
             )
             steps.extend(got)
             node = stack.nodes[nid]
-            new_rules = {
-                d: _commit_rule(node.model, d, policy, nid)
-                for d in free_decisions(node.model, agent)
-            }
-            model = PostPolicyMaid(
-                base_maid(node.model), {**fixed_rules(node.model), **new_rules}
-            )
             beliefs = {a: r for a, r in node.beliefs.items() if a != agent}
             new_nodes = dict(stack.nodes)
-            new_nodes[nid] = SubjectiveMaid(nid, model, beliefs)
+            new_nodes[nid] = _committed(
+                node, free_decisions(node.model, agent), policy, beliefs
+            )
             stack = DepthStack(stack.agents, stack.objective, new_nodes)
     _, k2 = classify_depth(stack)
     if k2 != k - 1:

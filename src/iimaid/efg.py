@@ -14,8 +14,8 @@ from typing import Hashable, Mapping, Sequence
 
 from . import bn
 from .bn import CHANCE, DECISION, Row
-from .errors import MissingRule, NonTopologicalOrder, UnknownAgent
-from .maid import Maid, topological_order
+from .errors import MissingRule, NonTopologicalOrder, UnknownAgent, ValidationError
+from .maid import Maid, Model, base_maid, fixed_rules, topological_order
 
 # Strategy: (agent, information-set key) -> distribution over action labels.
 Strategy = Mapping[tuple[str, Hashable], Row]
@@ -70,18 +70,24 @@ def _build_info_sets(g: Efg, agent: str) -> Mapping[Hashable, tuple[int, ...]]:
 
 
 def maid2efg(
-    m: Maid, order: Sequence[str] | None = None
+    model: Model, order: Sequence[str] | None = None
 ) -> tuple[Efg, dict[int, dict[str, str]]]:
-    """Convert a MAID to a game tree.
+    """Convert a MAID, possibly with committed decisions, to a game tree.
 
     Returns the tree and the node annotation map mu: node id -> the partial
     assignment of expanded variables on the path from the root (for leaves,
     the full chance-plus-decision assignment).
 
-    Chance branches of probability zero are pruned; decision branches never
-    are.  Decision nodes for the same variable whose observed parent values
+    A committed decision expands as a chance node whose distribution is its
+    rule's row (``maid.fixed_rules``); only open decisions become decision
+    nodes.  Chance branches of probability zero are pruned, so the tree
+    reaches only supported contexts, and no row written at a context that
+    no policy can reach is ever read; decision branches are never pruned.
+    Decision nodes for the same variable whose observed parent values
     coincide share an information set keyed ``(variable, context)``.
     """
+    m = base_maid(model)
+    tables = {**m.cpds, **fixed_rules(model)}
     expandable = sorted(m.chance_variables() + m.decisions())
     if order is None:
         names = [v for v in topological_order(m) if m.kind(v) != bn.UTILITY]
@@ -119,8 +125,8 @@ def maid2efg(
             return nid
         var = names[i]
         domain = m.variables[var].domain
-        if m.kind(var) == CHANCE:
-            row = m.cpds[var].row_for(a)
+        if var in tables:
+            row = tables[var].row_for(a)
             edges = []
             dist = {}
             for label in domain:
@@ -182,17 +188,21 @@ def efg_expected_utility(g: Efg, strategy: Strategy, agent: str) -> float:
     return rec(g.root)
 
 
-def _parent_map(g: Efg) -> dict[int, tuple[int, str]]:
-    parents: dict[int, tuple[int, str]] = {}
-    for nid, node in enumerate(g.nodes):
-        for label, child in node.edges:
-            parents[child] = (nid, label)
-    return parents
+def _parents(g: Efg) -> Mapping[int, tuple[int, str]]:
+    """Each non-root node's (parent id, edge label), built once per tree."""
+    return bn.indexed(g, _build_parents)
+
+
+def _build_parents(g: Efg) -> Mapping[int, tuple[int, str]]:
+    return MappingProxyType({child: (nid, label) for nid, node in enumerate(g.nodes)
+                             for label, child in node.edges})
 
 
 def history(g: Efg, nid: int) -> list[tuple[int, str]]:
     """Edge labels on the path from the root, as (node id, label taken) pairs."""
-    parents = _parent_map(g)
+    if not 0 <= nid < len(g.nodes):
+        raise ValidationError([f"unknown-node: {nid}"])
+    parents = _parents(g)
     path: list[tuple[int, str]] = []
     while nid in parents:
         nid, label = parents[nid]
@@ -206,16 +216,7 @@ def observation_of(g: Efg, agent: str, iset: Hashable) -> Observation:
     members = _info_sets(g, agent).get(iset)
     if not members:
         raise MissingRule(f"agent {agent} has no information set {iset!r}")
-    parents = _parent_map(g)
-    hists = []
-    for nid in members:
-        path = []
-        cur = nid
-        while cur in parents:
-            cur, label = parents[cur]
-            path.append(label)
-        path.reverse()
-        hists.append(path)
+    hists = [[label for _, label in history(g, nid)] for nid in members]
     depth = min(len(h) for h in hists)
     return tuple(
         (pos, hists[0][pos])
@@ -230,23 +231,12 @@ def has_perfect_recall_efg(g: Efg, agent: str) -> bool:
     The own history of a node is the sequence of (information set, action)
     pairs at the agent's decision nodes strictly above it.
     """
-    if agent not in g.agents:
-        raise UnknownAgent(agent)
-    parents = _parent_map(g)
-
-    def own_history(nid: int) -> list[tuple[Hashable, str]]:
-        path: list[tuple[Hashable, str]] = []
-        cur = nid
-        while cur in parents:
-            cur, label = parents[cur]
-            node = g.nodes[cur]
-            if node.kind == DECISION and node.owner == agent:
-                path.append((node.iset, label))
-        path.reverse()
-        return path
-
     for members in _info_sets(g, agent).values():
-        hists = [own_history(nid) for nid in members]
+        hists = [
+            [(g.nodes[p].iset, label) for p, label in history(g, nid)
+             if g.nodes[p].kind == DECISION and g.nodes[p].owner == agent]
+            for nid in members
+        ]
         if any(h != hists[0] for h in hists[1:]):
             return False
     return True

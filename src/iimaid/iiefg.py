@@ -35,6 +35,7 @@ from .incomplete import (
     IiMaid,
     InformationSet,
     _decision_slots,
+    _faced_sets,
     _profile_utilities,
     _row_classes,
     _rows_close,
@@ -42,15 +43,7 @@ from .incomplete import (
     information_sets,
     iter_pure_ii_profiles,
 )
-from .maid import (
-    DEFAULT_CAP,
-    Maid,
-    Model,
-    PostPolicyMaid,
-    _free_decisions,
-    base_maid,
-    fixed_rules,
-)
+from .maid import DEFAULT_CAP
 
 IiPolicy = Mapping[InformationSet, Row]
 
@@ -242,6 +235,8 @@ def _state_cells(
 def _build_state_cells(
     g: IiEfg, state: str
 ) -> tuple[tuple[tuple[str, Hashable], MetaInfoSet], ...]:
+    if state not in g.space.states:
+        raise GameError(f"unknown state: {state}")
     game = g.space.games[state]
     out = []
     for agent in g.agents:
@@ -355,24 +350,6 @@ def is_bayesian_equilibrium(
     return ok, report
 
 
-def as_plain_maid(model: Model) -> Maid:
-    """Recast committed decisions as chance moves, leaving open ones intact."""
-    if isinstance(model, Maid):
-        return model
-    assert isinstance(model, PostPolicyMaid)
-    m = base_maid(model)
-    variables = []
-    for name in m.variables:
-        v = m.variables[name]
-        if name in fixed_rules(model):
-            variables.append(bn.Variable(name, v.domain, bn.CHANCE, None, None))
-        else:
-            variables.append(v)
-    edges = [(u, v) for v in m.variables for u in m.parents[v]]
-    cpds = list(m.cpds.values()) + list(fixed_rules(model).values())
-    return Maid.build(m.agents, variables, edges, cpds)
-
-
 @dataclass(frozen=True)
 class IiConversion:
     game: IiEfg
@@ -395,10 +372,10 @@ def maid2efgII(x: IiMaid) -> IiConversion:
     sets and the meta cells of the objective state's belief types.
 
     Information sets come from support contexts judged with every decision
-    free, while each tree prunes the zero branches of its model's committed
-    rules.  So an information set may be reached in no tree at all; it
-    still gets its own cell, which has no in-game members and is therefore
-    not among ``meta_information_sets``.
+    free, while each tree (``efg.maid2efg`` of the model) prunes the zero
+    branches of its committed rules.  So an information set may be reached
+    in no tree at all; it still gets its own cell, which has no in-game
+    members and is therefore not among ``meta_information_sets``.
     """
     for mid in sorted(x.models):
         for agent in x.agents:
@@ -411,7 +388,7 @@ def maid2efgII(x: IiMaid) -> IiConversion:
     obs_map: dict[tuple[str, str, Hashable], tuple] = {}
     for mid in sorted(x.models):
         model = x.models[mid].model
-        game, _ = maid2efg(as_plain_maid(model))
+        game, _ = maid2efg(model)
         games[mid] = game
         slots = _decision_slots(model)
         for agent in x.agents:
@@ -480,18 +457,6 @@ def strategy_from_ii_policy(conv: IiConversion, profile: IiPolicy) -> dict[MetaI
     return sigma
 
 
-def _model_reads(model: Model) -> tuple[InformationSet, ...]:
-    """The information sets whose rows the model's open decisions read."""
-    return bn.indexed(model, _build_model_reads)
-
-
-def _build_model_reads(model: Model) -> tuple[InformationSet, ...]:
-    slots = _decision_slots(model)
-    return tuple(sorted({
-        iset for d in _free_decisions(model) for iset, _ in slots[d].cells.values()
-    }))
-
-
 def _memo(table: dict, key: Hashable, compute: Callable[[], object]):
     """``table[key]``, computed on a miss; an error leaves no entry."""
     try:
@@ -515,11 +480,12 @@ def verify_equivalence(
     state; returns the largest absolute deviation seen.
 
     A model's utilities depend only on the rows of the information sets its
-    open decisions read, and a state's payoffs only on the rows its tree
-    plays (Koller & Milch 2003, strategic relevance).  So each believed
-    model is evaluated once per distinct restriction of the profiles to the
-    former, and each believed state's tree walked once per distinct
-    restriction to the latter and agent believing it.  The cost is the sum
+    open decisions face (``incomplete._faced_sets``), the only rows that
+    ``profile_rules_for_model`` reads, and a state's payoffs only on the
+    rows its tree plays (Koller & Milch 2003, strategic relevance).  So
+    each believed model is evaluated once per distinct restriction of the
+    profiles to the former, and each believed state's tree walked once per
+    distinct restriction to the latter and agent believing it.  The cost is the sum
     over models and states of their restricted profile spaces, not the
     number of profiles times the number of models and states: the bundled
     game's 256 pure profiles take 80 model evaluations and 80 tree walks.
@@ -553,7 +519,7 @@ def _model_utilities(
 ) -> Mapping[str, float]:
     """Model ``sid``'s utilities, shared by profiles agreeing on what it reads."""
     model = x.models[sid].model
-    reads = _model_reads(model)
+    reads = _faced_sets(model)
     if len(reads) >= len(profile):
         return _profile_utilities(model, profile)
     key = (sid, tuple(

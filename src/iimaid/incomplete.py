@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import product
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple
 
 from . import bn
 from .bn import Row, TOL
@@ -410,31 +410,51 @@ def _build_faced_sets(model: Model) -> Mapping[InformationSet, tuple[str, ...]]:
     return MappingProxyType(out)
 
 
-def profile_rules_for_model(model: Model, profile: IiPolicy) -> dict[str, Cpd]:
-    """Decision rules for one model read off an information-set policy.
+def _rules_from_rows(
+    model: Model,
+    decisions: Collection[str],
+    rows: Mapping[InformationSet, Row],
+    missing: Callable[[InformationSet], GameError],
+) -> dict[str, Cpd]:
+    """Rules for ``decisions``, by owner then name, read off information-set
+    rows: the package's one writer of such rules.
 
-    Contexts that are unreachable under every policy (chance zeros) fall back
-    to a lexicographic default; reachable contexts must be covered.  Each
-    row read from the profile must be a distribution over the decision's
-    actions, so the rules need no further check.
+    A supported context takes its set's row, which must be a distribution
+    over the decision's actions; one without a row raises
+    ``missing(iset)``.  Any other context, which no policy can reach, takes
+    the least action, whatever ``rows`` holds (see ``maid``).
     """
-    open_decisions = _free_decisions(model)
     rules: dict[str, Cpd] = {}
     for d, (pa, actions, cells) in _decision_slots(model).items():
-        if d not in open_decisions:
+        if d not in decisions:
             continue
-        rows = {}
-        for ctx, (key, in_support) in cells.items():
-            row = profile.get(key)
-            if row is None:
-                if in_support:
-                    raise MissingRule(f"no rule for {key}")
-                row = _default_row(actions)
+        out = {}
+        for ctx, (iset, supported) in cells.items():
+            if not supported:
+                out[ctx] = _default_row(actions)
+            elif (row := rows.get(iset)) is None:
+                raise missing(iset)
             elif not bn.is_distribution(row, actions):
                 raise ValidationError([f"rule-row-invalid: {d}{ctx}"])
-            rows[ctx] = row
-        rules[d] = Cpd(d, pa, rows)
+            else:
+                out[ctx] = row
+        rules[d] = Cpd(d, pa, out)
     return rules
+
+
+def profile_rules_for_model(model: Model, profile: IiPolicy) -> dict[str, Cpd]:
+    """The model's open decision rules read off an information-set policy,
+    by ``_rules_from_rows``.
+
+    Every supported context must be covered, or ``MissingRule`` is raised,
+    and its row must be a distribution over the decision's actions, so the
+    rules need no further check.  Contexts that no policy can reach take the
+    least action, whatever the profile holds for their set.
+    """
+    return _rules_from_rows(
+        model, _free_decisions(model), profile,
+        lambda iset: MissingRule(f"no rule for {iset}"),
+    )
 
 
 def _profile_utilities(model: Model, profile: IiPolicy) -> dict[str, float]:

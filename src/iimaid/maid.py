@@ -21,6 +21,13 @@ that every action is worth the same, get the least action.  This one rule is
 used by ``best_response`` here, ``incomplete.best_response_ii`` and
 ``depth.final_decision_assignment``.
 
+A context that no policy can reach has probability zero with every
+decision free, as ``incomplete._decision_slots`` judges support.  Every
+rule written from information-set rows (``incomplete.profile_rules_for_model``
+and the rules ``depth`` commits, both through
+``incomplete._rules_from_rows``) gives such a context the least action,
+whatever row its set holds; no sweep, sample or tree ever reads it.
+
 Equilibrium checks compare each agent's regret (best-response value minus
 achieved value) with a separate, caller-chosen tolerance.  The library
 defaults differ: ``is_nash`` and ``find_pure_nash`` use ``tol=1e-9``, while

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies
 
-from iimaid import bn, depth as dp, maid
+from iimaid import bn, depth as dp, iiefg, incomplete as inc, maid
 from iimaid.bn import Cpd
 from iimaid.depth import DepthStack
 from iimaid.errors import (
@@ -13,7 +13,8 @@ from iimaid.fixtures import (
     always_low_match_rules, capability_evaluation, honesty_evaluation,
     truthful_match_rules,
 )
-from iimaid.incomplete import InformationSet, SubjectiveMaid
+from iimaid.incomplete import IiMaid, InformationSet, SubjectiveMaid
+from iimaid.simulate import simulate
 from perfbench import generators
 from tests.test_incomplete import iset_cap, iset_full, iset_report
 
@@ -383,6 +384,32 @@ def test_unsupported_contexts_commit_the_least_action():
     reduced, _ = dp.reduce_stack(st)
     root = maid.fixed_rules(reduced.nodes["root"].model)["D"]
     assert dict(root.rows) == {("a",): win, ("b",): win, ("c",): least}
+
+
+def test_profile_rules_write_the_least_action_where_no_policy_reaches():
+    game = observed_chance_game(NO_C)
+    # "full" faces X=c, so the set is the game's; the objective gives it no weight
+    x = IiMaid(("P",), "no_c", {
+        "no_c": SubjectiveMaid("no_c", game, {"P": {"no_c": 1.0, "full": 0.0}}),
+        "full": SubjectiveMaid("full", observed_chance_game({"a": 0.2, "b": 0.3, "c": 0.5}),
+                               {"P": {"full": 1.0}}),
+    })
+    conv = iiefg.maid2efgII(x)
+    at = {ctx: InformationSet("P", (("X", ctx),), ("l", "r")) for ctx in "abc"}
+    answers = []
+    for row_c in ({"l": 0.0, "r": 1.0}, {"l": 0.5, "r": 0.5}, {"l": 0.25, "r": 0.75}):
+        profile = {at["a"]: {"l": 0.0, "r": 1.0}, at["b"]: {"l": 0.7, "r": 0.3},
+                   at["c"]: row_c}
+        rules = inc.profile_rules_for_model(game, profile)
+        assert rules["D"].rows[("c",)] == {"l": 1.0, "r": 0.0}
+        answers.append((
+            maid.expected_utilities(game, rules),
+            inc.subjective_expected_utility(x, "P", "no_c", profile),
+            iiefg.verify_equivalence(x, conv, profiles=[profile]),
+            simulate(game, rules, 200, 3),
+        ))
+    assert answers[0][2][0]
+    assert all(repr(a) == repr(answers[0]) for a in answers)
 
 
 def test_set_no_believed_model_realizes_is_never_resolved():

@@ -1,7 +1,7 @@
 import pytest
 
 from iimaid import efg, maid
-from iimaid.errors import MissingRule, NonTopologicalOrder
+from iimaid.errors import MissingRule, NonTopologicalOrder, ValidationError
 from iimaid.fixtures import always_low_deploy_low_rules, truthful_match_rules
 from tests.test_maid import forgetful_maid
 
@@ -61,6 +61,10 @@ def test_history_walks_to_root(capability):
     g, _ = efg.maid2efg(capability)
     assert efg.history(g, 2) == [(14, "high"), (6, "high")]
     assert efg.history(g, g.root) == []
+    for nid in (len(g.nodes), 10**6, -1):
+        with pytest.raises(ValidationError) as e:
+            efg.history(g, nid)
+        assert e.value.issues == [f"unknown-node: {nid}"]
 
 
 @pytest.mark.parametrize("game", ["honesty", "capability"])

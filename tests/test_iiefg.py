@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from iimaid import iiefg, incomplete, maid
-from iimaid.errors import MissingRule
+from iimaid import efg, iiefg, incomplete, maid
+from iimaid.errors import GameError, MissingRule
 from iimaid.fixtures import evaluation_depth3_stack, ne_ii_profile, truthful_match_rules
 from iimaid.iiefg import BeliefSpace, IiConversion
 from iimaid.incomplete import IiMaid, SubjectiveMaid
@@ -109,6 +109,15 @@ def test_state_strategy_projects_to_plain_game(conversion, ne_profile):
     assert ss[("A", ("D_A", ("high",)))] == {"high": 0.0, "low": 1.0}
     assert ss[("H", ("D_H", ("high", "low")))] == {"deploy": 0.0, "not_deploy": 1.0}
     assert ss[("H", ("D_H", ("low", "low")))] == {"deploy": 1.0, "not_deploy": 0.0}
+
+
+def test_unknown_state_is_named_like_interim_utility(conversion, ne_profile):
+    sigma = iiefg.strategy_from_ii_policy(conversion, ne_profile)
+    for call in (lambda: iiefg.state_strategy(conversion.game, sigma, "nope"),
+                 lambda: iiefg.interim_utility(conversion.game, sigma, "A", "nope")):
+        with pytest.raises(GameError) as e:
+            call()
+        assert (type(e.value), str(e.value)) == (GameError, "unknown state: nope")
 
 
 def test_interim_utility(conversion, ne_profile):
@@ -251,11 +260,19 @@ def test_verify_equivalence_follows_any_correspondence(example1, committed):
         assert True in outcomes
 
 
-def test_as_plain_maid_freezes_assigned_decisions():
-    stack = evaluation_depth3_stack()
-    solo = stack.nodes["h_solo"].model
-    plain = iiefg.as_plain_maid(solo)
-    assert plain.variables["D_A"].kind == "chance"
-    assert plain.variables["D_H"].kind == "decision"
-    assert plain.cpds["D_A"].rows[("high",)] == {"high": 1.0, "low": 0.0}
-    assert plain.cpds["D_A"].rows[("low",)] == {"high": 0.0, "low": 1.0}
+def test_maid2efg_expands_committed_decisions_as_chance_nodes():
+    solo = evaluation_depth3_stack().nodes["h_solo"].model
+    rule = maid.fixed_rules(solo)["D_A"]
+    g, mu = efg.maid2efg(solo)
+    by_var = {}
+    for nid, node in enumerate(g.nodes):
+        by_var.setdefault(node.var, []).append((nid, node))
+    # the truthful rule keeps only the branch that matches capability
+    assert {node.kind for _, node in by_var["D_A"]} == {"chance"}
+    for nid, node in by_var["D_A"]:
+        row = rule.rows[(mu[nid]["C"],)]
+        assert node.dist == {a: p for a, p in row.items() if p > 0.0}
+        assert node.actions == tuple(node.dist)
+    assert {node.kind for _, node in by_var["D_H"]} == {"decision"}
+    assert {node.owner for _, node in by_var["D_H"]} == {"H"}
+    assert efg.info_sets(g, "A") == {}

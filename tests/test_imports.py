@@ -1,6 +1,7 @@
 """Source lints: every name a package module imports is used in that module,
-only the enumeration kernel, its oracles and the tree walks recurse, and
-`import iimaid` loads neither jsonschema, scipy nor numpy."""
+only the enumeration kernel, its oracles and the tree walks recurse, only
+the listed writers build a `Cpd`, and `import iimaid` loads neither
+jsonschema, scipy nor numpy."""
 import ast
 import os
 import subprocess
@@ -68,6 +69,36 @@ def test_only_the_kernel_oracles_and_walks_recurse():
         tree = ast.parse(path.read_text(), str(path))
         found |= {(path.stem, name) for name in _recursive_nested(tree)}
     assert found == RECURSIVE
+
+
+# The top-level functions that build a ``Cpd``: tabulation, the weight-one
+# table of an open decision, pure-policy enumeration, the document reader and
+# the one writer of rules read off information-set rows.  The bundled games
+# in ``fixtures`` are written out by hand and are not checked.
+CPD_WRITERS = {
+    ("bn", "tabulate"), ("bn", "weight_one"), ("maid", "iter_pure_rules"),
+    ("gamedoc", "_cpd_from_doc"), ("incomplete", "_rules_from_rows"),
+}
+
+
+def _cpd_builders(tree: ast.Module) -> set[str]:
+    found = set()
+    for top in tree.body:
+        name = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and "Cpd" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                found.add(name)
+    return found
+
+
+def test_only_the_listed_writers_build_rules():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "fixtures.py":
+            tree = ast.parse(path.read_text(), str(path))
+            found |= {(path.stem, name) for name in _cpd_builders(tree)}
+    assert found == CPD_WRITERS
 
 
 def test_import_loads_neither_jsonschema_nor_scipy():
