@@ -105,34 +105,27 @@ def classify_depth(stack: DepthStack) -> tuple[dict[str, int], int]:
 
     A node without beliefs is depth 0 and must be a single-agent problem;
     otherwise depth is one more than the deepest positively believed node.
+    Nodes are visited in topological order of the positive-belief edges, so
+    a stack of any depth is classified without recursion.
     """
+    targets = {nid: [t for a in believers(s) for t in _positive_targets(s, a)]
+               for nid, s in stack.nodes.items()}
+    try:
+        order = bn.topo_sort(targets)
+    except CycleError as exc:
+        raise CycleError(f"cyclic-beliefs: {exc}") from None
     depths: dict[str, int] = {}
-    visiting: set[str] = set()
-
-    def rec(nid: str) -> int:
-        if nid in depths:
-            return depths[nid]
-        if nid in visiting:
-            raise CycleError(f"cyclic-beliefs at {nid}")
-        visiting.add(nid)
-        s = stack.nodes[nid]
-        children = [t for a in believers(s) for t in _positive_targets(s, a)]
-        if not children:
-            free = _free_agents(s.model)
-            if len(free) > 1:
-                raise ValidationError(
-                    [f"depth-contract-violation: beliefless node {nid} "
-                     f"leaves several agents uncommitted: {free}"]
-                )
-            d = 0
-        else:
-            d = 1 + max(rec(t) for t in children)
-        visiting.discard(nid)
-        depths[nid] = d
-        return d
-
-    for nid in sorted(stack.nodes):
-        rec(nid)
+    for nid in order:
+        if targets[nid]:
+            depths[nid] = 1 + max(depths[t] for t in targets[nid])
+            continue
+        free = _free_agents(stack.nodes[nid].model)
+        if len(free) > 1:
+            raise ValidationError(
+                [f"depth-contract-violation: beliefless node {nid} "
+                 f"leaves several agents uncommitted: {free}"]
+            )
+        depths[nid] = 0
     for nid in sorted(stack.nodes):
         s = stack.nodes[nid]
         for agent in believers(s):

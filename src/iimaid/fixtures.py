@@ -6,6 +6,9 @@ observes: in the honesty evaluation H sees both the true capability and the
 report, in the capability evaluation H sees the report alone.  The bundled
 incomplete-information game couples them: in truth the honesty evaluation is
 being run, while A is sure the capability evaluation is.
+
+The JSON documents under ``data/`` are the only definition of these examples.
+Each accessor parses its document afresh, so callers may change what they get.
 """
 
 from __future__ import annotations
@@ -13,13 +16,13 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
-from . import bn
 from .bn import Cpd, Row
 from .depth import DepthStack
-from .gamedoc import GameDocument, IiProfile, MaidProfile, parse_document, serialize_document
-from .incomplete import IiMaid, InformationSet, SubjectiveMaid
-from .maid import Maid, PostPolicyMaid
+from .gamedoc import GameDocument, parse_document
+from .incomplete import IiMaid, InformationSet
+from .maid import Maid
 
+# Names the bundled documents use for agents, variables, labels and models.
 AI, HUMAN = "A", "H"
 CAPABILITY, REPORT, DEPLOY = "C", "D_A", "D_H"
 AI_PAYOFF, HUMAN_PAYOFF = "U_A", "U_H"
@@ -27,17 +30,21 @@ AI_PAYOFF, HUMAN_PAYOFF = "U_A", "U_H"
 HIGH, LOW = "high", "low"
 GO, STOP = "deploy", "not_deploy"
 
-CAPABILITY_PRIOR = {HIGH: 0.1, LOW: 0.9}
+GROUND_TRUTH = "ground_truth"
+AI_VIEW = "ai_belief"
 
 
-def _ai_payoff_cpd() -> Cpd:
-    # A wants deployment, full stop.
-    return Cpd(
-        AI_PAYOFF,
-        (DEPLOY,),
-        {(GO,): bn.point_row(("-1", "1"), "1"),
-         (STOP,): bn.point_row(("-1", "1"), "-1")},
-    )
+def _data():
+    return resources.files("iimaid").joinpath("data")
+
+
+def data_text(name: str) -> str:
+    """The raw text of a bundled document."""
+    return _data().joinpath(name).read_text("utf-8")
+
+
+def load_bundled(name: str) -> GameDocument:
+    return parse_document(data_text(name))
 
 
 def honesty_evaluation() -> Maid:
@@ -46,34 +53,7 @@ def honesty_evaluation() -> Maid:
     H is paid for deployments that follow an accurate report: +1 when the
     report matched the capability, -5 when it did not, 0 for no deployment.
     """
-    variables = [
-        bn.chance(CAPABILITY, (HIGH, LOW)),
-        bn.decision(REPORT, AI, (HIGH, LOW)),
-        bn.decision(DEPLOY, HUMAN, (GO, STOP)),
-        bn.utility(AI_PAYOFF, AI, {"-1": -1.0, "1": 1.0}),
-        bn.utility(HUMAN_PAYOFF, HUMAN, {"-5": -5.0, "0": 0.0, "1": 1.0}),
-    ]
-    edges = [
-        (CAPABILITY, REPORT),
-        (CAPABILITY, DEPLOY),
-        (REPORT, DEPLOY),
-        (DEPLOY, AI_PAYOFF),
-        (CAPABILITY, HUMAN_PAYOFF),
-        (REPORT, HUMAN_PAYOFF),
-        (DEPLOY, HUMAN_PAYOFF),
-    ]
-    human_rows = {}
-    for c in (HIGH, LOW):
-        for r in (HIGH, LOW):
-            honest = "1" if c == r else "-5"
-            human_rows[(c, r, GO)] = bn.point_row(("-5", "0", "1"), honest)
-            human_rows[(c, r, STOP)] = bn.point_row(("-5", "0", "1"), "0")
-    cpds = [
-        Cpd(CAPABILITY, (), {(): dict(CAPABILITY_PRIOR)}),
-        _ai_payoff_cpd(),
-        Cpd(HUMAN_PAYOFF, (CAPABILITY, REPORT, DEPLOY), human_rows),
-    ]
-    return Maid.build((AI, HUMAN), variables, edges, cpds)
+    return load_bundled("honesty_eval.maid.json").value
 
 
 def capability_evaluation() -> Maid:
@@ -82,35 +62,7 @@ def capability_evaluation() -> Maid:
     Deployment pays H +1 when the capability is in fact low and -5 when it is
     high, regardless of what was reported.
     """
-    variables = [
-        bn.chance(CAPABILITY, (HIGH, LOW)),
-        bn.decision(REPORT, AI, (HIGH, LOW)),
-        bn.decision(DEPLOY, HUMAN, (GO, STOP)),
-        bn.utility(AI_PAYOFF, AI, {"-1": -1.0, "1": 1.0}),
-        bn.utility(HUMAN_PAYOFF, HUMAN, {"-5": -5.0, "0": 0.0, "1": 1.0}),
-    ]
-    edges = [
-        (CAPABILITY, REPORT),
-        (REPORT, DEPLOY),
-        (DEPLOY, AI_PAYOFF),
-        (CAPABILITY, HUMAN_PAYOFF),
-        (DEPLOY, HUMAN_PAYOFF),
-    ]
-    human_rows = {}
-    for c in (HIGH, LOW):
-        safe = "1" if c == LOW else "-5"
-        human_rows[(c, GO)] = bn.point_row(("-5", "0", "1"), safe)
-        human_rows[(c, STOP)] = bn.point_row(("-5", "0", "1"), "0")
-    cpds = [
-        Cpd(CAPABILITY, (), {(): dict(CAPABILITY_PRIOR)}),
-        _ai_payoff_cpd(),
-        Cpd(HUMAN_PAYOFF, (CAPABILITY, DEPLOY), human_rows),
-    ]
-    return Maid.build((AI, HUMAN), variables, edges, cpds)
-
-
-GROUND_TRUTH = "ground_truth"
-AI_VIEW = "ai_belief"
+    return load_bundled("capability_eval.maid.json").value
 
 
 def evaluation_iimaid() -> IiMaid:
@@ -120,39 +72,7 @@ def evaluation_iimaid() -> IiMaid:
     certain the capability evaluation is; inside A's model everyone agrees on
     the capability evaluation, so beliefs are coherent but inconsistent.
     """
-    return IiMaid(
-        (AI, HUMAN),
-        GROUND_TRUTH,
-        {
-            GROUND_TRUTH: SubjectiveMaid(
-                GROUND_TRUTH,
-                honesty_evaluation(),
-                {AI: {AI_VIEW: 1.0}, HUMAN: {GROUND_TRUTH: 1.0}},
-            ),
-            AI_VIEW: SubjectiveMaid(
-                AI_VIEW,
-                capability_evaluation(),
-                {AI: {AI_VIEW: 1.0}, HUMAN: {AI_VIEW: 1.0}},
-            ),
-        },
-    )
-
-
-OBJECTIVE, HUMAN_VIEW, AI_VIEW_NODE, HUMAN_SOLO = (
-    "objective",
-    "h_view",
-    "a_view",
-    "h_solo",
-)
-
-
-def _truthful_report() -> Cpd:
-    return Cpd(
-        REPORT,
-        (CAPABILITY,),
-        {(HIGH,): bn.point_row((HIGH, LOW), HIGH),
-         (LOW,): bn.point_row((HIGH, LOW), LOW)},
-    )
+    return load_bundled("evaluation_game.iimaid.json").value
 
 
 def evaluation_depth3_stack() -> DepthStack:
@@ -163,46 +83,7 @@ def evaluation_depth3_stack() -> DepthStack:
     in A's model of the game, H is a one-level reasoner who takes A's report
     to be truthful.
     """
-    return DepthStack(
-        (AI, HUMAN),
-        OBJECTIVE,
-        {
-            OBJECTIVE: SubjectiveMaid(
-                OBJECTIVE,
-                honesty_evaluation(),
-                {AI: {AI_VIEW_NODE: 1.0}, HUMAN: {HUMAN_VIEW: 1.0}},
-            ),
-            HUMAN_VIEW: SubjectiveMaid(
-                HUMAN_VIEW,
-                honesty_evaluation(),
-                {AI: {AI_VIEW_NODE: 1.0}},
-            ),
-            AI_VIEW_NODE: SubjectiveMaid(
-                AI_VIEW_NODE,
-                capability_evaluation(),
-                {HUMAN: {HUMAN_SOLO: 1.0}},
-            ),
-            HUMAN_SOLO: SubjectiveMaid(
-                HUMAN_SOLO,
-                PostPolicyMaid(capability_evaluation(), {REPORT: _truthful_report()}),
-                {},
-            ),
-        },
-    )
-
-
-def _report_iset(c: str) -> InformationSet:
-    return InformationSet(AI, ((CAPABILITY, c),), (HIGH, LOW))
-
-
-def _deploy_iset_full(c: str, r: str) -> InformationSet:
-    return InformationSet(
-        HUMAN, ((CAPABILITY, c), (REPORT, r)), (GO, STOP)
-    )
-
-
-def _deploy_iset_report(r: str) -> InformationSet:
-    return InformationSet(HUMAN, ((REPORT, r),), (GO, STOP))
+    return load_bundled("evaluation_game_depth3.stack.json").value
 
 
 def ne_ii_profile() -> dict[InformationSet, Row]:
@@ -212,92 +93,32 @@ def ne_ii_profile() -> dict[InformationSet, Row]:
     capability and report are visible, and mixes evenly where only the report
     is.
     """
-    profile: dict[InformationSet, Row] = {}
-    for c in (HIGH, LOW):
-        profile[_report_iset(c)] = bn.point_row((HIGH, LOW), LOW)
-        for r in (HIGH, LOW):
-            action = GO if c == r else STOP
-            profile[_deploy_iset_full(c, r)] = bn.point_row((GO, STOP), action)
-    for r in (HIGH, LOW):
-        profile[_deploy_iset_report(r)] = bn.uniform_row((GO, STOP))
-    return profile
+    return load_bundled("evaluation_game_ne.profile.json").value.rules
 
 
 def truthful_match_rules() -> dict[str, Cpd]:
     """Honesty evaluation equilibrium: truthful report, deploy iff accurate."""
-    deploy_rows = {}
-    for c in (HIGH, LOW):
-        for r in (HIGH, LOW):
-            action = GO if c == r else STOP
-            deploy_rows[(c, r)] = bn.point_row((GO, STOP), action)
-    return {
-        REPORT: _truthful_report(),
-        DEPLOY: Cpd(DEPLOY, (CAPABILITY, REPORT), deploy_rows),
-    }
+    return load_bundled("truthful_match.profile.json").value.rules
 
 
 def always_low_match_rules() -> dict[str, Cpd]:
     """Always report low against deploy-iff-accurate (not an equilibrium)."""
-    rules = truthful_match_rules()
-    rules[REPORT] = Cpd(
-        REPORT,
-        (CAPABILITY,),
-        {(c,): bn.point_row((HIGH, LOW), LOW) for c in (HIGH, LOW)},
-    )
-    return rules
+    return load_bundled("always_low_match.profile.json").value.rules
 
 
 def always_low_deploy_low_rules() -> dict[str, Cpd]:
     """Capability evaluation equilibrium: report low, deploy iff report low."""
-    return {
-        REPORT: Cpd(
-            REPORT,
-            (CAPABILITY,),
-            {(c,): bn.point_row((HIGH, LOW), LOW) for c in (HIGH, LOW)},
-        ),
-        DEPLOY: Cpd(
-            DEPLOY,
-            (REPORT,),
-            {(HIGH,): bn.point_row((GO, STOP), STOP),
-             (LOW,): bn.point_row((GO, STOP), GO)},
-        ),
-    }
+    return load_bundled("always_low_deploy_low.profile.json").value.rules
 
 
-BUNDLED = {
-    "honesty_eval.maid.json": lambda: honesty_evaluation(),
-    "capability_eval.maid.json": lambda: capability_evaluation(),
-    "evaluation_game.iimaid.json": lambda: evaluation_iimaid(),
-    "evaluation_game_depth3.stack.json": lambda: evaluation_depth3_stack(),
-    "evaluation_game_ne.profile.json": lambda: IiProfile(ne_ii_profile()),
-    "truthful_match.profile.json": lambda: MaidProfile(truthful_match_rules()),
-    "always_low_match.profile.json": lambda: MaidProfile(always_low_match_rules()),
-    "always_low_deploy_low.profile.json": lambda: MaidProfile(
-        always_low_deploy_low_rules()
-    ),
-}
-
-
-def data_text(name: str) -> str:
-    """The raw text of a bundled document."""
-    return (
-        resources.files("iimaid").joinpath("data").joinpath(name).read_text("utf-8")
-    )
-
-
-def load_bundled(name: str) -> GameDocument:
-    return parse_document(data_text(name))
-
-
-def write_data_files(target: str | Path | None = None) -> list[Path]:
-    """Regenerate the bundled documents from the builders; returns the paths."""
-    if target is None:
-        target = Path(__file__).resolve().parent / "data"
+def write_data_files(target: str | Path) -> list[Path]:
+    """Copy the bundled documents into ``target``; returns the paths written."""
     target = Path(target)
     target.mkdir(parents=True, exist_ok=True)
     written = []
-    for name, make in sorted(BUNDLED.items()):
-        path = target / name
-        path.write_text(serialize_document(make()), "utf-8")
-        written.append(path)
+    for source in sorted(_data().iterdir(), key=lambda s: s.name):
+        if source.name.endswith(".json"):
+            path = target / source.name
+            path.write_bytes(source.read_bytes())
+            written.append(path)
     return written

@@ -167,17 +167,19 @@ def validate_coherence(x: IiMaid, tol: float = TOL) -> list[CoherenceViolation]:
 
 
 def _row_classes(rows: Iterable[tuple[str, Mapping[str, float]]]) -> list[list[str]]:
-    """Group ids, in order, by belief row: each joins the first class whose
-    first member's row is within ``TOL`` of its own, or opens a new one."""
-    classes: list[tuple[Mapping[str, float], list[str]]] = []
+    """Group ids by belief row: the connected components of ``_rows_close``,
+    each sorted, ordered by least id.  Rows chained within ``TOL`` of each
+    other share a class, so the classes do not depend on how ids are named."""
+    classes: list[list[tuple[str, Mapping[str, float]]]] = []
     for sid, row in rows:
-        for rep_row, members in classes:
-            if _rows_close(row, rep_row):
-                members.append(sid)
-                break
-        else:
-            classes.append((row, [sid]))
-    return [members for _, members in classes]
+        merged, rest = [(sid, row)], []
+        for members in classes:
+            if any(_rows_close(row, other) for _, other in members):
+                merged += members
+            else:
+                rest.append(members)
+        classes = rest + [merged]
+    return sorted(sorted(sid for sid, _ in members) for members in classes)
 
 
 def belief_type_classes(x: IiMaid, agent: str) -> list[list[str]]:

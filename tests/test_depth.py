@@ -116,6 +116,21 @@ def test_cyclic_beliefs_rejected(honesty):
         dp.classify_depth(st)
 
 
+def test_a_long_belief_chain_is_classified_without_recursion():
+    # Each node's H believes the next; names sort from the objective down
+    # the chain, so a depth-first walk would nest 1,500 calls deep.
+    solo = maid.PostPolicyMaid(capability_evaluation(),
+                               {"D_A": truthful_match_rules()["D_A"]})
+    n = 1500
+    nodes = {f"n{i:04d}": SubjectiveMaid(
+        f"n{i:04d}", solo, {"H": {f"n{i + 1:04d}": 1.0}} if i < n - 1 else {})
+        for i in range(n)}
+    st = DepthStack(("A", "H"), "n0000", nodes)
+    depths, k = dp.classify_depth(st)
+    assert (k, depths[f"n{n - 1:04d}"]) == (n - 1, 0)
+    assert dp.validate_stack(st) == []
+
+
 def test_zero_mass_reference_still_breaks_the_contract(honesty):
     tm = truthful_match_rules()
     leaf = SubjectiveMaid("leaf", maid.PostPolicyMaid(honesty, dict(tm)), {})

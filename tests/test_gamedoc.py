@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,27 @@ def test_bundled_documents_round_trip_byte_for_byte(name):
     doc = gamedoc.parse_document(text)
     assert doc.kind == BUNDLED_KINDS[name]
     assert gamedoc.serialize_document(doc.value) == text
+
+
+def test_write_data_files_copies_the_bundled_documents(tmp_path):
+    data = Path(fixtures.__file__).parent / "data"
+    written = fixtures.write_data_files(tmp_path)
+    assert [p.name for p in written] == sorted(BUNDLED_KINDS)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(BUNDLED_KINDS)
+    for path in written:
+        assert path.read_bytes() == (data / path.name).read_bytes()
+
+
+@pytest.mark.parametrize("accessor", [
+    fixtures.honesty_evaluation, fixtures.capability_evaluation,
+    fixtures.evaluation_iimaid, fixtures.evaluation_depth3_stack,
+    fixtures.ne_ii_profile, fixtures.truthful_match_rules,
+    fixtures.always_low_match_rules, fixtures.always_low_deploy_low_rules,
+])
+def test_accessors_parse_a_fresh_copy_each_call(accessor):
+    first, second = accessor(), accessor()
+    assert first == second
+    assert first is not second
 
 
 def test_serialized_form_is_canonical():

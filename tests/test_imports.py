@@ -43,8 +43,7 @@ def test_modules_import_no_unused_names():
 # trees and belief stacks.  Any other exact inference goes through the kernel.
 RECURSIVE = {
     ("bn", "sweep"), ("bn", "enumerate_support"), ("efg", "maid2efg"),
-    ("efg", "efg_expected_utility"), ("depth", "classify_depth"), ("depth", "unroll"),
-    ("dot", "belief_tree_dot"),
+    ("efg", "efg_expected_utility"), ("depth", "unroll"), ("dot", "belief_tree_dot"),
 }
 
 
@@ -74,7 +73,7 @@ def test_only_the_kernel_oracles_and_walks_recurse():
 # The top-level functions that build a ``Cpd``: tabulation, the weight-one
 # table of an open decision, pure-policy enumeration, the document reader and
 # the one writer of rules read off information-set rows.  The bundled games
-# in ``fixtures`` are written out by hand and are not checked.
+# in ``fixtures`` are parsed from their documents, so they build none.
 CPD_WRITERS = {
     ("bn", "tabulate"), ("bn", "weight_one"), ("maid", "iter_pure_rules"),
     ("gamedoc", "_cpd_from_doc"), ("incomplete", "_rules_from_rows"),
@@ -95,9 +94,8 @@ def _cpd_builders(tree: ast.Module) -> set[str]:
 def test_only_the_listed_writers_build_rules():
     found = set()
     for path in sorted(SRC.glob("*.py")):
-        if path.name != "fixtures.py":
-            tree = ast.parse(path.read_text(), str(path))
-            found |= {(path.stem, name) for name in _cpd_builders(tree)}
+        tree = ast.parse(path.read_text(), str(path))
+        found |= {(path.stem, name) for name in _cpd_builders(tree)}
     assert found == CPD_WRITERS
 
 

@@ -83,6 +83,20 @@ def test_belief_type_classes(example1):
     assert inc.belief_type_classes(example1, "H") == [["ai_belief"], ["ground_truth"]]
 
 
+@pytest.mark.parametrize("names", [("m1", "m2", "m3"), ("m2", "m1", "m3")])
+def test_type_classes_do_not_depend_on_model_names(names):
+    # A's rows drift by 0.6e-9 from model to model: neighbours lie within
+    # TOL, the two ends do not.  The chain is one class whichever model is
+    # named least.
+    base = trivial_model(("A", "H"))
+    models = {sid: SubjectiveMaid(sid, base, {"A": {"m1": 0.5 + k * 6e-10,
+                                                   "m2": 0.5 - k * 6e-10}})
+              for k, sid in enumerate(names)}
+    x = IiMaid(("A", "H"), "m1", models)
+    assert inc.belief_type_classes(x, "A") == [["m1", "m2", "m3"]]
+    assert inc.check_consistency(x).type_classes == {"A": [["m1", "m2", "m3"]], "H": []}
+
+
 def test_unknown_names_raise_the_package_errors(example1, ne_profile):
     others = {i: r for i, r in ne_profile.items() if i.agent != "H"}
     with pytest.raises(ValidationError) as e:
