@@ -467,8 +467,8 @@ def run(argv: list[str] | None = None) -> int:
         if args.output == "json":
             print(json.dumps(report, sort_keys=True, indent=2))
         else:
-            print(f"error: {error.get('path', '')} {error['message']}".strip(),
-                  file=sys.stderr)
+            where = f"{error['path']} " if "path" in error else ""
+            print(f"error: {where}{error['message']}", file=sys.stderr)
         return ERROR
     if args.output == "json":
         sys.stdout.write(

@@ -198,9 +198,10 @@ class ConsistencyReport:
     conditioning.  ``strongly_consistent`` additionally requires some solution
     to give positive mass to every belief type that actually occurs.
     ``mass_bounds`` (when computed) gives the feasible [min, max] prior mass
-    per model, which exposes forced-zero models.  Each bound is within 1e-12
-    of what a separate per-bound linear program gives; every other field is
-    exactly what it gives (see "Tolerances and ties" in ``maid``).
+    per model, which exposes forced-zero models.  ``sample`` is a prior that
+    maximizes the least realized type-class mass, which is ``min_type_mass``.
+    How closely each field matches separate per-bound linear programs is
+    stated under "Tolerances and ties" in ``maid``.
     """
 
     eq_feasible: bool
@@ -212,31 +213,184 @@ class ConsistencyReport:
 
 
 def check_consistency(x: IiMaid, include_bounds: bool = True) -> ConsistencyReport:
-    """Solve the common-prior equations as a linear program.
+    """Solve the common-prior equations.
 
-    The unknown is a prior p over models satisfying, for every agent i and
-    model S', p(S') = sum_S P_i^S(S') p(S).  Strong consistency maximizes the
-    minimum prior mass over realized belief-type classes and asks for a
-    strictly positive optimum.
+    The unknown is a prior p over models satisfying, for every agent i with
+    beliefs in every model and every model S', p(S') = sum_S P_i^S(S') p(S).
+    Strong consistency maximizes the minimum prior mass over realized
+    belief-type classes and asks for a strictly positive optimum.
 
-    The call makes two HiGHS solves, or one without ``include_bounds``,
-    whatever the number k of models: the strong-consistency program, and
-    one block-diagonal program holding all 2k mass-bound programs, whose
-    bounds may differ from separate solves by at most 1e-12.  A mass-bound
-    solve that fails raises ``GameError`` with HiGHS's status message.
+    A coherent game (``validate_coherence`` is empty) is solved in closed
+    form from its belief structure, with no solver: its feasible priors are
+    the mixtures of one fixed vector v_K per component K of the class rows'
+    supports (see ``_closed_form_consistency``).  A model's bounds are
+    (v_K, v_K) with one component, (0, v_K) with several, and (0, 0) when
+    it lies in none.  ``sample`` weighs each v_K by 1 / m_K, where m_K is
+    the least mass v_K gives a realized class of positive mass; this is the
+    unique strongest prior when every realized class has a live member, and
+    a fixed choice among equally strong ones otherwise.
+
+    Every other game, and a coherent one where some realized class spans
+    two components or some component holds no realized class, is solved as
+    linear programs (``_lp_consistency``), the only code that loads numpy
+    and scipy.
     """
-    import numpy as np
-    from scipy.optimize import linprog
-
     ids = sorted(x.models)
-    k = len(ids)
-    idx = {sid: j for j, sid in enumerate(ids)}
     full_agents = [
         a
         for a in x.agents
         if all(a in x.models[sid].beliefs for sid in ids)
     ]
     type_classes = {a: belief_type_classes(x, a) for a in x.agents}
+    if not validate_coherence(x):
+        report = _closed_form_consistency(x, ids, full_agents, type_classes, include_bounds)
+        if report is not None:
+            return report
+    return _lp_consistency(x, ids, full_agents, type_classes, include_bounds)
+
+
+def _closed_form_consistency(
+    x: IiMaid,
+    ids: list[str],
+    full_agents: list[str],
+    type_classes: dict[str, list[list[str]]],
+    include_bounds: bool,
+) -> ConsistencyReport | None:
+    """``check_consistency`` of a coherent game, or None where the closed
+    form does not apply.
+
+    In a coherent game each full agent's row is the same on a type class C
+    and puts its mass inside C, so the equations say p restricted to C is
+    p(C) times the class row.  A class member outside its row's support
+    therefore has mass 0, and so does every member of a class whose row
+    puts mass on a model of mass 0 (to a fixpoint).  The live models and
+    the class rows' live supports form components; ratios along the rows
+    fix one vector per component, normalised, and a component whose vector
+    does not reproduce every member's own row within ``TOL`` has mass 0
+    too.  The feasible priors are the mixtures of the remaining vectors,
+    and the strongest one is 1 / sum_K (1 / m_K) strong, or 0 if some
+    realized class has no live member.  Returns None when a realized class
+    spans two components, or a component holds no realized class, as the
+    strongest mixture then is not the one ``check_consistency`` documents.
+    """
+    rows = [
+        (agent, members, x.models[members[0]].beliefs[agent])
+        for agent in full_agents
+        for members in type_classes[agent]
+    ]
+    zero: set[str] = set()
+    while True:
+        grew = True
+        while grew:
+            grew = False
+            for _, members, row in rows:
+                if any(p > 0.0 and t in zero for t, p in row.items()):
+                    dead = members
+                else:
+                    dead = [s for s in members if not row.get(s, 0.0) > 0.0]
+                if not zero.issuperset(dead):
+                    zero.update(dead)
+                    grew = True
+        # Each row with a live member links its live support; a breadth-first
+        # walk over those links fixes every component's ratios.
+        links: dict[str, list[Mapping[str, float]]] = {}
+        for _, members, row in rows:
+            if not zero.issuperset(members):
+                for t, p in row.items():
+                    if p > 0.0 and t not in zero:
+                        links.setdefault(t, []).append(row)
+        vector: dict[str, float] = {}
+        component: dict[str, int] = {}
+        components: list[list[str]] = []
+        for start in ids:
+            if start in zero or start in component:
+                continue
+            members_k = [start]
+            component[start] = len(components)
+            vector[start] = 1.0
+            for u in members_k:
+                for row in links.get(u, ()):
+                    mass = vector[u] / row[u]
+                    for t, p in row.items():
+                        if p > 0.0 and t not in zero and t not in component:
+                            component[t] = len(components)
+                            vector[t] = mass * p
+                            members_k.append(t)
+            total = sum(vector[s] for s in members_k)
+            for s in members_k:
+                vector[s] /= total
+            components.append(members_k)
+        failed = set()
+        for agent, members, _ in rows:
+            if zero.issuperset(members):
+                continue
+            mass = sum(vector.get(s, 0.0) for s in members)
+            posterior = {s: vector.get(s, 0.0) / mass for s in members}
+            for s in members:
+                if s not in zero and not _rows_close(x.models[s].beliefs[agent], posterior):
+                    failed.add(component[s])
+        if not failed:
+            break
+        for j in failed:
+            zero.update(components[j])
+
+    if not components:
+        return ConsistencyReport(False, None, False, None, None, type_classes)
+    least: dict[int, float] = {}
+    dead_class = False
+    for agent in x.agents:
+        for members in type_classes[agent]:
+            live = {component[s] for s in members if s not in zero}
+            if len(live) > 1:
+                return None
+            if not live:
+                dead_class = True
+                continue
+            (j,) = live
+            mass = sum(vector.get(s, 0.0) for s in members)
+            least[j] = min(least.get(j, mass), mass)
+    if len(least) < len(components):
+        return None
+    inverse = {j: 1.0 / m for j, m in least.items()}
+    scale = sum(inverse.values())
+    sample = {
+        sid: _snap(inverse[component[sid]] / scale * vector[sid]) if sid in vector else 0.0
+        for sid in ids
+    }
+    min_type_mass = 0.0 if dead_class else _snap(1.0 / scale)
+    bounds = None
+    if include_bounds:
+        several = len(components) > 1
+        bounds = {
+            sid: (0.0 if several else _snap(vector[sid]), _snap(vector[sid]))
+            if sid in vector else (0.0, 0.0)
+            for sid in ids
+        }
+    return ConsistencyReport(
+        True, sample, min_type_mass > TOL, min_type_mass, bounds, type_classes
+    )
+
+
+def _lp_consistency(
+    x: IiMaid,
+    ids: list[str],
+    full_agents: list[str],
+    type_classes: dict[str, list[list[str]]],
+    include_bounds: bool,
+) -> ConsistencyReport:
+    """``check_consistency`` as linear programs: two HiGHS solves, or one
+    without ``include_bounds``, whatever the number k of models.
+
+    They are the strong-consistency program, and one block-diagonal program
+    holding all 2k mass-bound programs, whose bounds may differ from
+    separate solves by at most 1e-12.  A mass-bound solve that fails raises
+    ``GameError`` with HiGHS's status message.
+    """
+    import numpy as np
+    from scipy.optimize import linprog
+
+    k = len(ids)
+    idx = {sid: j for j, sid in enumerate(ids)}
 
     a_eq: list[list[float]] = [[1.0] * k]
     b_eq: list[float] = [1.0]

@@ -57,14 +57,27 @@ probability.  Its trace values lie within 1e-12 absolute of a recomputation
 by ``depth._walk_conditional_utility``; the trace's actions, order and
 ``written_to``, the profile and the objective rules are bit-identical.
 
-``incomplete.check_consistency`` takes every feasible [min, max] model mass
-from one block-diagonal linear program rather than one program per bound.
-Its ``eq_feasible``, ``sample``, ``strongly_consistent``, ``min_type_mass``
-and ``type_classes``, and the CLI text built from them, are bit-identical to
-what separate per-bound solves give, because the strong-consistency program
-is still solved on its own.  Only ``mass_bounds`` may differ from separate
-solves, by at most 1e-12 absolute (on 400 generated common-prior games,
-91 drift in the last bits, by at most 2.5e-16).
+``incomplete.check_consistency`` solves a coherent game in closed form,
+with no solver, and any other game as linear programs; both paths are
+tested against separate per-bound linear programs.  On the closed path
+``type_classes`` are the same, and the verdicts (``eq_feasible``,
+``strongly_consistent``) are exact: the same on all 3,000 generated games
+tested.  ``mass_bounds`` and ``min_type_mass`` are within 1e-12 absolute
+(2.2e-16 seen).  So is ``sample`` where ``min_type_mass`` is positive, as
+the strongest prior is then unique.  Where it is 0 every feasible prior is
+optimal, and ``sample`` is the mixture that ``check_consistency``
+documents, not a solver's vertex; it needs no solver, so it is the same on
+every platform.  These figures hold when a type class's members share one
+row.  The closed form reads each class's row off its least member, so rows
+that differ within ``bn.TOL`` move the bounds by up to about ``TOL``
+(5.1e-10 seen).  Rows whose ratios disagree by more than ``TOL`` are
+rejected, and a class row that puts any mass, however small, on a model of
+mass 0 gives its class mass 0; both hold also where the solver, which
+accepts residuals of about 1e-7, finds a prior, so there the verdicts
+differ from the solver's.  On the solver path every field but
+``mass_bounds`` is bit-identical to separate per-bound solves, because the
+strong-consistency program is solved on its own; the bounds come from one
+block-diagonal program and may differ by at most 1e-12 (2.5e-16 seen).
 """
 
 from __future__ import annotations
@@ -470,21 +483,19 @@ def best_response(
     if agent not in base_maid(model).agents:
         raise UnknownAgent(agent)
     own = _free_decisions(model, agent)
-    return _best_response(model, _checked_rules(model, others, own), agent, cap)[:2]
+    return _best_response(model, _checked_rules(model, others, own), agent, cap)
 
 
 def _best_response(
     model: Model, others: PolicyRules, agent: str, cap: int = DEFAULT_CAP
-) -> tuple[dict[str, Cpd], float, QTable | None]:
-    """``best_response`` given checked rules for the other open decisions,
-    and, when the agent has exactly one free decision, its Q-table, which
-    prices any rule for that decision."""
+) -> tuple[dict[str, Cpd], float]:
+    """``best_response`` given checked rules for the other open decisions."""
     recall, order = has_perfect_recall(model, agent)
     if not recall:
-        return (*_best_response_exhaustive(model, others, agent, cap), None)
+        return _best_response_exhaustive(model, others, agent, cap)
     assert order is not None
     if not order:
-        return {}, _expected_utilities(model, others)[agent], None
+        return {}, _expected_utilities(model, others)[agent]
     tables: dict[str, QTable] = {}
     chosen: dict[str, Cpd] = {}
     for i in reversed(range(len(order))):
@@ -504,8 +515,28 @@ def _best_response(
             chosen[e].row_for(ctx)[ctx[e]] > 0.0 for e in order[:i]
         )
         chosen[order[i]] = _argmax_rule(model, order[i], tables[order[i]], reachable)
-    rules = {d: chosen[d] for d in sorted(chosen)}
-    return rules, value, tables[order[0]] if len(order) == 1 else None
+    return {d: chosen[d] for d in sorted(chosen)}, value
+
+
+def _best_value(
+    model: Model, others: PolicyRules, agent: str, cap: int = DEFAULT_CAP
+) -> tuple[float, QTable | None]:
+    """``_best_response``'s value without its rules, and, when the agent has
+    exactly one free decision, its Q-table, which prices any rule for it.
+
+    With one free decision the value is the table's ``argmax_action`` entry
+    summed over its contexts, which is ``_priced`` against the argmax rule's
+    point rows bit for bit (the other terms are ``0.0 * q``), so no rule is
+    built.
+    """
+    own = _free_decisions(model, agent)
+    if len(own) != 1:
+        return _best_response(model, others, agent, cap)[1], None
+    q = _decision_values(model, others, own[0], agent)
+    value = 0.0
+    for row in q.values():
+        value += row[argmax_action(row)]
+    return value, q
 
 
 def _argmax_rule(
@@ -584,7 +615,7 @@ def is_nash(
     for agent in m.agents:
         if own := _free_decisions(model, agent):
             others = {d: r for d, r in rules.items() if d not in own}
-            best[agent] = _best_response(model, others, agent, cap)[1:]
+            best[agent] = _best_value(model, others, agent, cap)
     regrets = _regrets(model, rules, best)
     return all(r <= tol for r in regrets.values()), regrets
 
@@ -623,7 +654,7 @@ def find_pure_nash(
             key = (agent, tuple(combo[i] for i in others_at[agent]))
             if key not in cache:
                 others = {d: r for d, r in profile.items() if d not in own[agent]}
-                cache[key] = _best_response(model, others, agent, cap)[1:]
+                cache[key] = _best_value(model, others, agent, cap)
             best[agent] = cache[key]
         if all(r <= tol for r in _regrets(model, profile, best).values()):
             found.append(profile)

@@ -67,6 +67,23 @@ def test_non_finite_profile_entry_exits_two(capsys, tmp_path, data_dir):
         "message": "not a finite number: '1e400'"}
 
 
+def test_text_error_without_a_path_is_one_spaced_line(capsys, data_dir):
+    missing = path_of(data_dir, "nope.json")
+    assert cli.run(["validate", missing]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno 2] No such file or directory: {missing!r}\n"
+
+
+def test_text_error_with_a_path_names_it(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    payload = json.loads(fixtures.data_text("evaluation_game.iimaid.json"))
+    payload["models"][0]["beliefs"]["A"] = {"ai_belief": "0.9"}
+    bad.write_text(json.dumps(payload))
+    assert cli.run(["validate", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: $.models[0].beliefs.A row sums to 0.9, expected 1\n"
+
+
 def test_missing_file_exits_two(capsys, data_dir):
     code, report = run_json(capsys, "validate", path_of(data_dir, "nope.json"))
     assert code == 2

@@ -1,13 +1,18 @@
-"""check_consistency against the separate per-bound linear programs it
-batches: every field but ``mass_bounds`` equal, ``mass_bounds`` within
-1e-12, and two solves per call whatever the number of models."""
+"""check_consistency against separate per-bound linear programs.
+
+Incoherent games take two solves whatever the number of models, with every
+field but ``mass_bounds`` equal and ``mass_bounds`` within 1e-12.  Coherent
+games take the closed form and no solve: verdicts and type classes equal,
+bounds and ``min_type_mass`` within 1e-12, and ``sample`` within 1e-12
+where the optimum is unique, else the documented mixture."""
 import random
+from unittest import mock
 
 import pytest
 import scipy.optimize
 from scipy.optimize import OptimizeResult
 
-from iimaid import cli, fixtures, incomplete as inc
+from iimaid import cli, gamedoc, incomplete as inc
 from iimaid.bn import TOL
 from iimaid.errors import GameError
 from iimaid.incomplete import IiMaid, SubjectiveMaid
@@ -110,47 +115,271 @@ def assert_matches_per_bound(x):
     return want
 
 
+def linprog_calls(x, **kwargs):
+    """``check_consistency(x, **kwargs)`` and the number of solves it made."""
+    with mock.patch.object(scipy.optimize, "linprog",
+                           wraps=scipy.optimize.linprog) as counted:
+        report = inc.check_consistency(x, **kwargs)
+    return report, counted.call_count
+
+
+def documented_mixture(x, bounds):
+    """The closed form's strongest prior, rebuilt from per-bound solves.
+
+    In a coherent game the models whose upper bound is positive fall into
+    components linked by shared type classes, and each holds its upper
+    bound in its component's vector.  Component K is weighted by 1 / m_K,
+    m_K being its least realized class mass of the classes it holds."""
+    live = {sid for sid, (_, hi) in bounds.items() if hi > 0.0}
+    component = {sid: sid for sid in live}
+
+    def root(sid):
+        while component[sid] != sid:
+            sid = component[sid]
+        return sid
+
+    classes = [members for agent in x.agents for members in inc.belief_type_classes(x, agent)]
+    for members in classes:
+        alive = [sid for sid in members if sid in live]
+        for sid in alive[1:]:
+            component[root(sid)] = root(alive[0])
+    least = {}
+    for members in classes:
+        alive = [sid for sid in members if sid in live]
+        if alive:
+            mass = sum(bounds[sid][1] for sid in members)
+            least[root(alive[0])] = min(least.get(root(alive[0]), mass), mass)
+    scale = sum(1.0 / m for m in least.values())
+    return {sid: (1.0 / least[root(sid)] / scale * bounds[sid][1] if sid in live else 0.0)
+            for sid in bounds}
+
+
+def belief_residual(x, prior):
+    """The largest violation of the common-prior equations by ``prior``."""
+    ids = sorted(x.models)
+    worst = abs(sum(prior.values()) - 1.0)
+    for agent in x.agents:
+        if all(agent in x.models[sid].beliefs for sid in ids):
+            for target in ids:
+                flow = sum(x.models[sid].beliefs[agent].get(target, 0.0) * prior[sid]
+                           for sid in ids)
+                worst = max(worst, abs(prior[target] - flow))
+    return worst
+
+
+def assert_matches_closed_form(x, drift=BOUND_DRIFT):
+    """The closed form's contract against the per-bound solves; ``drift``
+    is larger only for class rows that differ within ``TOL``."""
+    got, solves = linprog_calls(x)
+    want = per_bound_consistency(x)
+    assert solves == 0
+    assert (got.eq_feasible, got.strongly_consistent, got.type_classes) == (
+        want.eq_feasible, want.strongly_consistent, want.type_classes)
+    if not want.eq_feasible:
+        assert (got.sample, got.min_type_mass, got.mass_bounds) == (None, None, None)
+        return want
+    assert got.min_type_mass == pytest.approx(want.min_type_mass, rel=0, abs=drift)
+    assert got.mass_bounds.keys() == want.mass_bounds.keys()
+    for sid, pair in want.mass_bounds.items():
+        assert got.mass_bounds[sid] == pytest.approx(pair, rel=0, abs=drift)
+    if got.min_type_mass > 0.0:
+        assert got.sample == pytest.approx(want.sample, rel=0, abs=drift)
+    else:
+        # every feasible prior is optimal: the sample is the mixture, not
+        # whichever vertex the solver stops at
+        assert belief_residual(x, got.sample) <= drift
+        assert got.sample == pytest.approx(documented_mixture(x, want.mass_bounds),
+                                           rel=0, abs=drift)
+    return want
+
+
+def assert_matches_oracle(x):
+    if inc.validate_coherence(x):
+        return assert_matches_per_bound(x)
+    return assert_matches_closed_form(x)
+
+
+def random_class_row_iimaid(seed, perturb=0.0):
+    """A coherent game: each agent's models are split into classes, and one
+    row per class, drawn independently with about a third of its entries
+    zero, is every member's belief.  With ``perturb``, each member's entries
+    move by up to that much before renormalising."""
+    rng = random.Random(seed)
+    agents = ("P1", "P2")
+    ids = [f"m{i}" for i in range(rng.randint(2, 6))]
+    beliefs = {mid: {} for mid in ids}
+    for agent in agents:
+        shuffled = ids[:]
+        rng.shuffle(shuffled)
+        step = rng.randint(1, len(ids))
+        for cell in (shuffled[i::step] for i in range(step)):
+            weights = {j: rng.choice((0.0, rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0)))
+                       for j in cell}
+            if not any(weights.values()):
+                weights[rng.choice(cell)] = 1.0
+            total = sum(weights.values())
+            row = {j: w / total for j, w in weights.items() if w}
+            for mid in cell:
+                own = {j: max(0.0, p + rng.uniform(-perturb, perturb)) for j, p in row.items()}
+                beliefs[mid][agent] = {j: p / sum(own.values()) for j, p in own.items()}
+    base = trivial_model(agents)
+    return IiMaid(agents, ids[0], {
+        mid: SubjectiveMaid(mid, base, beliefs[mid]) for mid in ids})
+
+
 def test_common_prior_games_match_per_bound_solves():
     kinds = set()
     for seed in range(120):
-        want = assert_matches_per_bound(random_common_prior_iimaid(seed))
+        want = assert_matches_closed_form(random_common_prior_iimaid(seed))
         assert want.eq_feasible
         kinds.add(all(lo == hi for lo, hi in want.mass_bounds.values()))
     # both unique priors (point feasible sets) and segments of priors occur
     assert kinds == {True, False}
 
 
+def test_class_row_games_match_per_bound_solves():
+    kinds = set()
+    for seed in range(200):
+        x = random_class_row_iimaid(seed)
+        assert inc.validate_coherence(x) == []
+        want = assert_matches_closed_form(x)
+        kinds.add((want.eq_feasible, want.strongly_consistent))
+    # infeasible, feasible with a forced-empty class, and strongly consistent
+    assert kinds == {(False, False), (True, False), (True, True)}
+
+
+def test_class_rows_perturbed_within_tol_keep_their_verdicts():
+    # The closed form reads each class's least member's row, the solver
+    # every member's own row, so bounds move by up to about TOL.
+    for seed in range(100):
+        x = random_class_row_iimaid(seed, perturb=0.4 * TOL)
+        if inc.validate_coherence(x) == []:
+            assert_matches_closed_form(x, drift=TOL)
+
+
+def ratio_cycle(shift):
+    """P1 tells {a, b} from {c, d}, P2 tells {a, c} from {b, d}, so the four
+    rows fix the prior's ratios around a cycle.  They agree on the prior
+    (.1, .2, .3, .4) until P2's {b, d} row is shifted by ``shift``."""
+    ab, cd = {"a": 1 / 3, "b": 2 / 3}, {"c": 3 / 7, "d": 4 / 7}
+    ac, bd = {"a": 0.25, "c": 0.75}, {"b": 1 / 3 + shift, "d": 2 / 3 - shift}
+    rows = {"a": (ab, ac), "b": (ab, bd), "c": (cd, ac), "d": (cd, bd)}
+    base = trivial_model(("P1", "P2"))
+    return IiMaid(("P1", "P2"), "a", {
+        mid: SubjectiveMaid(mid, base, {"P1": p1, "P2": p2})
+        for mid, (p1, p2) in rows.items()})
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.5 * TOL, 1e-6, 1e-3])
+def test_ratio_cycle_matches_per_bound_solves(shift):
+    x = ratio_cycle(shift)
+    assert inc.validate_coherence(x) == []
+    want = assert_matches_closed_form(x, drift=TOL)
+    assert want.eq_feasible is (shift < TOL)
+
+
+def test_ratio_cycle_rejected_beyond_tol_but_within_solver_tolerance():
+    # No prior reproduces these rows: the cycle's ratios disagree by 1e-8,
+    # beyond the closed form's TOL.  The per-bound solves call the same
+    # game feasible, because HiGHS accepts residuals of about 1e-7.
+    rep, solves = linprog_calls(ratio_cycle(1e-8))
+    assert solves == 0
+    assert (rep.eq_feasible, rep.sample, rep.mass_bounds) == (False, None, None)
+
+
+def leak_iimaid(leak):
+    """P2's class {b, c} believes c, so b has mass 0; P1's class {a, b}
+    puts ``leak`` on b, so a has mass 0 too, and only c remains."""
+    base = trivial_model(("P1", "P2"))
+    ab, bc = {"a": 1.0 - leak, "b": leak}, {"c": 1.0}
+    rows = {"a": (ab, {"a": 1.0}), "b": (ab, bc), "c": ({"c": 1.0}, bc)}
+    return IiMaid(("P1", "P2"), "a", {
+        mid: SubjectiveMaid(mid, base, {"P1": p1, "P2": p2})
+        for mid, (p1, p2) in rows.items()})
+
+
+@pytest.mark.parametrize("leak", [1e-3, 0.1 * TOL])
+def test_class_putting_mass_on_a_forced_zero_is_forced_to_zero(leak):
+    x = leak_iimaid(leak)
+    assert inc.validate_coherence(x) == []
+    rep, solves = linprog_calls(x)
+    assert solves == 0
+    assert rep.mass_bounds == {"a": (0.0, 0.0), "b": (0.0, 0.0), "c": (1.0, 1.0)}
+    assert rep.sample == {"a": 0.0, "b": 0.0, "c": 1.0}
+    assert not rep.strongly_consistent
+    if leak > TOL:
+        assert_matches_closed_form(x)
+    # Below TOL the per-bound solves let a range over [0, 1] and call the
+    # game strongly consistent, as HiGHS accepts the leak as a residual.
+
+
+def test_class_spanning_two_components_takes_the_solver():
+    # P1's point rows make every model its own component; P2 holds beliefs
+    # in a and b only, and its one class spans both.
+    base = trivial_model(("P1", "P2"))
+    half = {"a": 0.5, "b": 0.5}
+    x = IiMaid(("P1", "P2"), "a", {
+        "a": SubjectiveMaid("a", base, {"P1": {"a": 1.0}, "P2": half}),
+        "b": SubjectiveMaid("b", base, {"P1": {"b": 1.0}, "P2": half}),
+        "c": SubjectiveMaid("c", base, {"P1": {"c": 1.0}}),
+    })
+    assert inc.validate_coherence(x) == []
+    rep, solves = linprog_calls(x)
+    assert solves == 2
+    assert rep.min_type_mass == pytest.approx(1 / 3)
+    assert_matches_per_bound(x)
+
+
 def test_arbitrary_belief_games_match_per_bound_solves():
     feasible = []
     for seed in range(80):
-        feasible.append(assert_matches_per_bound(random_belief_iimaid(seed)).eq_feasible)
+        feasible.append(assert_matches_oracle(random_belief_iimaid(seed)).eq_feasible)
     assert any(feasible) and not all(feasible)
 
 
 def test_bundled_game_matches_per_bound_solves(example1):
-    assert_matches_per_bound(example1)
+    assert_matches_closed_form(example1)
+    rep = inc.check_consistency(example1)
+    assert rep.sample == {"ai_belief": 1.0, "ground_truth": 0.0}
+    assert rep.mass_bounds == {"ai_belief": (1.0, 1.0), "ground_truth": (0.0, 0.0)}
+
+
+def cyclic_iimaid(k):
+    """An incoherent game with a common prior: P1 in model j is sure of
+    model j + 1 (mod k), P2 is uniform; the uniform prior is the only one."""
+    ids = [f"m{i}" for i in range(k)]
+    uniform = {j: 1.0 / k for j in ids}
+    base = trivial_model(("P1", "P2"))
+    return IiMaid(("P1", "P2"), ids[0], {
+        mid: SubjectiveMaid(mid, base, {"P1": {ids[(i + 1) % k]: 1.0}, "P2": uniform})
+        for i, mid in enumerate(ids)})
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
-def test_one_solve_for_all_mass_bounds(monkeypatch, k):
-    calls = []
-    real = scipy.optimize.linprog
+def test_one_solve_for_all_mass_bounds(k):
+    x = cyclic_iimaid(k)
+    assert inc.validate_coherence(x) != []
+    rep, solves = linprog_calls(x)
+    assert rep.eq_feasible
+    assert solves == 2
+    rep, solves = linprog_calls(x, include_bounds=False)
+    assert rep.mass_bounds is None
+    assert solves == 1
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.optimize, "linprog", counting)
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_coherent_game_makes_no_solve(k):
     ids = [f"m{i}" for i in range(k)]
     uniform = {j: 1.0 / k for j in ids}
     base = trivial_model(("P1", "P2"))
     x = IiMaid(("P1", "P2"), ids[0], {
         mid: SubjectiveMaid(mid, base, {"P1": uniform, "P2": uniform}) for mid in ids})
-    assert inc.check_consistency(x).eq_feasible
-    assert len(calls) == 2
-    calls.clear()
-    assert inc.check_consistency(x, include_bounds=False).mass_bounds is None
-    assert len(calls) == 1
+    rep, solves = linprog_calls(x)
+    assert rep.eq_feasible and rep.strongly_consistent
+    assert solves == 0
+    rep, solves = linprog_calls(x, include_bounds=False)
+    assert rep.mass_bounds is None
+    assert solves == 0
 
 
 def _failing_bounds_solve(monkeypatch):
@@ -169,15 +398,16 @@ def _failing_bounds_solve(monkeypatch):
     monkeypatch.setattr(scipy.optimize, "linprog", linprog)
 
 
-def test_failed_bounds_solve_raises_instead_of_zero_bounds(monkeypatch, example1):
+def test_failed_bounds_solve_raises_instead_of_zero_bounds(monkeypatch):
     _failing_bounds_solve(monkeypatch)
     with pytest.raises(GameError, match="HiGHS Status 7"):
-        inc.check_consistency(example1)
+        inc.check_consistency(cyclic_iimaid(3))
 
 
 def test_failed_bounds_solve_exits_two(monkeypatch, tmp_path, capsys):
-    fixtures.write_data_files(tmp_path)
+    path = tmp_path / "cyclic.iimaid.json"
+    path.write_text(gamedoc.serialize_document(cyclic_iimaid(3)))
     _failing_bounds_solve(monkeypatch)
-    code = cli.run(["check-consistency", str(tmp_path / "evaluation_game.iimaid.json")])
+    code = cli.run(["check-consistency", str(path)])
     assert code == 2
     assert "HiGHS Status 7" in capsys.readouterr().err

@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 
 import iimaid
+from iimaid import fixtures, gamedoc
+from iimaid.incomplete import IiMaid, SubjectiveMaid
 
 SRC = Path(iimaid.__file__).parent
 
@@ -123,3 +125,38 @@ def test_import_does_not_load_numpy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, check=True)
     assert proc.stdout.splitlines() == ["False"]
+
+
+def test_only_incoherent_consistency_checks_load_scipy(tmp_path):
+    # A in ground_truth splits its belief between two models whose rows
+    # for A differ, so the game is incoherent and takes the solver.
+    x = fixtures.evaluation_iimaid()
+    gt = x.models["ground_truth"]
+    incoherent = IiMaid(x.agents, x.objective, {
+        **x.models,
+        "ground_truth": SubjectiveMaid("ground_truth", gt.model, {
+            "A": {"ai_belief": 0.5, "ground_truth": 0.5}, "H": {"ground_truth": 1.0}}),
+    })
+    path = tmp_path / "incoherent.iimaid.json"
+    path.write_text(gamedoc.serialize_document(incoherent))
+    bundled = SRC / "data" / "evaluation_game.iimaid.json"
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from iimaid import cli\n"
+        "def check(path):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        code = cli.run(['check-consistency', path, '--output', 'json'])\n"
+        "    result = json.loads(out.getvalue())['result']\n"
+        "    loaded = sorted({'numpy', 'scipy'} & set(sys.modules))\n"
+        "    print(code, result['coherent'], result['eq_feasible'], loaded)\n"
+        f"check({str(bundled)!r})\n"
+        f"check({str(path)!r})\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    assert proc.stdout.splitlines() == [
+        "1 True True []",
+        "1 False True ['numpy', 'scipy']",
+    ]

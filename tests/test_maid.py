@@ -287,6 +287,29 @@ def test_equilibrium_checks_sweep_once_per_decision(work, game, profile):
     assert work == {"sweep": 1, "expected_utilities": 0}
 
 
+@pytest.mark.parametrize("game, profile", [
+    (honesty_evaluation, truthful_match_rules),
+    (fixtures.capability_evaluation, always_low_deploy_low_rules),
+])
+def test_equilibrium_checks_build_no_best_response_rule(monkeypatch, game, profile):
+    """A single-decision agent's best value is read off its Q-table, so the
+    checks tabulate no rule; ``best_response`` still returns one."""
+    built = []
+    real = maid.decision_rule
+
+    def counted(*args):
+        built.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(maid, "decision_rule", counted)
+    m, rules = game(), profile()
+    maid.is_nash(m, rules)
+    maid.find_pure_nash(m)
+    assert built == []
+    maid.best_response(m, {DEPLOY: rules[DEPLOY]}, AI)
+    assert built == [REPORT]
+
+
 def test_find_pure_nash_sweeps_once_per_opponent_choice(work, honesty):
     # 64 profiles; 16 choices of H's rule and 4 of A's, one sweep each
     assert len(maid.find_pure_nash(honesty)) == 9
