@@ -93,35 +93,45 @@ def belief_tree_dot(x: IiMaid, depth: int, name: str = "G") -> str:
     if depth < 0:
         raise ValidationError([f"negative-depth: {depth}"])
     lines = [f"digraph {name} {{", "  compound=true;"]
-    counter = [0]
 
     def anchor(mid: str, idx: int) -> str:
         m = base_maid(x.models[mid].model)
         return f"c{idx}_{sorted(m.variables)[0]}"
 
-    def emit(mid: str, left: int) -> int:
-        idx = counter[0]
-        counter[0] += 1
+    # Clusters are numbered in pre-order; the edge into a cluster follows
+    # its whole subtree.  A pending edge sits on the stack as its line,
+    # a pending visit as (model, depth left, edge in: (parent, index,
+    # agent, probability) or None).
+    stack: list = [(x.objective, depth, None)]
+    idx = 0
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            lines.append(item)
+            continue
+        mid, left, via = item
         s = x.models[mid]
         lines.append(f"  subgraph cluster_{idx} {{")
         lines.append(f"    label={_quote(mid)};")
         lines.extend(_maid_body(s.model, prefix=f"c{idx}_", indent="    "))
         lines.append("  }")
+        if via is not None:
+            parent, parent_idx, agent, p = via
+            stack.append(
+                f"  {_quote(anchor(parent, parent_idx))} -> "
+                f"{_quote(anchor(mid, idx))} "
+                f"[ltail=cluster_{parent_idx}, lhead=cluster_{idx}, "
+                f"label={_quote(f'{agent}:{p:g}')}];"
+            )
         if left > 0:
-            for agent in believers(s):
-                for target, p in sorted(s.beliefs[agent].items()):
-                    if p <= 0.0:
-                        continue
-                    child_idx = emit(target, left - 1)
-                    lines.append(
-                        f"  {_quote(anchor(mid, idx))} -> "
-                        f"{_quote(anchor(target, child_idx))} "
-                        f"[ltail=cluster_{idx}, lhead=cluster_{child_idx}, "
-                        f"label={_quote(f'{agent}:{p:g}')}];"
-                    )
-        return idx
-
-    emit(x.objective, depth)
+            children = [
+                (target, left - 1, (mid, idx, agent, p))
+                for agent in believers(s)
+                for target, p in sorted(s.beliefs[agent].items())
+                if p > 0.0
+            ]
+            stack.extend(reversed(children))
+        idx += 1
     lines.append("}")
     return "\n".join(lines) + "\n"
 

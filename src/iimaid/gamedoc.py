@@ -6,14 +6,22 @@ is canonical (sorted keys, fixed list orders, two-space indent, trailing
 newline), making serialize(parse(text)) == text for canonical inputs.
 Parsing rejects non-finite numbers, rows that fail ``bn.is_distribution``
 and anything a document repeats, each as a ``SchemaViolation`` at its path.
+
+``SCHEMAS`` is the written spec of each kind, in the JSON Schema (Draft
+2020-12) keywords listed in ``_KEYWORDS``.  At import each schema compiles
+to one plain walk over a parsed document; a keyword outside that subset
+fails the import.  The walk reports the violation a Draft 2020-12 validator
+reports first once its errors are sorted by path: the same JSON path and
+the same message text, so no third-party validator runs at run time.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from . import bn
 from .bn import Cpd, Row, Variable
@@ -218,6 +226,225 @@ SCHEMAS: dict[str, dict] = {
 }
 
 
+# A schema compiles to a check that returns its violations as (path, message)
+# pairs, paths relative to the checked value, in the order a Draft 2020-12
+# validator finds them: keywords in the schema's order, descending as it goes.
+Violations = list[tuple[tuple, str]]
+Check = Callable[[Any], Violations]
+KeywordCheck = Callable[[Any, Violations], None]  # appends to the list
+_TYPES = {"object": dict, "array": list, "string": str}
+_PLAIN_KEY = re.compile("^[a-zA-Z][a-zA-Z0-9_]*$")
+
+
+def _unbool(x: Any, true: object = object(), false: object = object()) -> Any:
+    """``x``, with ``True``/``False`` made distinct from ``1``/``0``."""
+    if x is True:
+        return true
+    if x is False:
+        return false
+    return x
+
+
+def _equal(a: Any, b: Any) -> bool:
+    """JSON equality: ``True`` is not ``1``, and containers compare by item."""
+    if a is b:
+        return True
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return len(a) == len(b) and all(k in b and _equal(v, b[k]) for k, v in a.items())
+    return _unbool(a) == _unbool(b)
+
+
+def _unique(items: list) -> bool:
+    """Whether no two items are ``_equal``: neighbours after a sort, or every
+    pair when the items do not sort."""
+    try:
+        ordered = sorted(map(_unbool, items))
+        return not any(map(_equal, ordered, ordered[1:]))
+    except (NotImplementedError, TypeError):
+        seen: list = []
+        for x in map(_unbool, items):
+            if any(_equal(y, x) for y in seen):
+                return False
+            seen.append(x)
+        return True
+
+
+def _descend(errors: Violations, key: Any, found: Violations) -> None:
+    """Add the violations ``found`` under ``key`` to ``errors``."""
+    if found:
+        errors.extend(((key, *path), message) for path, message in found)
+
+
+def _type(name: str, schema: dict) -> KeywordCheck:
+    if name not in _TYPES:
+        raise ValueError(f"unsupported schema type {name!r}")
+    cls = _TYPES[name]
+
+    def check(x, errors):
+        if not isinstance(x, cls):
+            errors.append(((), f"{x!r} is not of type {name!r}"))
+    return check
+
+
+def _properties(props: dict, schema: dict) -> KeywordCheck:
+    checks = [(key, compile_schema(sub)) for key, sub in props.items()]
+
+    def check(x, errors):
+        if isinstance(x, dict):
+            for key, sub in checks:
+                if key in x:
+                    _descend(errors, key, sub(x[key]))
+    return check
+
+
+def _required(names: list, schema: dict) -> KeywordCheck:
+    def check(x, errors):
+        if isinstance(x, dict):
+            for name in names:
+                if name not in x:
+                    errors.append(((), f"{name!r} is a required property"))
+    return check
+
+
+def _additional(extra: dict | bool, schema: dict) -> KeywordCheck:
+    known = schema.get("properties", {})
+    sub = None if extra is False else compile_schema(extra)
+
+    def check(x, errors):
+        if not isinstance(x, dict):
+            return
+        keys = [key for key in x if key not in known]
+        if sub is not None:
+            for key in keys:
+                _descend(errors, key, sub(x[key]))
+        elif keys:
+            listed = ", ".join(repr(key) for key in sorted(keys, key=str))
+            verb = "was" if len(keys) == 1 else "were"
+            errors.append(((), f"Additional properties are not allowed ({listed} {verb} unexpected)"))
+    return check
+
+
+def _items(item: dict, schema: dict) -> KeywordCheck:
+    sub = compile_schema(item)
+
+    def check(x, errors):
+        if isinstance(x, list):
+            for i, value in enumerate(x):
+                _descend(errors, i, sub(value))
+    return check
+
+
+def _bound(cls: type, too_many: bool, word: str):
+    """A ``min``/``max`` size keyword on values of type ``cls``, whose
+    message reads ``word`` unless the bound allows exactly one or none."""
+    def make(n: int, schema: dict) -> KeywordCheck:
+        edge = 0 if too_many else 1
+        message = word if n != edge else (
+            "is expected to be empty" if too_many else "should be non-empty")
+
+        def check(x, errors):
+            if isinstance(x, cls) and (len(x) > n if too_many else len(x) < n):
+                errors.append(((), f"{x!r} {message}"))
+        return check
+    return make
+
+
+def _unique_items(on: bool, schema: dict) -> KeywordCheck:
+    def check(x, errors):
+        if on and isinstance(x, list) and not _unique(x):
+            errors.append(((), f"{x!r} has non-unique elements"))
+    return check
+
+
+def _const(value: Any, schema: dict) -> KeywordCheck:
+    def check(x, errors):
+        if not _equal(x, value):
+            errors.append(((), f"{value!r} was expected"))
+    return check
+
+
+def _one_of(options: list, schema: dict) -> KeywordCheck:
+    checks = [(compile_schema(sub), sub) for sub in options]
+
+    def check(x, errors):
+        valid = [sub for walk, sub in checks if not walk(x)]
+        if not valid:
+            errors.append(((), f"{x!r} is not valid under any of the given schemas"))
+        elif len(valid) > 1:
+            listed = ", ".join(repr(sub) for sub in valid[1:] + valid[:1])
+            errors.append(((), f"{x!r} is valid under each of {listed}"))
+    return check
+
+
+def _pattern(source: str, schema: dict) -> KeywordCheck:
+    regex = re.compile(source)
+
+    def check(x, errors):
+        if isinstance(x, str) and not regex.search(x):
+            errors.append(((), f"{x!r} does not match {source!r}"))
+    return check
+
+
+# The keywords ``SCHEMAS`` may use, each with the builder of its check.
+_KEYWORDS = {
+    "type": _type,
+    "properties": _properties,
+    "required": _required,
+    "additionalProperties": _additional,
+    "items": _items,
+    "minItems": _bound(list, False, "is too short"),
+    "maxItems": _bound(list, True, "is too long"),
+    "uniqueItems": _unique_items,
+    "minProperties": _bound(dict, False, "does not have enough properties"),
+    "const": _const,
+    "oneOf": _one_of,
+    "pattern": _pattern,
+    "minLength": _bound(str, False, "is too short"),
+}
+
+
+def compile_schema(schema: dict) -> Check:
+    """The check of ``schema``; a keyword outside ``_KEYWORDS`` raises ``ValueError``."""
+    unknown = sorted(set(schema) - set(_KEYWORDS))
+    if unknown:
+        raise ValueError(f"unsupported schema keywords {unknown}")
+    checks = [_KEYWORDS[key](value, schema) for key, value in schema.items()]
+
+    def check(x: Any) -> Violations:
+        errors: Violations = []
+        for keyword in checks:
+            keyword(x, errors)
+        return errors
+    return check
+
+
+def _json_path(path: tuple) -> str:
+    out = "$"
+    for key in path:
+        if isinstance(key, int):
+            out += f"[{key}]"
+        elif _PLAIN_KEY.match(key):
+            out += f".{key}"
+        else:
+            out += "['" + key.replace("\\", "\\\\").replace("'", "\\'") + "']"
+    return out
+
+
+_CHECKS = {kind: compile_schema(schema) for kind, schema in SCHEMAS.items()}
+
+
+def check_schema(kind: str, raw: Any) -> None:
+    """Raise the violation of ``SCHEMAS[kind]`` at the first path, if any."""
+    errors = _CHECKS[kind](raw)
+    if errors:
+        path, message = min(errors, key=lambda e: e[0])
+        raise SchemaViolation(_json_path(path), message)
+
+
 @dataclass(frozen=True)
 class MaidProfile:
     rules: dict[str, Cpd]
@@ -353,9 +580,13 @@ def _model_from_doc(
 
 
 def parse_document(text: str) -> GameDocument:
-    """Validate and build the typed object a JSON document describes."""
-    import jsonschema  # slow to import, so loaded only when a document is read
+    """Validate and build the typed object a JSON document describes.
 
+    The document is checked against ``SCHEMAS[kind]`` by the compiled walk
+    (``check_schema``) before anything is built; the checks that need more
+    than a schema (numbers, row sums, names that must resolve, repeats)
+    follow as the objects are built.
+    """
     try:
         raw = json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
@@ -363,14 +594,9 @@ def parse_document(text: str) -> GameDocument:
     if not isinstance(raw, dict) or "kind" not in raw:
         raise SchemaViolation("$.kind", "missing document kind")
     kind = raw["kind"]
-    schema = SCHEMAS.get(kind)
-    if schema is None:
+    if not isinstance(kind, str) or kind not in SCHEMAS:
         raise SchemaViolation("$.kind", f"unknown kind {kind!r}")
-    validator = jsonschema.Draft202012Validator(schema)
-    errors = sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = errors[0]
-        raise SchemaViolation(err.json_path, err.message)
+    check_schema(kind, raw)
 
     if kind == "maid":
         return GameDocument(kind, _model_from_doc(raw, "$", raw["agents"]))

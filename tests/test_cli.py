@@ -243,17 +243,17 @@ def test_export_dot_maid_and_tree(capsys, data_dir):
     assert out.count("dir=none") == 2
 
 
-def test_a_belief_tree_deeper_than_the_stack_exits_two(capsys, tmp_path):
-    # Without H's rows the belief tree branches to the requested depth,
-    # which the recursive walk cannot reach.
+def test_a_belief_tree_deeper_than_the_stack_renders(capsys, tmp_path):
+    # Without H's rows the belief tree is a chain of clusters as long as
+    # the requested depth, deeper than a recursive walk could reach.
     payload = json.loads(fixtures.data_text("evaluation_game.iimaid.json"))
     for model in payload["models"]:
         del model["beliefs"]["H"]
     deep = tmp_path / "deep.iimaid.json"
     deep.write_text(json.dumps(payload))
     code, report = run_json(capsys, "export-dot", str(deep), "--depth", "5000")
-    assert code == 2
-    assert report["error"]["type"] == "RecursionError"
+    assert code == 0
+    assert report["result"]["dot"].count("subgraph cluster_") == 5001
 
 
 def test_json_reports_are_byte_identical(capsys, data_dir):

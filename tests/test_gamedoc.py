@@ -92,6 +92,12 @@ def test_unknown_kind():
     assert e.value.message == "unknown kind 'mystery'"
 
 
+def test_a_kind_that_is_not_a_string_is_unknown():
+    with pytest.raises(SchemaViolation) as e:
+        gamedoc.parse_document('{"kind": ["maid"]}')
+    assert (e.value.path, e.value.message) == ("$.kind", "unknown kind ['maid']")
+
+
 def test_unknown_field_rejected():
     payload = mutated("evaluation_game.iimaid.json")
     payload["extra"] = 1

@@ -1,12 +1,14 @@
 """Source lints: every name a package module imports is used in that module,
 only the enumeration kernel, its oracles and the tree walks recurse, only
-the listed writers build a `Cpd`, and `import iimaid` loads neither
-jsonschema, scipy nor numpy."""
+the listed writers build a `Cpd`, `import iimaid` loads neither
+jsonschema, scipy nor numpy, and reading documents never loads jsonschema."""
 import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import iimaid
 from iimaid import fixtures, gamedoc
@@ -45,7 +47,7 @@ def test_modules_import_no_unused_names():
 # trees and belief stacks.  Any other exact inference goes through the kernel.
 RECURSIVE = {
     ("bn", "sweep"), ("bn", "enumerate_support"), ("efg", "maid2efg"),
-    ("efg", "efg_expected_utility"), ("depth", "unroll"), ("dot", "belief_tree_dot"),
+    ("efg", "efg_expected_utility"), ("depth", "unroll"),
 }
 
 
@@ -112,6 +114,36 @@ def test_import_loads_neither_jsonschema_nor_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, check=True)
     assert proc.stdout.splitlines() == ["[]", "ii-maid"]
+
+
+def test_reading_documents_on_the_cli_loads_no_jsonschema():
+    data = SRC / "data"
+    code = (
+        "import contextlib, io, sys\n"
+        "from iimaid import cli\n"
+        "def run(*argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.run([*argv, '--output', 'json'])\n"
+        "    print(code, 'jsonschema' in sys.modules)\n"
+        f"run('validate', {str(data / 'evaluation_game.iimaid.json')!r})\n"
+        f"run('check-nash', {str(data / 'honesty_eval.maid.json')!r},\n"
+        f"    '--profile', {str(data / 'truthful_match.profile.json')!r})\n"
+        f"run('check-nash', {str(data / 'honesty_eval.maid.json')!r},\n"
+        f"    '--profile', {str(data / 'always_low_match.profile.json')!r})\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    assert proc.stdout.splitlines() == ["0 False", "0 False", "1 False"]
+
+
+def test_a_schema_keyword_outside_the_walked_subset_fails_to_compile():
+    with pytest.raises(ValueError, match="format"):
+        gamedoc.compile_schema({"type": "string", "format": "date"})
+    with pytest.raises(ValueError, match="maxLength"):
+        gamedoc.compile_schema({"type": "array", "items": {"maxLength": 3}})
+    with pytest.raises(ValueError, match="integer"):
+        gamedoc.compile_schema({"properties": {"n": {"type": "integer"}}})
 
 
 def test_import_does_not_load_numpy():
