@@ -216,74 +216,165 @@ def check_consistency(x: IiMaid, include_bounds: bool = True) -> ConsistencyRepo
     """Solve the common-prior equations.
 
     The unknown is a prior p over models satisfying, for every agent i with
-    beliefs in every model and every model S', p(S') = sum_S P_i^S(S') p(S).
-    Strong consistency maximizes the minimum prior mass over realized
-    belief-type classes and asks for a strictly positive optimum.
+    beliefs in every model and every model S', p(S') = sum_S P_i^S(S') p(S):
+    p is stationary for each such agent's belief matrix.  Strong consistency
+    maximizes the minimum prior mass over realized belief-type classes and
+    asks for an optimum above ``TOL``.
 
-    A coherent game (``validate_coherence`` is empty) is solved in closed
-    form from its belief structure, with no solver: its feasible priors are
-    the mixtures of one fixed vector v_K per component K of the class rows'
-    supports (see ``_closed_form_consistency``).  A model's bounds are
-    (v_K, v_K) with one component, (0, v_K) with several, and (0, 0) when
-    it lies in none.  ``sample`` weighs each v_K by 1 / m_K, where m_K is
-    the least mass v_K gives a realized class of positive mass; this is the
-    unique strongest prior when every realized class has a live member, and
-    a fixed choice among equally strong ones otherwise.
+    Every game is solved by one rule, in closed form: each such agent's
+    stationary priors mix one vector per closed group of its type classes
+    (``_closed_groups``), so the feasible priors mix one vector v_K per
+    component K of those vectors' supports, and a component whose vector
+    does not reproduce every member's own row within ``TOL`` has mass 0
+    (``_prior_components``).  A model's bounds are (v_K, v_K) with one
+    component, (0, v_K) with several, and (0, 0) when it lies in none.
+    ``sample`` weighs each v_K by 1 / m_K, where m_K is the least mass v_K
+    gives a realized class of positive mass; this is the unique strongest
+    prior when every realized class has a live member, and a fixed choice
+    among equally strong ones otherwise.
 
-    Every other game, and a coherent one where some realized class spans
-    two components or some component holds no realized class, is solved as
-    linear programs (``_lp_consistency``), the only code that loads numpy
-    and scipy.
+    That weighting is the strongest only when every realized class lies in
+    one component and every component holds one.  Otherwise (a class of an
+    agent with beliefs in some models only spans two components, or a
+    component holds no realized class) one HiGHS solve over the component
+    weights gives ``sample`` and ``min_type_mass``; it loads scipy, decides
+    neither ``eq_feasible`` nor a bound, and raises ``GameError`` with
+    HiGHS's message if it fails.
     """
     ids = sorted(x.models)
-    full_agents = [
-        a
-        for a in x.agents
-        if all(a in x.models[sid].beliefs for sid in ids)
-    ]
     type_classes = {a: belief_type_classes(x, a) for a in x.agents}
-    if not validate_coherence(x):
-        report = _closed_form_consistency(x, ids, full_agents, type_classes, include_bounds)
-        if report is not None:
-            return report
-    return _lp_consistency(x, ids, full_agents, type_classes, include_bounds)
+    full = [a for a in x.agents if all(a in x.models[sid].beliefs for sid in ids)]
+    groups = [group for a in full for group in _closed_groups(x, a, type_classes[a])]
+    components, component, vector = _prior_components(ids, groups)
+    if not components:
+        return ConsistencyReport(False, None, False, None, None, type_classes)
+
+    # Per realized class, the mass each component's vector gives it.
+    masses = []
+    for members in (m for classes in type_classes.values() for m in classes):
+        by: dict[int, float] = {}
+        for s in members:
+            if s in vector:
+                by[component[s]] = by.get(component[s], 0.0) + vector[s]
+        masses.append(by)
+    least: dict[int, float] = {}
+    for by in masses:
+        for j, mass in by.items():
+            least[j] = min(least.get(j, mass), mass)
+    if len(least) == len(components) and all(len(by) <= 1 for by in masses):
+        inverse = {j: 1.0 / m for j, m in least.items()}
+        scale = sum(inverse.values())
+        weight = {j: w / scale for j, w in inverse.items()}
+        min_type_mass = 0.0 if any(not by for by in masses) else _snap(1.0 / scale)
+    else:
+        weight, min_type_mass = _strongest_weights(len(components), masses)
+    sample = {
+        sid: _snap(weight[component[sid]] * vector[sid]) if sid in vector else 0.0
+        for sid in ids
+    }
+    bounds = None
+    if include_bounds:
+        several = len(components) > 1
+        bounds = {
+            sid: (0.0 if several else _snap(vector[sid]), _snap(vector[sid]))
+            if sid in vector else (0.0, 0.0)
+            for sid in ids
+        }
+    return ConsistencyReport(
+        True, sample, min_type_mass > TOL, min_type_mass, bounds, type_classes
+    )
 
 
-def _closed_form_consistency(
-    x: IiMaid,
-    ids: list[str],
-    full_agents: list[str],
-    type_classes: dict[str, list[list[str]]],
-    include_bounds: bool,
-) -> ConsistencyReport | None:
-    """``check_consistency`` of a coherent game, or None where the closed
-    form does not apply.
+# A group of type classes: its vector, and each member's own vector.
+_Group = tuple[Row, dict[str, Row]]
 
-    In a coherent game each full agent's row is the same on a type class C
-    and puts its mass inside C, so the equations say p restricted to C is
-    p(C) times the class row.  A class member outside its row's support
-    therefore has mass 0, and so does every member of a class whose row
-    puts mass on a model of mass 0 (to a fixpoint).  The live models and
-    the class rows' live supports form components; ratios along the rows
-    fix one vector per component, normalised, and a component whose vector
-    does not reproduce every member's own row within ``TOL`` has mass 0
-    too.  The feasible priors are the mixtures of the remaining vectors,
-    and the strongest one is 1 / sum_K (1 / m_K) strong, or 0 if some
-    realized class has no live member.  Returns None when a realized class
-    spans two components, or a component holds no realized class, as the
-    strongest mixture then is not the one ``check_consistency`` documents.
+
+def _closed_groups(x: IiMaid, agent: str, classes: list[list[str]]) -> list[_Group]:
+    """The groups of an agent with beliefs in every model.
+
+    The agent's rows are the same on a class C, so its equations say that
+    q(C) = p(C) is stationary for the chain over classes that moves from C
+    to C' with weight r_C(C'), C's least member's row summed over C', and
+    that p = sum_C q(C) r_C.  The chain's stationary vectors live on its
+    closed groups (Kemeny & Snell 1960): a group G holds p = p(G) w_G with
+    w_G = sum_{C in G} pi_C r_C, pi being G's stationary vector, and every
+    other class is a group of its own with an empty vector: mass 0.  A
+    member's own vector is w_G with its own row standing for its class's.
+    A group of one class C has w_C = r_C, and only weights above ``TOL``
+    link classes, so in a coherent game every class is such a group.
     """
-    rows = [
-        (agent, members, x.models[members[0]].beliefs[agent])
-        for agent in full_agents
-        for members in type_classes[agent]
-    ]
+    n = len(classes)
+    rows = [x.models[members[0]].beliefs[agent] for members in classes]
+    of = {s: c for c, members in enumerate(classes) for s in members}
+    weights = [[0.0] * n for _ in classes]
+    for c, row in enumerate(rows):
+        for t, p in row.items():
+            weights[c][of[t]] += p
+    reach = [{t for t in range(n) if t == c or weights[c][t] > TOL} for c in range(n)]
+    for m in range(n):
+        for seen in reach:
+            if m in seen:
+                seen |= reach[m]
+    groups: list[_Group] = []
+    for c, seen in enumerate(reach):
+        if any(c not in reach[t] for t in seen):
+            groups.append(({}, dict.fromkeys(classes[c], {})))
+        elif seen == {c}:
+            groups.append((rows[c], {s: x.models[s].beliefs[agent] for s in classes[c]}))
+        elif c == min(seen):
+            group = sorted(seen)
+            pi = _stationary([[weights[u][t] for t in group] for u in group])
+            own: dict[str, Row] = {}
+            for u in group:
+                for s in classes[u]:
+                    vec = own[s] = {}
+                    for d, w in zip(group, pi):
+                        for t, p in (x.models[s].beliefs[agent] if d == u else rows[d]).items():
+                            vec[t] = vec.get(t, 0.0) + w * p
+            # the least member's row is its class's row, so its vector is w_G
+            groups.append((own[classes[c][0]], own))
+    return groups
+
+
+def _stationary(weights: list[list[float]]) -> list[float]:
+    """The stationary vector of an irreducible chain by Grassmann-Taksar-
+    Heyman elimination, which reads only the off-diagonal weights and never
+    subtracts."""
+    a = [row[:] for row in weights]
+    for k in range(len(a) - 1, 0, -1):
+        out = sum(a[k][:k])
+        for i in range(k):
+            a[i][k] /= out
+            for j in range(k):
+                a[i][j] += a[i][k] * a[k][j]
+    pi = [1.0]
+    for k in range(1, len(a)):
+        pi.append(sum(pi[i] * a[i][k] for i in range(k)))
+    total = sum(pi)
+    return [p / total for p in pi]
+
+
+def _prior_components(
+    ids: list[str], groups: list[_Group]
+) -> tuple[list[list[str]], dict[str, int], dict[str, float]]:
+    """The components of the feasible priors, each a normalised vector.
+
+    A feasible prior is, on each group's members, the group's mass times
+    its vector.  So members outside the vector's support have mass 0, and
+    so does every member of a group whose vector puts mass on a model of
+    mass 0 (to a fixpoint).  The live models and the vectors' live supports
+    form components, whose ratios the vectors fix.  A component whose
+    posterior on a group is not within ``TOL`` of each live member's own
+    vector has mass 0 too; in a coherent game that says each member's own
+    row is the posterior on its class.  Returns the components' members,
+    each live model's component and its mass in that component's vector.
+    """
     zero: set[str] = set()
     while True:
         grew = True
         while grew:
             grew = False
-            for _, members, row in rows:
+            for row, members in groups:
                 if any(p > 0.0 and t in zero for t, p in row.items()):
                     dead = members
                 else:
@@ -291,10 +382,10 @@ def _closed_form_consistency(
                 if not zero.issuperset(dead):
                     zero.update(dead)
                     grew = True
-        # Each row with a live member links its live support; a breadth-first
-        # walk over those links fixes every component's ratios.
+        # Each vector with a live member links its live support; a
+        # breadth-first walk over those links fixes every component's ratios.
         links: dict[str, list[Mapping[str, float]]] = {}
-        for _, members, row in rows:
+        for row, members in groups:
             if not zero.issuperset(members):
                 for t, p in row.items():
                     if p > 0.0 and t not in zero:
@@ -321,137 +412,40 @@ def _closed_form_consistency(
                 vector[s] /= total
             components.append(members_k)
         failed = set()
-        for agent, members, _ in rows:
-            if zero.issuperset(members):
+        for _, own in groups:
+            if zero.issuperset(own):
                 continue
-            mass = sum(vector.get(s, 0.0) for s in members)
-            posterior = {s: vector.get(s, 0.0) / mass for s in members}
-            for s in members:
-                if s not in zero and not _rows_close(x.models[s].beliefs[agent], posterior):
+            mass = sum(vector.get(s, 0.0) for s in own)
+            posterior = {s: vector.get(s, 0.0) / mass for s in own}
+            for s, row in own.items():
+                if s not in zero and not _rows_close(row, posterior):
                     failed.add(component[s])
         if not failed:
-            break
+            return components, component, vector
         for j in failed:
             zero.update(components[j])
 
-    if not components:
-        return ConsistencyReport(False, None, False, None, None, type_classes)
-    least: dict[int, float] = {}
-    dead_class = False
-    for agent in x.agents:
-        for members in type_classes[agent]:
-            live = {component[s] for s in members if s not in zero}
-            if len(live) > 1:
-                return None
-            if not live:
-                dead_class = True
-                continue
-            (j,) = live
-            mass = sum(vector.get(s, 0.0) for s in members)
-            least[j] = min(least.get(j, mass), mass)
-    if len(least) < len(components):
-        return None
-    inverse = {j: 1.0 / m for j, m in least.items()}
-    scale = sum(inverse.values())
-    sample = {
-        sid: _snap(inverse[component[sid]] / scale * vector[sid]) if sid in vector else 0.0
-        for sid in ids
-    }
-    min_type_mass = 0.0 if dead_class else _snap(1.0 / scale)
-    bounds = None
-    if include_bounds:
-        several = len(components) > 1
-        bounds = {
-            sid: (0.0 if several else _snap(vector[sid]), _snap(vector[sid]))
-            if sid in vector else (0.0, 0.0)
-            for sid in ids
-        }
-    return ConsistencyReport(
-        True, sample, min_type_mass > TOL, min_type_mass, bounds, type_classes
-    )
 
-
-def _lp_consistency(
-    x: IiMaid,
-    ids: list[str],
-    full_agents: list[str],
-    type_classes: dict[str, list[list[str]]],
-    include_bounds: bool,
-) -> ConsistencyReport:
-    """``check_consistency`` as linear programs: two HiGHS solves, or one
-    without ``include_bounds``, whatever the number k of models.
-
-    They are the strong-consistency program, and one block-diagonal program
-    holding all 2k mass-bound programs, whose bounds may differ from
-    separate solves by at most 1e-12.  A mass-bound solve that fails raises
-    ``GameError`` with HiGHS's status message.
-    """
-    import numpy as np
+def _strongest_weights(
+    n: int, masses: list[dict[int, float]]
+) -> tuple[dict[int, float], float]:
+    """The weights of ``n`` component vectors that maximize the least mass
+    of a realized class (given per component in ``masses``), and that mass:
+    one HiGHS solve over the weights and the least mass t."""
     from scipy.optimize import linprog
 
-    k = len(ids)
-    idx = {sid: j for j, sid in enumerate(ids)}
-
-    a_eq: list[list[float]] = [[1.0] * k]
-    b_eq: list[float] = [1.0]
-    for agent in full_agents:
-        for target in ids:
-            coeffs = [0.0] * k
-            coeffs[idx[target]] += 1.0
-            for sid in ids:
-                coeffs[idx[sid]] -= x.models[sid].beliefs[agent].get(target, 0.0)
-            a_eq.append(coeffs)
-            b_eq.append(0.0)
-
-    classes = [
-        members for agent in x.agents for members in type_classes[agent] if members
-    ]
-    # Maximize t subject to: prior feasible, and each realized type class
-    # holding mass at least t.  Variables are (p_1..p_k, t).
-    a_ub = []
-    for members in classes:
-        row = [0.0] * (k + 1)
-        for sid in members:
-            row[idx[sid]] = -1.0
-        row[k] = 1.0
-        a_ub.append(row)
     res = linprog(
-        c=[0.0] * k + [-1.0],
-        A_eq=[row + [0.0] for row in a_eq],
-        b_eq=b_eq,
-        A_ub=a_ub or None,
-        b_ub=[0.0] * len(a_ub) or None,
-        bounds=[(0.0, 1.0)] * k + [(0.0, 1.0)],
+        c=[0.0] * n + [-1.0],
+        A_ub=[[-by.get(j, 0.0) for j in range(n)] + [1.0] for by in masses],
+        b_ub=[0.0] * len(masses),
+        A_eq=[[1.0] * n + [0.0]],
+        b_eq=[1.0],
+        bounds=[(0.0, 1.0)] * (n + 1),
         method="highs",
     )
     if not res.success:
-        return ConsistencyReport(False, None, False, None, None, type_classes)
-
-    sample = {sid: _snap(res.x[idx[sid]]) for sid in ids}
-    min_type_mass = _snap(res.x[k])
-    strongly = min_type_mass > TOL
-
-    bounds = None
-    if include_bounds:
-        # One program of 2k independent copies of the equality system, each
-        # over its own k masses: copy 2j minimizes model j's mass and copy
-        # 2j+1 maximizes it, so each copy's optimum is one bound.
-        copies = 2 * k
-        r = linprog(
-            c=np.kron(np.eye(k), [[1.0], [-1.0]]).ravel(),
-            A_eq=np.kron(np.eye(copies), a_eq),
-            b_eq=np.tile(b_eq, copies),
-            bounds=(0.0, 1.0),
-            method="highs",
-        )
-        if not r.success:
-            raise GameError(f"mass-bound linear program failed: {r.message}")
-        xs = r.x.reshape(copies, k)
-        bounds = {
-            sid: (_snap(abs(xs[2 * j, j])), _snap(abs(xs[2 * j + 1, j])))
-            for j, sid in enumerate(ids)
-        }
-    return ConsistencyReport(True, sample, strongly, min_type_mass, bounds, type_classes)
+        raise GameError(f"strongest-prior linear program failed: {res.message}")
+    return dict(enumerate(res.x[:n])), _snap(res.x[n])
 
 
 def _snap(v: float, eps: float = 1e-12) -> float:

@@ -1,10 +1,11 @@
 """check_consistency against separate per-bound linear programs.
 
-Incoherent games take two solves whatever the number of models, with every
-field but ``mass_bounds`` equal and ``mass_bounds`` within 1e-12.  Coherent
-games take the closed form and no solve: verdicts and type classes equal,
+Every game whose realized classes each lie in one component, coherent or
+not, takes the closed form and no solve: verdicts and type classes equal,
 bounds and ``min_type_mass`` within 1e-12, and ``sample`` within 1e-12
-where the optimum is unique, else the documented mixture."""
+where the optimum is unique, else the documented mixture.  A game with a
+class spanning two components takes one solve for ``sample`` and
+``min_type_mass``."""
 import random
 from unittest import mock
 
@@ -126,10 +127,11 @@ def linprog_calls(x, **kwargs):
 def documented_mixture(x, bounds):
     """The closed form's strongest prior, rebuilt from per-bound solves.
 
-    In a coherent game the models whose upper bound is positive fall into
-    components linked by shared type classes, and each holds its upper
-    bound in its component's vector.  Component K is weighted by 1 / m_K,
-    m_K being its least realized class mass of the classes it holds."""
+    The models whose upper bound is positive fall into components linked by
+    shared type classes and by each live model's rows of the agents with
+    beliefs in every model, and each holds its upper bound in its
+    component's vector.  Component K is weighted by 1 / m_K, m_K being its
+    least realized class mass of the classes it holds."""
     live = {sid for sid, (_, hi) in bounds.items() if hi > 0.0}
     component = {sid: sid for sid in live}
 
@@ -139,7 +141,10 @@ def documented_mixture(x, bounds):
         return sid
 
     classes = [members for agent in x.agents for members in inc.belief_type_classes(x, agent)]
-    for members in classes:
+    full = [a for a in x.agents if all(a in s.beliefs for s in x.models.values())]
+    supports = [[sid, *(t for t, p in x.models[sid].beliefs[a].items() if p > 0.0)]
+                for sid in live for a in full]
+    for members in classes + supports:
         alive = [sid for sid in members if sid in live]
         for sid in alive[1:]:
             component[root(sid)] = root(alive[0])
@@ -191,12 +196,6 @@ def assert_matches_closed_form(x, drift=BOUND_DRIFT):
         assert got.sample == pytest.approx(documented_mixture(x, want.mass_bounds),
                                            rel=0, abs=drift)
     return want
-
-
-def assert_matches_oracle(x):
-    if inc.validate_coherence(x):
-        return assert_matches_per_bound(x)
-    return assert_matches_closed_form(x)
 
 
 def random_class_row_iimaid(seed, perturb=0.0):
@@ -313,28 +312,36 @@ def test_class_putting_mass_on_a_forced_zero_is_forced_to_zero(leak):
     # game strongly consistent, as HiGHS accepts the leak as a residual.
 
 
-def test_class_spanning_two_components_takes_the_solver():
-    # P1's point rows make every model its own component; P2 holds beliefs
-    # in a and b only, and its one class spans both.
+def spanning_class_iimaid():
+    """P1's point rows make every model its own component; P2 holds beliefs
+    in a and b only, and its one class spans both."""
     base = trivial_model(("P1", "P2"))
     half = {"a": 0.5, "b": 0.5}
-    x = IiMaid(("P1", "P2"), "a", {
+    return IiMaid(("P1", "P2"), "a", {
         "a": SubjectiveMaid("a", base, {"P1": {"a": 1.0}, "P2": half}),
         "b": SubjectiveMaid("b", base, {"P1": {"b": 1.0}, "P2": half}),
         "c": SubjectiveMaid("c", base, {"P1": {"c": 1.0}}),
     })
+
+
+def test_class_spanning_two_components_takes_the_solver():
+    x = spanning_class_iimaid()
     assert inc.validate_coherence(x) == []
     rep, solves = linprog_calls(x)
-    assert solves == 2
+    assert solves == 1
     assert rep.min_type_mass == pytest.approx(1 / 3)
     assert_matches_per_bound(x)
 
 
 def test_arbitrary_belief_games_match_per_bound_solves():
-    feasible = []
-    for seed in range(80):
-        feasible.append(assert_matches_oracle(random_belief_iimaid(seed)).eq_feasible)
-    assert any(feasible) and not all(feasible)
+    kinds = set()
+    for seed in range(400):
+        x = random_belief_iimaid(seed)
+        want = assert_matches_closed_form(x)
+        kinds.add((bool(inc.validate_coherence(x)), want.eq_feasible, want.strongly_consistent))
+    # incoherent games that are infeasible, feasible with a forced-empty
+    # class, and strongly consistent
+    assert {(True, False, False), (True, True, False), (True, True, True)} <= kinds
 
 
 def test_bundled_game_matches_per_bound_solves(example1):
@@ -356,15 +363,45 @@ def cyclic_iimaid(k):
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
-def test_one_solve_for_all_mass_bounds(k):
+def test_cyclic_game_makes_no_solve(k):
+    # P1's classes form one closed group whose stationary vector is uniform.
     x = cyclic_iimaid(k)
     assert inc.validate_coherence(x) != []
     rep, solves = linprog_calls(x)
-    assert rep.eq_feasible
-    assert solves == 2
+    assert rep.eq_feasible and rep.strongly_consistent
+    assert rep.mass_bounds == {sid: (1 / k, 1 / k) for sid in x.models}
+    assert solves == 0
     rep, solves = linprog_calls(x, include_bounds=False)
     assert rep.mass_bounds is None
-    assert solves == 1
+    assert solves == 0
+
+
+def shifted_cycle(shift):
+    """``cyclic_iimaid(3)`` with P2's row in m0 moved by ``shift`` from m1
+    to m0, so that P2's stationary vector is no longer uniform."""
+    x = cyclic_iimaid(3)
+    m0 = x.models["m0"]
+    row = {**m0.beliefs["P2"]}
+    row["m0"] += shift
+    row["m1"] -= shift
+    return IiMaid(x.agents, x.objective, {
+        **x.models, "m0": SubjectiveMaid("m0", m0.model, {**m0.beliefs, "P2": row})})
+
+
+@pytest.mark.parametrize("shift, feasible", [
+    (0.0, True), (1e-9, True), (5e-9, False), (1e-8, False), (1e-7, False)])
+def test_incoherent_cycle_accepted_within_tol_of_the_prior(shift, feasible):
+    # P2's group vector moves from uniform by about shift / 3, so the prior
+    # that P1's cycle fixes is rejected once that passes TOL.  The per-bound
+    # solves still call the game feasible at 5e-9 and 1e-8, because HiGHS
+    # accepts residuals of about 1e-7.
+    x = shifted_cycle(shift)
+    assert inc.validate_coherence(x) != []
+    rep, solves = linprog_calls(x)
+    assert solves == 0
+    assert rep.eq_feasible is feasible
+    if not feasible:
+        assert (rep.sample, rep.mass_bounds) == (None, None)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
@@ -382,15 +419,9 @@ def test_coherent_game_makes_no_solve(k):
     assert solves == 0
 
 
-def _failing_bounds_solve(monkeypatch):
-    """Let the strong-consistency solve through and fail the one after it."""
-    real = scipy.optimize.linprog
-    calls = []
-
+def _failing_solve(monkeypatch):
+    """Fail every solve as HiGHS does on numerical trouble."""
     def linprog(*args, **kwargs):
-        calls.append(1)
-        if len(calls) == 1:
-            return real(*args, **kwargs)
         return OptimizeResult(x=None, fun=None, success=False, status=4,
                               message="Numerical difficulties encountered. "
                                       "(HiGHS Status 7: model_status is Unknown)")
@@ -398,16 +429,16 @@ def _failing_bounds_solve(monkeypatch):
     monkeypatch.setattr(scipy.optimize, "linprog", linprog)
 
 
-def test_failed_bounds_solve_raises_instead_of_zero_bounds(monkeypatch):
-    _failing_bounds_solve(monkeypatch)
+def test_failed_solve_raises_instead_of_a_report(monkeypatch):
+    _failing_solve(monkeypatch)
     with pytest.raises(GameError, match="HiGHS Status 7"):
-        inc.check_consistency(cyclic_iimaid(3))
+        inc.check_consistency(spanning_class_iimaid())
 
 
-def test_failed_bounds_solve_exits_two(monkeypatch, tmp_path, capsys):
-    path = tmp_path / "cyclic.iimaid.json"
-    path.write_text(gamedoc.serialize_document(cyclic_iimaid(3)))
-    _failing_bounds_solve(monkeypatch)
+def test_failed_solve_exits_two(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "spanning.iimaid.json"
+    path.write_text(gamedoc.serialize_document(spanning_class_iimaid()))
+    _failing_solve(monkeypatch)
     code = cli.run(["check-consistency", str(path)])
     assert code == 2
     assert "HiGHS Status 7" in capsys.readouterr().err

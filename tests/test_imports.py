@@ -1,7 +1,9 @@
 """Source lints: every name a package module imports is used in that module,
-only the enumeration kernel, its oracles and the tree walks recurse, only
-the listed writers build a `Cpd`, `import iimaid` loads neither
-jsonschema, scipy nor numpy, and reading documents never loads jsonschema."""
+no module imports numpy, only the enumeration kernel, its oracles and the
+tree walks recurse, only the listed writers build a `Cpd`, `import iimaid`
+loads neither jsonschema, scipy nor numpy, reading documents never loads
+jsonschema, and only a consistency check whose realized class spans two
+components loads scipy."""
 import ast
 import os
 import subprocess
@@ -13,6 +15,7 @@ import pytest
 import iimaid
 from iimaid import fixtures, gamedoc
 from iimaid.incomplete import IiMaid, SubjectiveMaid
+from tests.test_consistency import spanning_class_iimaid
 
 SRC = Path(iimaid.__file__).parent
 
@@ -159,9 +162,25 @@ def test_import_does_not_load_numpy():
     assert proc.stdout.splitlines() == ["False"]
 
 
-def test_only_incoherent_consistency_checks_load_scipy(tmp_path):
+def test_no_module_imports_numpy():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_only_classes_spanning_components_load_scipy(tmp_path):
     # A in ground_truth splits its belief between two models whose rows
-    # for A differ, so the game is incoherent and takes the solver.
+    # for A differ, so the game is incoherent; it is still solved in closed
+    # form.  The spanning game's class of P2 spans two components.
     x = fixtures.evaluation_iimaid()
     gt = x.models["ground_truth"]
     incoherent = IiMaid(x.agents, x.objective, {
@@ -169,8 +188,11 @@ def test_only_incoherent_consistency_checks_load_scipy(tmp_path):
         "ground_truth": SubjectiveMaid("ground_truth", gt.model, {
             "A": {"ai_belief": 0.5, "ground_truth": 0.5}, "H": {"ground_truth": 1.0}}),
     })
-    path = tmp_path / "incoherent.iimaid.json"
-    path.write_text(gamedoc.serialize_document(incoherent))
+    paths = []
+    for name, game in (("incoherent", incoherent), ("spanning", spanning_class_iimaid())):
+        path = tmp_path / f"{name}.iimaid.json"
+        path.write_text(gamedoc.serialize_document(game))
+        paths.append(str(path))
     bundled = SRC / "data" / "evaluation_game.iimaid.json"
     code = (
         "import contextlib, io, json, sys\n"
@@ -183,12 +205,14 @@ def test_only_incoherent_consistency_checks_load_scipy(tmp_path):
         "    loaded = sorted({'numpy', 'scipy'} & set(sys.modules))\n"
         "    print(code, result['coherent'], result['eq_feasible'], loaded)\n"
         f"check({str(bundled)!r})\n"
-        f"check({str(path)!r})\n"
+        f"check({paths[0]!r})\n"
+        f"check({paths[1]!r})\n"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, check=True)
     assert proc.stdout.splitlines() == [
         "1 True True []",
-        "1 False True ['numpy', 'scipy']",
+        "1 False True []",
+        "0 True True ['numpy', 'scipy']",
     ]
