@@ -104,17 +104,14 @@ def maid2efg(
                 raise NonTopologicalOrder(f"{v} expanded before parents {sorted(before - seen)}")
             seen.add(v)
 
-    payoff_vars = [
-        (u, m.variables[u].owner, m.variables[u].values) for u in m.utilities()
-    ]
+    payoff_tables = _payoff_tables(m)
     nodes: list[EfgNode] = []
     mu: dict[int, dict[str, str]] = {}
 
     def leaf_payoffs(a: dict[str, str]) -> dict[str, float]:
         out = dict.fromkeys(m.agents, 0.0)
-        for name, owner, values in payoff_vars:
-            row = m.cpds[name].row_for(a)
-            out[owner] += sum(values[lbl] * p for lbl, p in row.items())
+        for owner, parents, table in payoff_tables:
+            out[owner] += table[tuple(a[p] for p in parents)]
         return out
 
     def build(i: int, a: dict[str, str]) -> int:
@@ -164,28 +161,92 @@ def maid2efg(
     return Efg(m.agents, tuple(nodes), root), mu
 
 
+def _payoff_tables(
+    m: Maid,
+) -> tuple[tuple[str, tuple[str, ...], Mapping[tuple[str, ...], float]], ...]:
+    """Each utility's owner, parents and expected payoff per parent context,
+    utilities in name order; built once per base diagram.
+
+    An entry is the row's payoff values weighted by its probabilities,
+    summed in the row's order, which is what a leaf adds for that utility.
+    """
+    return bn.indexed(m, _build_payoff_tables)
+
+
+def _build_payoff_tables(
+    m: Maid,
+) -> tuple[tuple[str, tuple[str, ...], Mapping[tuple[str, ...], float]], ...]:
+    out = []
+    for u in m.utilities():
+        values, cpd = m.variables[u].values, m.cpds[u]
+        table = {
+            ctx: sum(values[lbl] * p for lbl, p in row.items())
+            for ctx, row in cpd.rows.items()
+        }
+        out.append((m.variables[u].owner, cpd.parents, MappingProxyType(table)))
+    return tuple(out)
+
+
 def efg_expected_utility(g: Efg, strategy: Strategy, agent: str) -> float:
-    """Expected payoff of the agent under a behaviour strategy profile."""
+    """Expected payoff of the agent under a behaviour strategy profile.
+
+    The tree is walked depth first on an explicit stack, so its depth is
+    not bounded by the interpreter's recursion limit.  A node's value is
+    ``sum`` over its edges, in edge order, of the edge's weight times the
+    child's value; decision edges the strategy gives weight zero are
+    skipped, and a decision node without a strategy row raises
+    ``MissingRule`` when the walk reaches it.
+    """
     if agent not in g.agents:
         raise UnknownAgent(agent)
+    table = _walk_table(g)
+    # Each frame: a node's (weight, child) edges and the products so far.
+    stack: list[tuple[Sequence[tuple[float, int]], list[float]]] = []
+    kind, data, edges = table[g.root]
+    while True:
+        if kind == "leaf":
+            value = data.get(agent, 0.0)
+        else:
+            if kind != CHANCE:
+                if data not in strategy:
+                    raise MissingRule(f"no strategy row for {data}")
+                row = strategy[data]
+                edges = [(w, child) for lbl, child in edges if (w := row.get(lbl, 0.0)) != 0.0]
+            if edges:
+                stack.append((edges, []))
+                kind, data, edges = table[edges[0][1]]
+                continue
+            value = 0  # ``sum`` over no edges
+        while stack:
+            pending, products = stack[-1]
+            k = len(products)
+            products.append(pending[k][0] * value)
+            if k + 1 < len(pending):
+                kind, data, edges = table[pending[k + 1][1]]
+                break
+            stack.pop()
+            value = sum(products)
+        else:
+            return value
 
-    def rec(nid: int) -> float:
-        node = g.nodes[nid]
+
+def _walk_table(g: Efg) -> tuple[tuple[str, object, tuple], ...]:
+    """Each node as ``efg_expected_utility`` reads it, by node id: a leaf's
+    payoffs, a chance node's (probability, child) edges, or a decision
+    node's strategy key and (label, child) edges; built once per tree."""
+    return bn.indexed(g, _build_walk_table)
+
+
+def _build_walk_table(g: Efg) -> tuple[tuple[str, object, tuple], ...]:
+    out = []
+    for node in g.nodes:
         if node.kind == "leaf":
-            return node.payoffs.get(agent, 0.0)
-        if node.kind == CHANCE:
-            return sum(node.dist[lbl] * rec(child) for lbl, child in node.edges)
-        key = (node.owner, node.iset)
-        if key not in strategy:
-            raise MissingRule(f"no strategy row for {key}")
-        row = strategy[key]
-        return sum(
-            row.get(lbl, 0.0) * rec(child)
-            for lbl, child in node.edges
-            if row.get(lbl, 0.0) != 0.0
-        )
-
-    return rec(g.root)
+            out.append(("leaf", node.payoffs, ()))
+        elif node.kind == CHANCE:
+            out.append((CHANCE, None, tuple((node.dist[lbl], c) for lbl, c in node.edges)))
+        else:
+            out.append((DECISION, (node.owner, node.iset), node.edges))
+    return tuple(out)
 
 
 def _parents(g: Efg) -> Mapping[int, tuple[int, str]]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import product
 from types import MappingProxyType
-from typing import Callable, Hashable, Iterable, Mapping
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple
 
 from . import bn
 from .bn import Row, TOL
@@ -437,24 +437,67 @@ def _build_lift(
     return MappingProxyType(targets)
 
 
+class _Sources(NamedTuple):
+    """Where each row of a profile's lift comes from.
+
+    ``cells`` maps every cell the lift fills to the information set whose
+    row it takes, in the order the lift fills them.  ``states`` maps each
+    state to the position, in the profile's key order, of the set whose
+    row each of its ``_state_cells`` slots plays, or, where a slot's cell
+    takes no row, to None and the first such cell.
+    """
+
+    cells: Mapping[MetaInfoSet, InformationSet]
+    states: Mapping[str, tuple[tuple[int, ...] | None, MetaInfoSet | None]]
+
+
+def _sources(conv: IiConversion, keys: tuple[InformationSet, ...]) -> _Sources:
+    """The row sources of a profile whose information sets are ``keys``, in
+    the profile's order: the one precedence rule of the lift.
+
+    A set's row lands on its own cell, which it takes over from any sibling
+    row already there (among sets sharing one cell, the last in sorted
+    order wins), and on each sibling cell that no earlier set in sorted
+    order has reached.  A set the correspondence does not know raises
+    ``MissingRule``.  Built once per conversion and key order, beside
+    ``_lift``.
+    """
+    return bn.indexed(conv, _build_sources, keys)
+
+
+def _build_sources(conv: IiConversion, keys: tuple[InformationSet, ...]) -> _Sources:
+    targets = _lift(conv)
+    cells: dict[MetaInfoSet, InformationSet] = {}
+    for iset in sorted(keys):
+        if iset not in targets:
+            raise MissingRule(f"policy covers unknown information set {iset}")
+        cell, siblings = targets[iset]
+        cells[cell] = iset
+        for other in siblings:
+            cells.setdefault(other, iset)
+    position = {iset: i for i, iset in enumerate(keys)}
+    states = {}
+    for w in conv.game.space.states:
+        slots = _state_cells(conv.game, w)
+        lacking = next((cell for _, cell in slots if cell not in cells), None)
+        if lacking is None:
+            states[w] = (tuple(position[cells[cell]] for _, cell in slots), None)
+        else:
+            states[w] = (None, lacking)
+    return _Sources(MappingProxyType(cells), MappingProxyType(states))
+
+
 def strategy_from_ii_policy(conv: IiConversion, profile: IiPolicy) -> dict[MetaInfoSet, Row]:
     """Lift a diagram policy to the unfolded game.
 
     Each information set's row lands on its corresponding cell and is copied
     to the same observation class at every other belief type, so the lifted
-    strategy is defined wherever any type plays.
+    strategy is defined wherever any type plays.  Where several sets reach
+    one cell, ``_sources`` says whose row it takes.
     """
-    targets = _lift(conv)
-    sigma: dict[MetaInfoSet, Row] = {}
-    for iset in sorted(profile):
-        if iset not in targets:
-            raise MissingRule(f"policy covers unknown information set {iset}")
-        cell, siblings = targets[iset]
-        row = dict(profile[iset])
-        sigma[cell] = row
-        for other in siblings:
-            sigma.setdefault(other, row)
-    return sigma
+    sources = _sources(conv, tuple(profile))
+    rows = {iset: dict(row) for iset, row in profile.items()}
+    return {cell: rows[iset] for cell, iset in sources.cells.items()}
 
 
 def _memo(table: dict, key: Hashable, compute: Callable[[], object]):
@@ -489,54 +532,102 @@ def verify_equivalence(
     over models and states of their restricted profile spaces, not the
     number of profiles times the number of models and states: the bundled
     game's 256 pure profiles take 80 model evaluations and 80 tree walks.
-    Restrictions are compared by row contents (items, in order), so a
-    shared result is the very arithmetic of ``subjective_expected_utility``
-    and ``interim_utility`` on the lifted strategy, and the answer is the
-    same bit for bit.  A bad row raises what those would raise.  A result
-    is kept only where the restriction reads fewer rows than the profile
-    has; otherwise, among distinct profiles, its key could not come again.
-    So the default enumeration keeps at most each restricted space, never
-    an entry per profile.
+
+    Restrictions are compared by row contents (items, in order): each row
+    is interned to a small integer once per profile, and a restriction's
+    key is the tuple of its rows' integers.  Which rows a model or a state
+    reads is worked out once per key order of the profiles
+    (``_model_reads``, ``_sources``), so no lifted strategy is built, and a
+    state's rows are gathered only for a tree walk.  A shared result is the
+    very arithmetic of ``subjective_expected_utility`` and
+    ``interim_utility`` on the lifted strategy, and the answer is the same
+    bit for bit.  A bad row raises what those would raise.  A result is
+    kept only where the restriction reads fewer rows than the profile has;
+    otherwise, among distinct profiles, its key could not come again.  So
+    the default enumeration keeps at most each restricted space, never an
+    entry per profile.
     """
     if profiles is None:
         profiles = iter_pure_ii_profiles(x, cap)
+    interned: dict[tuple, int] = {}
     models: dict[tuple, Mapping[str, float]] = {}
     trees: dict[tuple, float] = {}
+    keys = None
     worst = 0.0
     for profile in profiles:
-        sigma = strategy_from_ii_policy(conv, profile)
-        utilities = partial(_model_utilities, x, profile, models)
+        order = tuple(profile)
+        if order != keys:
+            sources = _sources(conv, order)
+            reads = _model_reads(x, order)
+            keys = order
+        ids = [interned.setdefault(tuple(row.items()), len(interned))
+               for row in profile.values()]
+        utilities = partial(_model_utilities, x, profile, ids, reads, models)
         for agent in x.agents:
             lhs = _subjective_value(x, agent, x.objective, utilities)
-            payoff = partial(_state_payoff, conv.game, profile, sigma, trees, agent)
+            payoff = partial(_state_payoff, conv.game, profile, ids, sources, trees, agent)
             rhs = _interim_value(conv.game, agent, x.objective, payoff)
             worst = max(worst, abs(lhs - rhs))
     return worst <= tol, worst
 
 
+def _model_reads(
+    x: IiMaid, keys: tuple[InformationSet, ...]
+) -> dict[str, tuple[int, ...] | None]:
+    """Each model's faced sets (``incomplete._faced_sets``) as positions in
+    the key order ``keys``, or None where one is missing: the rows its
+    evaluation reads, or a sign that it raises."""
+    position = {iset: i for i, iset in enumerate(keys)}
+    out = {}
+    for sid, s in x.models.items():
+        faced = _faced_sets(s.model)
+        if all(iset in position for iset in faced):
+            out[sid] = tuple(position[iset] for iset in faced)
+        else:
+            out[sid] = None
+    return out
+
+
 def _model_utilities(
-    x: IiMaid, profile: IiPolicy, memo: dict, sid: str
+    x: IiMaid,
+    profile: IiPolicy,
+    ids: list[int],
+    reads: Mapping[str, tuple[int, ...] | None],
+    memo: dict,
+    sid: str,
 ) -> Mapping[str, float]:
-    """Model ``sid``'s utilities, shared by profiles agreeing on what it reads."""
+    """Model ``sid``'s utilities, shared by profiles agreeing on what it
+    reads; ``ids`` holds the profile's interned rows."""
     model = x.models[sid].model
-    reads = _faced_sets(model)
-    if len(reads) >= len(profile):
+    read = reads[sid]
+    if read is None or len(read) >= len(profile):
         return _profile_utilities(model, profile)
-    key = (sid, tuple(
-        None if (row := profile.get(iset)) is None else tuple(row.items())
-        for iset in reads
-    ))
+    key = (sid, tuple(ids[i] for i in read))
     return _memo(memo, key, partial(_profile_utilities, model, profile))
 
 
 def _state_payoff(
-    g: IiEfg, profile: IiPolicy, sigma: Strategy, memo: dict, agent: str, w: str
+    g: IiEfg,
+    profile: IiPolicy,
+    ids: list[int],
+    sources: _Sources,
+    memo: dict,
+    agent: str,
+    w: str,
 ) -> float:
     """The agent's payoff at ``w`` under the lifted profile; one tree walk
-    per distinct strategy played there and agent."""
-    plays = state_strategy(g, sigma, w)
-    walk = partial(efg_expected_utility, g.space.games[w], plays, agent)
-    if len(plays) >= len(profile):
+    per distinct strategy played there and agent.  The rows played are
+    read off the profile, and gathered into a strategy only for a walk."""
+    slots = _state_cells(g, w)  # raises for a state the game lacks
+    supply, lacking = sources.states[w]
+    if lacking is not None:
+        raise MissingRule(f"strategy lacks a row at {lacking}")
+
+    def walk() -> float:
+        rows = tuple(profile.values())
+        plays = {slot: rows[i] for (slot, _), i in zip(slots, supply)}
+        return efg_expected_utility(g.space.games[w], plays, agent)
+
+    if len(supply) >= len(profile):
         return walk()
-    key = (w, agent, tuple(tuple(row.items()) for row in plays.values()))
-    return _memo(memo, key, walk)
+    return _memo(memo, (w, agent, tuple(ids[i] for i in supply)), walk)

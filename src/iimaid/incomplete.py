@@ -888,13 +888,22 @@ def count_pure_ii_profiles(x: IiMaid, cap: int | None = None) -> int:
 def iter_pure_ii_profiles(
     x: IiMaid, cap: int = DEFAULT_CAP
 ) -> Iterator[dict[InformationSet, Row]]:
+    """Every pure profile, over ``_pure_slots`` in sorted order, the last
+    set's action varying fastest; ``count_pure_ii_profiles`` checks the
+    ``cap`` on the first draw.
+
+    One point row is built per (information set, action) per call, and the
+    profiles yielded share those rows: a row must not be mutated, or every
+    later profile of the call that plays it changes too.  A caller that
+    edits a profile replaces rows instead.
+    """
     count_pure_ii_profiles(x, cap)
-    slots = _pure_slots(x)
-    for combo in product(*(iset.actions for iset in slots)):
-        yield {
-            iset: bn.point_row(iset.actions, label)
-            for iset, label in zip(slots, combo)
-        }
+    choices = [
+        [(iset, bn.point_row(iset.actions, label)) for label in iset.actions]
+        for iset in _pure_slots(x)
+    ]
+    for combo in product(*choices):
+        yield dict(combo)
 
 
 def find_nash_ii(

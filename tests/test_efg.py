@@ -1,6 +1,7 @@
 import pytest
 
-from iimaid import efg, maid
+from iimaid import bn, efg, fixtures, maid
+from iimaid.bn import Cpd
 from iimaid.errors import MissingRule, NonTopologicalOrder, ValidationError
 from iimaid.fixtures import always_low_deploy_low_rules, truthful_match_rules
 from tests.test_maid import forgetful_maid
@@ -126,3 +127,92 @@ def test_strategy_from_policy_keys(capability):
         ("H", ("D_H", ("high",))), ("H", ("D_H", ("low",))),
     }
     assert sigma[("A", ("D_A", ("high",)))] == {"high": 0.0, "low": 1.0}
+
+
+def stochastic_payoff_maid():
+    """P acts on X; P's two utilities and Q's one spread their mass over
+    several payoff labels, so each leaf payoff is a sum of products."""
+    variables = [
+        bn.chance("X", "ab"), bn.decision("D", "P", "lr"),
+        bn.utility("U1", "P", {"lo": -0.7, "mid": 0.1, "hi": 1.3}),
+        bn.utility("U2", "P", {"no": 0.0, "yes": 2.9}),
+        bn.utility("V", "Q", {"lo": 0.3, "hi": 1.1}),
+    ]
+    edges = [("X", "D"), ("X", "U1"), ("D", "U1"), ("D", "U2"), ("X", "V")]
+    cpds = [
+        Cpd("X", (), {(): {"a": 0.3, "b": 0.7}}),
+        Cpd("U1", ("D", "X"), {
+            ("l", "a"): {"lo": 0.1, "mid": 0.2, "hi": 0.7},
+            ("l", "b"): {"lo": 0.6, "mid": 0.3, "hi": 0.1},
+            ("r", "a"): {"lo": 0.0, "mid": 1.0, "hi": 0.0},
+            ("r", "b"): {"lo": 0.35, "mid": 0.45, "hi": 0.2},
+        }),
+        Cpd("U2", ("D",), {("l",): {"no": 0.9, "yes": 0.1}, ("r",): {"no": 0.3, "yes": 0.7}}),
+        Cpd("V", ("X",), {("a",): {"lo": 0.7, "hi": 0.3}, ("b",): {"lo": 0.2, "hi": 0.8}}),
+    ]
+    return maid.Maid.build(("P", "Q"), variables, edges, cpds)
+
+
+def _bundled_models():
+    x = fixtures.evaluation_iimaid()
+    stack = fixtures.evaluation_depth3_stack()
+    return ([fixtures.honesty_evaluation(), fixtures.capability_evaluation()]
+            + [x.models[sid].model for sid in sorted(x.models)]
+            + [stack.nodes[n].model for n in sorted(stack.nodes)])
+
+
+@pytest.mark.parametrize("m", [stochastic_payoff_maid()] + _bundled_models())
+def test_leaf_payoffs_are_the_per_path_expected_payoffs(m):
+    # Each leaf adds, per utility in name order, the utility's row at the
+    # path's assignment weighted by its payoff values: the same sums, bit
+    # for bit, as a per-leaf recomputation, whichever table they come from.
+    base = maid.base_maid(m)
+    g, mu = efg.maid2efg(m)
+    for nid, node in enumerate(g.nodes):
+        if node.kind != "leaf":
+            continue
+        want = dict.fromkeys(base.agents, 0.0)
+        for u in base.utilities():
+            var, row = base.variables[u], base.cpds[u].row_for(mu[nid])
+            want[var.owner] += sum(var.values[lbl] * p for lbl, p in row.items())
+        assert node.payoffs == want
+
+
+def test_stochastic_utility_rows_give_fractional_leaf_payoffs():
+    g, mu = efg.maid2efg(stochastic_payoff_maid())
+    got = {(a["X"], a["D"]): g.nodes[nid].payoffs
+           for nid, a in mu.items() if g.nodes[nid].kind == "leaf"}
+    assert got[("a", "l")]["P"] == pytest.approx(-0.07 + 0.02 + 0.91 + 0.29)
+    assert got[("b", "r")]["Q"] == pytest.approx(0.06 + 0.88)
+    assert len({p["P"] for p in got.values()}) == 4
+
+
+def _chance_chain(n, tail):
+    """A tree of ``n`` chance nodes in a line: each goes on with 0.5 or
+    stops at a leaf paying P 1.0; ``tail`` ends the line."""
+    nodes = [tail, efg.EfgNode(kind="leaf", payoffs={"P": 1.0})]
+    below = 0
+    for i in range(n):
+        nodes.append(efg.EfgNode(kind="chance", var=f"X{i}", edges=(
+            ("go", below), ("stop", 1)), dist={"go": 0.5, "stop": 0.5}))
+        below = len(nodes) - 1
+    return efg.Efg(("P",), tuple(nodes), below)
+
+
+def test_expected_utility_walks_a_chain_deeper_than_the_recursion_limit():
+    g = _chance_chain(3000, efg.EfgNode(kind="leaf", payoffs={"P": 3.0}))
+    want = 3.0
+    for _ in range(3000):
+        want = sum([0.5 * want, 0.5 * 1.0])
+    assert efg.efg_expected_utility(g, {}, "P") == want
+
+
+def test_missing_row_deep_in_a_chain_raises_when_reached():
+    decision = efg.EfgNode(kind="decision", var="D", owner="P", iset=("D", ()),
+                           edges=(("l", 1), ("r", 1)))
+    g = _chance_chain(3000, decision)
+    with pytest.raises(MissingRule, match="no strategy row for"):
+        efg.efg_expected_utility(g, {}, "P")
+    # a row that gives the whole mass to one edge walks only that edge
+    strategy = {("P", ("D", ())): {"l": 0.0, "r": 1.0}}
+    assert efg.efg_expected_utility(g, strategy, "P") == 1.0

@@ -46,11 +46,12 @@ def test_modules_import_no_unused_names():
 
 
 # The top-level functions whose nested helpers call themselves: the one
-# enumeration kernel, the oracles kept apart from it, and the walks over
-# trees and belief stacks.  Any other exact inference goes through the kernel.
+# enumeration kernel, the oracles kept apart from it, and the tree builder
+# and belief-stack walk.  Any other exact inference goes through the kernel;
+# tree values (``efg.efg_expected_utility``) are walked on an explicit stack.
 RECURSIVE = {
     ("bn", "sweep"), ("bn", "enumerate_support"), ("efg", "maid2efg"),
-    ("efg", "efg_expected_utility"), ("depth", "unroll"),
+    ("depth", "unroll"),
 }
 
 

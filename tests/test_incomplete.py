@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -283,6 +284,20 @@ def test_is_nash_ii_rejects_with_regret(example1, ne_profile):
 
 def test_iter_pure_ii_profiles_count(example1):
     assert sum(1 for _ in inc.iter_pure_ii_profiles(example1)) == 256
+
+
+def test_pure_profiles_share_one_point_row_per_set_and_action(example1):
+    slots = inc._pure_slots(example1)
+    fresh = [{iset: bn.point_row(iset.actions, label) for iset, label in zip(slots, combo)}
+             for combo in product(*(iset.actions for iset in slots))]
+    got = list(inc.iter_pure_ii_profiles(example1))
+    assert got == fresh
+    assert all(list(profile) == list(slots) for profile in got)
+    shared = {(iset, id(row)) for profile in got for iset, row in profile.items()}
+    assert len(shared) == sum(len(iset.actions) for iset in slots) == 16
+    # rows are shared within one call only
+    first = next(inc.iter_pure_ii_profiles(example1))
+    assert all(first[iset] is not got[0][iset] for iset in slots)
 
 
 def test_find_nash_ii(example1):

@@ -148,6 +148,15 @@ def test_verify_equivalence_evaluates_each_restriction_once(
     assert len(evaluations) < len(profiles) * len(x.models)
 
 
+def test_verify_equivalence_reads_rows_off_each_profile(monkeypatch, example1):
+    # No strategy is lifted per profile, and no state's strategy built per
+    # state believed: the rows come straight off the profile.
+    lifts = _counting(monkeypatch, iiefg, "strategy_from_ii_policy")
+    played = _counting(monkeypatch, iiefg, "state_strategy")
+    assert iiefg.verify_equivalence(example1, iiefg.maid2efgII(example1)) == (True, 0.0)
+    assert (len(lifts), len(played)) == (0, 0)
+
+
 def test_verify_equivalence_keeps_only_results_that_can_repeat(
         monkeypatch, example1, honesty):
     kept = []
