@@ -21,6 +21,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
+from functools import wraps
 from itertools import product
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -152,26 +153,35 @@ class BayesNet:
     cpds: Mapping[str, Cpd]
 
 
-def indexed(obj, build: Callable[..., T], *args: Hashable) -> T:
-    """``build(obj, *args)``, computed on first use and kept on ``obj``.
+def indexed(build: Callable[..., T]) -> Callable[..., T]:
+    """Decorate ``build(obj, *args)`` so that it runs once per ``obj`` and
+    ``args``, its value kept on ``obj``.
 
     This is the package's one structural index.  ``obj`` is a frozen
     dataclass, so whatever is derived from it alone holds for its lifetime.
-    Results live in a private ``_index`` attribute that is not a dataclass
-    field: it takes no part in ``==``, ``hash``, ``repr`` or serialization,
-    and it is freed with the object.  ``build`` must return an immutable
-    value, because every later caller receives that same value.
+    Values are keyed on the decorated function and its extra arguments,
+    which must be hashable and passed by position, and live in a private
+    ``_index`` attribute of ``obj`` that is not a dataclass field: it takes
+    no part in ``==``, ``hash``, ``repr`` or serialization, and it is freed
+    with the object.  ``build`` must return an immutable value, because
+    every later caller receives that same value.  A build that raises keeps
+    nothing, so every call raises again.
     """
-    index = vars(obj).get("_index")
-    if index is None:
-        index = {}
-        object.__setattr__(obj, "_index", index)
-    key = (build, args)
-    try:
-        return index[key]
-    except KeyError:
-        value = index[key] = build(obj, *args)
-        return value
+
+    @wraps(build)
+    def lookup(obj, *args: Hashable) -> T:
+        index = vars(obj).get("_index")
+        if index is None:
+            index = {}
+            object.__setattr__(obj, "_index", index)
+        key = (build, args)
+        try:
+            return index[key]
+        except KeyError:
+            value = index[key] = build(obj, *args)
+            return value
+
+    return lookup
 
 
 def make_net(variables: Iterable[Variable], cpds: Iterable[Cpd]) -> BayesNet:
@@ -266,9 +276,11 @@ def joint_probability(net: BayesNet, assignment: Assignment) -> float:
     return prob
 
 
+@indexed
 def weight_one(var: Variable) -> Cpd:
     """A parentless table of weight 1.0 on every label: ``sweep`` branches on
-    them all and keeps the weight exact, since ``w * 1.0 == w``."""
+    them all and keeps the weight exact, since ``w * 1.0 == w``; built once
+    per variable, since building it costs about a tenth of a small sweep."""
     return Cpd(var.name, (), {(): dict.fromkeys(var.domain, 1.0)})
 
 

@@ -6,6 +6,15 @@ depth k believes at least one node of depth k-1 and nothing deeper.  Solving
 works backwards: assign final decisions in the believed depth-0 problems,
 collect them into best-response policies, push those policies one level up,
 and repeat until the objective model is fully committed.
+
+Depth-1 nodes are reduced in name order against the stack as it stands: a
+believed model that an earlier node committed keeps those rules, and a later
+node decides only what is still open there, so one agent's commitments in a
+shared model reach every node that believes it.  A node's policy is read
+back from all its believed models; where two of them hold different rows
+for one of its information sets, no one policy describes what it plays, and
+``depth1_best_response`` raises ``GameError`` naming the set, the node and
+both models.
 """
 
 from __future__ import annotations
@@ -232,6 +241,7 @@ def _net_rows(model: Model, decision: str, action: str) -> bn.BayesNet:
     return induced_network(model, rules)
 
 
+@bn.indexed
 def _conditional_values(measure: Model, agent: str, d: str) -> Mapping[tuple, float]:
     """The agent's expected utility given each supported (context, action) of
     ``d``, under the measure's commitments with its open decisions uniform:
@@ -273,7 +283,7 @@ def conditional_utility(
     if action not in m.variables[decision].domain:
         raise ValidationError([f"unknown-action: {action} for {decision}"])
     for measure in (model, m):
-        value = bn.indexed(measure, _conditional_values, agent, decision).get((key, action))
+        value = _conditional_values(measure, agent, decision).get((key, action))
         if value is not None:
             return value
     raise ZeroProbabilityEvidence(
@@ -433,7 +443,9 @@ def depth1_best_response(
 
     Applies the final-decision pass until the agent has nothing open in any
     believed model, then reads the full policy back out of those models'
-    commitments (including rules committed before this call).
+    commitments (including rules committed before this call).  Believed
+    models that hold different rows for one information set raise
+    ``GameError`` (see the module docstring).
     """
     _check_depth1(stack, nid, agent)
     steps: list[TraceStep] = []
@@ -447,13 +459,20 @@ def depth1_best_response(
         steps.extend(got)
 
     policy: dict[InformationSet, Row] = {}
+    held: dict[InformationSet, str] = {}
     for cid in children:
         c = stack.nodes[cid]
         for d, rule in sorted(fixed_rules(c.model).items()):
             if base_maid(c.model).variables[d].owner != agent:
                 continue
             for ctx, iset in _supported_sets(c.model, d).items():
-                policy[iset] = dict(rule.rows[ctx])
+                row = dict(rule.rows[ctx])
+                if policy.setdefault(iset, row) != row:
+                    raise GameError(
+                        f"conflicting-commitments: {iset} at {nid}: believed "
+                        f"nodes {held[iset]} and {cid} hold different rows"
+                    )
+                held.setdefault(iset, cid)
     return stack, policy, steps
 
 

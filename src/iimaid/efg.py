@@ -54,14 +54,11 @@ def info_sets(g: Efg, agent: str) -> dict[Hashable, list[int]]:
     return {key: list(members) for key, members in _info_sets(g, agent).items()}
 
 
+@bn.indexed
 def _info_sets(g: Efg, agent: str) -> Mapping[Hashable, tuple[int, ...]]:
     """``info_sets`` as a read-only mapping, built once per tree and agent."""
     if agent not in g.agents:
         raise UnknownAgent(agent)
-    return bn.indexed(g, _build_info_sets, agent)
-
-
-def _build_info_sets(g: Efg, agent: str) -> Mapping[Hashable, tuple[int, ...]]:
     out: dict[Hashable, list[int]] = {}
     for nid, node in enumerate(g.nodes):
         if node.kind == DECISION and node.owner == agent:
@@ -161,6 +158,7 @@ def maid2efg(
     return Efg(m.agents, tuple(nodes), root), mu
 
 
+@bn.indexed
 def _payoff_tables(
     m: Maid,
 ) -> tuple[tuple[str, tuple[str, ...], Mapping[tuple[str, ...], float]], ...]:
@@ -170,12 +168,6 @@ def _payoff_tables(
     An entry is the row's payoff values weighted by its probabilities,
     summed in the row's order, which is what a leaf adds for that utility.
     """
-    return bn.indexed(m, _build_payoff_tables)
-
-
-def _build_payoff_tables(
-    m: Maid,
-) -> tuple[tuple[str, tuple[str, ...], Mapping[tuple[str, ...], float]], ...]:
     out = []
     for u in m.utilities():
         values, cpd = m.variables[u].values, m.cpds[u]
@@ -230,14 +222,11 @@ def efg_expected_utility(g: Efg, strategy: Strategy, agent: str) -> float:
             return value
 
 
+@bn.indexed
 def _walk_table(g: Efg) -> tuple[tuple[str, object, tuple], ...]:
     """Each node as ``efg_expected_utility`` reads it, by node id: a leaf's
     payoffs, a chance node's (probability, child) edges, or a decision
     node's strategy key and (label, child) edges; built once per tree."""
-    return bn.indexed(g, _build_walk_table)
-
-
-def _build_walk_table(g: Efg) -> tuple[tuple[str, object, tuple], ...]:
     out = []
     for node in g.nodes:
         if node.kind == "leaf":
@@ -249,12 +238,9 @@ def _build_walk_table(g: Efg) -> tuple[tuple[str, object, tuple], ...]:
     return tuple(out)
 
 
+@bn.indexed
 def _parents(g: Efg) -> Mapping[int, tuple[int, str]]:
     """Each non-root node's (parent id, edge label), built once per tree."""
-    return bn.indexed(g, _build_parents)
-
-
-def _build_parents(g: Efg) -> Mapping[int, tuple[int, str]]:
     return MappingProxyType({child: (nid, label) for nid, node in enumerate(g.nodes)
                              for label, child in node.edges})
 

@@ -112,14 +112,11 @@ def belief_types(space: BeliefSpace, agent: str) -> dict[str, str]:
     return dict(_belief_types(space, agent))
 
 
+@bn.indexed
 def _belief_types(space: BeliefSpace, agent: str) -> Mapping[str, str]:
     """``belief_types`` as a read-only mapping, built once per space and agent."""
     if agent not in space.beliefs:
         raise UnknownAgent(agent)
-    return bn.indexed(space, _build_belief_types, agent)
-
-
-def _build_belief_types(space: BeliefSpace, agent: str) -> Mapping[str, str]:
     by_state = space.beliefs[agent]
     classes = _row_classes((w, by_state[w]) for w in space.states)
     return MappingProxyType({w: members[0] for members in classes for w in members})
@@ -174,18 +171,13 @@ def meta_information_sets(
     return dict(_meta_information_sets(g, agent))
 
 
+@bn.indexed
 def _meta_information_sets(
     g: IiEfg, agent: str
 ) -> Mapping[MetaInfoSet, tuple[tuple[str, Hashable], ...]]:
     """``meta_information_sets`` as a read-only mapping, built once per game."""
     if agent not in g.agents:
         raise UnknownAgent(agent)
-    return bn.indexed(g, _build_meta_information_sets, agent)
-
-
-def _build_meta_information_sets(
-    g: IiEfg, agent: str
-) -> Mapping[MetaInfoSet, tuple[tuple[str, Hashable], ...]]:
     classes: dict[tuple[tuple, tuple[str, ...]], list[tuple[str, Hashable]]] = {}
     for w in g.space.states:
         game = g.space.games[w]
@@ -204,22 +196,18 @@ def _build_meta_information_sets(
     return MappingProxyType(out)
 
 
+@bn.indexed
 def _observation_classes(
     g: IiEfg, agent: str
 ) -> Mapping[tuple[tuple, tuple[str, ...]], tuple[MetaInfoSet, ...]]:
     """The agent's cells grouped by (observation, actions), one per belief type."""
-    return bn.indexed(g, _build_observation_classes, agent)
-
-
-def _build_observation_classes(
-    g: IiEfg, agent: str
-) -> Mapping[tuple[tuple, tuple[str, ...]], tuple[MetaInfoSet, ...]]:
     out: dict[tuple[tuple, tuple[str, ...]], list[MetaInfoSet]] = {}
     for cell in _meta_information_sets(g, agent):
         out.setdefault((cell.observation, cell.actions), []).append(cell)
     return MappingProxyType({k: tuple(v) for k, v in out.items()})
 
 
+@bn.indexed
 def _state_cells(
     g: IiEfg, state: str
 ) -> tuple[tuple[tuple[str, Hashable], MetaInfoSet], ...]:
@@ -229,12 +217,6 @@ def _state_cells(
     their belief type there.  Agents come in ``g.agents`` order, keys in
     the tree's information-set order; built once per game and state.
     """
-    return bn.indexed(g, _build_state_cells, state)
-
-
-def _build_state_cells(
-    g: IiEfg, state: str
-) -> tuple[tuple[tuple[str, Hashable], MetaInfoSet], ...]:
     if state not in g.space.states:
         raise GameError(f"unknown state: {state}")
     game = g.space.games[state]
@@ -411,6 +393,7 @@ def maid2efgII(x: IiMaid) -> IiConversion:
     return IiConversion(g, correspondence)
 
 
+@bn.indexed
 def _lift(
     conv: IiConversion,
 ) -> Mapping[InformationSet, tuple[MetaInfoSet, tuple[MetaInfoSet, ...]]]:
@@ -420,12 +403,6 @@ def _lift(
     It is kept on the conversion rather than on its game, because two
     conversions may share one game under different correspondences.
     """
-    return bn.indexed(conv, _build_lift)
-
-
-def _build_lift(
-    conv: IiConversion,
-) -> Mapping[InformationSet, tuple[MetaInfoSet, tuple[MetaInfoSet, ...]]]:
     targets = {}
     for iset, cell in conv.correspondence.items():
         classes = _observation_classes(conv.game, cell.agent)
@@ -451,6 +428,7 @@ class _Sources(NamedTuple):
     states: Mapping[str, tuple[tuple[int, ...] | None, MetaInfoSet | None]]
 
 
+@bn.indexed
 def _sources(conv: IiConversion, keys: tuple[InformationSet, ...]) -> _Sources:
     """The row sources of a profile whose information sets are ``keys``, in
     the profile's order: the one precedence rule of the lift.
@@ -462,10 +440,6 @@ def _sources(conv: IiConversion, keys: tuple[InformationSet, ...]) -> _Sources:
     ``MissingRule``.  Built once per conversion and key order, beside
     ``_lift``.
     """
-    return bn.indexed(conv, _build_sources, keys)
-
-
-def _build_sources(conv: IiConversion, keys: tuple[InformationSet, ...]) -> _Sources:
     targets = _lift(conv)
     cells: dict[MetaInfoSet, InformationSet] = {}
     for iset in sorted(keys):

@@ -478,14 +478,11 @@ def model_information_sets(model: Model, agent: str) -> frozenset[InformationSet
     return frozenset(iset for iset in _faced_sets(model) if iset.agent == agent)
 
 
+@bn.indexed
 def information_sets(x: IiMaid, agent: str) -> frozenset[InformationSet]:
     """Union of the agent's information sets over every model in the family."""
     if agent not in x.agents:
         raise UnknownAgent(agent)
-    return bn.indexed(x, _build_information_sets, agent)
-
-
-def _build_information_sets(x: IiMaid, agent: str) -> frozenset[InformationSet]:
     out: set[InformationSet] = set()
     for sid in sorted(x.models):
         out |= model_information_sets(x.models[sid].model, agent)
@@ -525,9 +522,10 @@ def _decision_slots(model: Model) -> Mapping[str, _DecisionSlots]:
     judged on the base diagram, so the table is indexed there and covers
     committed decisions too; callers pick the open ones through
     ``maid._free_decisions``."""
-    return bn.indexed(base_maid(model), _build_decision_slots)
+    return _build_decision_slots(base_maid(model))
 
 
+@bn.indexed
 def _build_decision_slots(m: Maid) -> Mapping[str, _DecisionSlots]:
     out = {}
     for agent in m.agents:
@@ -542,18 +540,15 @@ def _build_decision_slots(m: Maid) -> Mapping[str, _DecisionSlots]:
     return MappingProxyType(out)
 
 
+@bn.indexed
 def _faced_sets(model: Model) -> Mapping[InformationSet, tuple[str, ...]]:
     """Each information set that an open decision of the model faces at a
     supported context (positive probability with every decision free), mapped
     to those decisions in name order: the one rule for which sets a model
     can face."""
-    return bn.indexed(model, _build_faced_sets)
-
-
-def _build_faced_sets(model: Model) -> Mapping[InformationSet, tuple[str, ...]]:
     slots = _decision_slots(model)
     out: dict[InformationSet, tuple[str, ...]] = {}
-    for d in _free_decisions(model):
+    for d in _free_decisions(model, None):
         for iset, supported in slots[d].cells.values():
             if supported:
                 out[iset] = out.get(iset, ()) + (d,)
@@ -602,7 +597,7 @@ def profile_rules_for_model(model: Model, profile: IiPolicy) -> dict[str, Cpd]:
     least action, whatever the profile holds for their set.
     """
     return _rules_from_rows(
-        model, _free_decisions(model), profile,
+        model, _free_decisions(model, None), profile,
         lambda iset: MissingRule(f"no rule for {iset}"),
     )
 
@@ -653,16 +648,11 @@ def subjective_expected_utility(
     return _subjective_value(x, agent, at, _per_model_utilities(x, profile))
 
 
+@bn.indexed
 def _profile_slots(
     x: IiMaid, agent: str, at: str
 ) -> tuple[tuple[InformationSet, ...], tuple[InformationSet, ...]]:
     """Split the agent's info sets into believed-relevant and the rest."""
-    return bn.indexed(x, _build_profile_slots, agent, at)
-
-
-def _build_profile_slots(
-    x: IiMaid, agent: str, at: str
-) -> tuple[tuple[InformationSet, ...], tuple[InformationSet, ...]]:
     believed = [x.models[sid] for sid, _ in _believed(x, agent, at)]
     relevant, rest = [], []
     for iset in sorted(information_sets(x, agent)):
@@ -862,12 +852,9 @@ def _is_nash_ii(
     return all(r <= tol for r in regrets.values()), regrets
 
 
+@bn.indexed
 def _pure_slots(x: IiMaid) -> tuple[InformationSet, ...]:
     """Every agent's information sets, sorted: the slots of a pure profile."""
-    return bn.indexed(x, _build_pure_slots)
-
-
-def _build_pure_slots(x: IiMaid) -> tuple[InformationSet, ...]:
     return tuple(sorted(iset for agent in x.agents for iset in information_sets(x, agent)))
 
 

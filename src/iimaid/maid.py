@@ -52,6 +52,15 @@ leave a regret of rounding size instead (1.1e-16 seen).  In ``is_nash`` and
 agents with several, and the exhaustive fallbacks, take their values from
 expected utilities.
 
+A kernel that replaces ``bn.sweep`` must give every expected utility
+(``expected_utilities``, and so ``incomplete.subjective_expected_utility``)
+and every Q-table entry (``decision_values``) within 1e-12 absolute of
+``bn.sweep``'s, with an entry at exactly the contexts ``bn.sweep`` reaches.
+Utilities and regrets may then move by rounding within that bound, but
+every verdict and every chosen action, and so every rule and profile
+returned, stays bit-identical, and so does the CLI's text and JSON output
+on the bundled documents, numbers included.
+
 ``depth.conditional_utility`` divides a Q-table by each context's
 probability.  Its trace values lie within 1e-12 absolute of a recomputation
 by ``depth._walk_conditional_utility``; the trace's actions, order and
@@ -246,12 +255,10 @@ def free_decisions(model: Model, agent: str | None = None) -> list[str]:
     return list(_free_decisions(model, agent))
 
 
-def _free_decisions(model: Model, agent: str | None = None) -> tuple[str, ...]:
-    """``free_decisions`` as a tuple, built once per model and agent."""
-    return bn.indexed(model, _build_free_decisions, agent)
-
-
-def _build_free_decisions(model: Model, agent: str | None) -> tuple[str, ...]:
+@bn.indexed
+def _free_decisions(model: Model, agent: str | None) -> tuple[str, ...]:
+    """``free_decisions`` as a tuple, built once per model and agent (None
+    for all agents, passed at every call so that it is one index key)."""
     committed = set(fixed_rules(model))
     return tuple(d for d in base_maid(model).decisions(agent) if d not in committed)
 
@@ -269,13 +276,8 @@ def _check_rule(m: Maid, name: str, rule: Cpd) -> list[str]:
 
 
 def uniform_rule(model: Model, name: str) -> Cpd:
-    m = base_maid(model)
-    return bn.tabulate(
-        name,
-        m.variables[name].domain,
-        {p: m.variables[p].domain for p in m.parents[name]},
-        lambda ctx: bn.uniform_row(m.variables[name].domain),
-    )
+    domain = base_maid(model).variables[name].domain
+    return decision_rule(model, name, lambda ctx: bn.uniform_row(domain))
 
 
 def decision_rule(model: Model, name: str, choose) -> Cpd:
@@ -318,9 +320,10 @@ def induced_network(model: Model, rules: PolicyRules) -> bn.BayesNet:
 
 def topological_order(model: Model) -> tuple[str, ...]:
     """The diagram's ``bn.topo_sort`` order, built once per base diagram."""
-    return bn.indexed(base_maid(model), _topological_order)
+    return _topological_order(base_maid(model))
 
 
+@bn.indexed
 def _topological_order(m: Maid) -> tuple[str, ...]:
     return tuple(bn.topo_sort({name: m.parents[name] for name in m.variables}))
 
@@ -368,7 +371,7 @@ def decision_values(
     """
     if agent not in base_maid(model).agents:
         raise UnknownAgent(agent)
-    if d not in _free_decisions(model):
+    if d not in _free_decisions(model, None):
         raise ValidationError([f"not-a-free-decision: {d}"])
     return _decision_values(model, _checked_rules(model, rules, (d,)), d, agent)
 
@@ -391,9 +394,7 @@ def _decision_values(
             q_row = q[key] = dict.fromkeys(actions, 0.0)
         q_row[a[d]] += weight * sum(values[a[name]] for name, values in payoff_vars)
 
-    # built once per variable: building it costs about a tenth of a small sweep
-    tables = {**m.cpds, **fixed_rules(model), **rules,
-              d: bn.indexed(m.variables[d], bn.weight_one)}
+    tables = {**m.cpds, **fixed_rules(model), **rules, d: bn.weight_one(m.variables[d])}
     bn.sweep(m.variables, tables, topological_order(m), leaf)
     return q
 

@@ -7,7 +7,8 @@ from iimaid import bn, depth as dp, iiefg, incomplete as inc, maid
 from iimaid.bn import Cpd
 from iimaid.depth import DepthStack
 from iimaid.errors import (
-    CycleError, NotOpenMinded, UnknownAgent, ValidationError, ZeroProbabilityEvidence,
+    CycleError, GameError, NotOpenMinded, UnknownAgent, ValidationError,
+    ZeroProbabilityEvidence,
 )
 from iimaid.fixtures import (
     always_low_match_rules, capability_evaluation, honesty_evaluation,
@@ -288,7 +289,7 @@ def test_value_tables_leave_out_the_observations_a_measure_rules_out():
     stack = generators.random_depth3_stack(random.Random(0), 4, 1)
     solved = dp.recursive_best_response(stack).final.nodes["objective"].model
     m = maid.base_maid(solved)
-    contexts = [{ctx for ctx, _ in bn.indexed(measure, dp._conditional_values, "P2", "D2")}
+    contexts = [{ctx for ctx, _ in dp._conditional_values(measure, "P2", "D2")}
                 for measure in (solved, m)]
     assert 2 * len(contexts[0]) == len(contexts[1]) == 2 ** len(m.parents["D2"])
     # no measure reaches X = c when the chance row gives c no mass
@@ -345,6 +346,57 @@ def test_depth1_best_response_requires_depth_one(depth3):
     with pytest.raises(ValidationError) as e:
         dp.depth1_best_response(depth3, "objective", "H")
     assert e.value.issues == ["not-depth-1: objective.H believes ['h_view']"]
+
+
+def matching_game(x_row):
+    """P picks D in {a, b}, unobserved X is drawn from ``x_row``, and P is
+    paid 1 when D matches X."""
+    variables = [
+        bn.chance("X", ("a", "b")),
+        bn.decision("D", "P", ("a", "b")),
+        bn.utility("U", "P", {"lose": 0.0, "win": 1.0}),
+    ]
+    win, lose = {"lose": 0.0, "win": 1.0}, {"lose": 1.0, "win": 0.0}
+    cpds = [
+        Cpd("X", (), {(): x_row}),
+        Cpd("U", ("D", "X"), {(d, x): win if d == x else lose for d in "ab" for x in "ab"}),
+    ]
+    return maid.Maid.build(("P",), variables, [("D", "U"), ("X", "U")], cpds)
+
+
+def shared_world_stack(with_r1):
+    """Objective r2 believes z_world (X = a) with 0.2 and b_world (X = b)
+    with 0.8; r1, reduced first, believes z_world alone."""
+    half = {"a": 0.5, "b": 0.5}
+    nodes = {
+        "b_world": SubjectiveMaid("b_world", matching_game({"a": 0.0, "b": 1.0}), {}),
+        "z_world": SubjectiveMaid("z_world", matching_game({"a": 1.0, "b": 0.0}), {}),
+        "r2": SubjectiveMaid("r2", matching_game(half),
+                             {"P": {"z_world": 0.2, "b_world": 0.8}}),
+    }
+    if with_r1:
+        nodes["r1"] = SubjectiveMaid("r1", matching_game(half), {"P": {"z_world": 1.0}})
+    return DepthStack(("P",), "r2", nodes)
+
+
+def test_believed_models_committed_apart_raise_instead_of_misreporting():
+    # r1 commits a in z_world; r2 then decides b in b_world alone, and no
+    # one row describes what r2's believed models play
+    stack = shared_world_stack(with_r1=True)
+    assert dp.validate_stack(stack) == []
+    with pytest.raises(GameError) as e:
+        dp.recursive_best_response(stack)
+    assert str(e.value) == (
+        "conflicting-commitments: InformationSet(agent='P', observation=(), "
+        "actions=('a', 'b')) at r2: believed nodes b_world and z_world hold "
+        "different rows")
+
+    # without r1, r2 commits b in both and its rules follow the profile
+    result = dp.recursive_best_response(shared_world_stack(with_r1=False))
+    assert [(s.node, s.action, s.value, s.written_to) for s in result.trace] == [
+        ("r2", "b", 0.8, ("b_world", "z_world"))]
+    assert list(result.profile.values()) == [{"a": 0.0, "b": 1.0}]
+    assert result.objective_rules["D"].rows == {(): {"a": 0.0, "b": 1.0}}
 
 
 def test_tie_breaks_toward_least_action():

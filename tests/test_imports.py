@@ -1,9 +1,10 @@
 """Source lints: every name a package module imports is used in that module,
 no module imports numpy, only the enumeration kernel, its oracles and the
-tree walks recurse, only the listed writers build a `Cpd`, `import iimaid`
-loads neither jsonschema, scipy nor numpy, reading documents never loads
-jsonschema, and only a consistency check whose realized class spans two
-components loads scipy."""
+tree walks recurse, only the listed writers build a `Cpd`, the structural
+index `bn.indexed` is only ever a decorator, `import iimaid` loads neither
+jsonschema, scipy nor numpy, reading documents never loads jsonschema, and
+only a consistency check whose realized class spans two components loads
+scipy."""
 import ast
 import os
 import subprocess
@@ -105,6 +106,27 @@ def test_only_the_listed_writers_build_rules():
         tree = ast.parse(path.read_text(), str(path))
         found |= {(path.stem, name) for name in _cpd_builders(tree)}
     assert found == CPD_WRITERS
+
+
+def _indexed_not_as_decorator(tree: ast.Module) -> list[int]:
+    decorators = {id(d) for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for d in node.decorator_list}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if (getattr(node, "id", None) == "indexed"
+                      or getattr(node, "attr", None) == "indexed")
+                  and id(node) not in decorators)
+
+
+def test_the_structural_index_is_only_a_decorator():
+    # Each index is declared once, by decorating its builder: no accessor
+    # calls ``bn.indexed(obj, build, ...)`` by hand.
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        lines = _indexed_not_as_decorator(ast.parse(path.read_text(), str(path)))
+        if lines:
+            found[path.name] = lines
+    assert found == {}
 
 
 def test_import_loads_neither_jsonschema_nor_scipy():

@@ -1,8 +1,14 @@
 """The per-object structural index: built once, shared, immutable, invisible."""
+import ast
+from pathlib import Path
 from types import MappingProxyType
 
+import pytest
+
 from iimaid import bn, depth, efg, fixtures, gamedoc, iiefg, incomplete, maid
+from iimaid.errors import GameError, MissingRule, UnknownAgent
 from iimaid.fixtures import always_low_match_rules, truthful_match_rules
+from iimaid.incomplete import InformationSet
 
 
 def _counting(monkeypatch, module, name):
@@ -14,6 +20,20 @@ def _counting(monkeypatch, module, name):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def _counting_builds(monkeypatch, module, name):
+    """Count the builds of the index ``module.name``: its undecorated
+    builder wrapped in a counter and indexed in its place."""
+    calls = []
+    build = getattr(module, name).__wrapped__
+
+    def counter(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(module, name, bn.indexed(counter))
     return calls
 
 
@@ -64,6 +84,82 @@ def test_cached_structure_is_immutable(example1):
             first[key].append(-1)
         first.clear()
         assert get() == want
+
+
+def _decorated_indexes():
+    """Every module-level function in the package decorated ``@bn.indexed``
+    (``@indexed`` in ``bn``), as (module, name)."""
+    src = Path(bn.__file__).parent
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and any(
+                    getattr(d, "attr", getattr(d, "id", None)) == "indexed"
+                    for d in node.decorator_list):
+                found.add((path.stem, node.name))
+    return found
+
+
+def test_every_index_hands_back_the_value_it_kept(example1, ne_profile, honesty):
+    conv = iiefg.maid2efgII(example1)
+    g, tree = conv.game, conv.game.space.games["ground_truth"]
+    gt = example1.models["ground_truth"].model
+    cases = {
+        ("bn", "weight_one"): (gt.variables["D_H"],),
+        ("efg", "_info_sets"): (tree, "H"),
+        ("efg", "_payoff_tables"): (gt,),
+        ("efg", "_walk_table"): (tree,),
+        ("efg", "_parents"): (tree,),
+        ("iiefg", "_belief_types"): (g.space, "A"),
+        ("iiefg", "_meta_information_sets"): (g, "H"),
+        ("iiefg", "_observation_classes"): (g, "H"),
+        ("iiefg", "_state_cells"): (g, "ground_truth"),
+        ("iiefg", "_lift"): (conv,),
+        ("iiefg", "_sources"): (conv, tuple(ne_profile)),
+        ("incomplete", "information_sets"): (example1, "H"),
+        ("incomplete", "_build_decision_slots"): (gt,),
+        ("incomplete", "_faced_sets"): (gt,),
+        ("incomplete", "_profile_slots"): (example1, "H", example1.objective),
+        ("incomplete", "_pure_slots"): (example1,),
+        ("maid", "_free_decisions"): (honesty, "H"),
+        ("maid", "_topological_order"): (honesty,),
+        ("depth", "_conditional_values"): (honesty, "H", "D_H"),
+    }
+    assert set(cases) == _decorated_indexes()
+    modules = {"bn": bn, "depth": depth, "efg": efg, "iiefg": iiefg,
+               "incomplete": incomplete, "maid": maid}
+    for (module, name), args in cases.items():
+        index = getattr(modules[module], name)
+        first = index(*args)
+        assert index(*args) is first, name
+        assert first == index.__wrapped__(*args), name
+
+
+def _index_keys(obj):
+    return set(vars(obj).get("_index", {}))
+
+
+def test_a_build_that_raises_keeps_nothing(example1, ne_profile):
+    conv = iiefg.maid2efgII(example1)
+    tree = conv.game.space.games["ground_truth"]
+    # a good lift first: it keeps ``_lift``, which a failing ``_sources``
+    # build reads before it raises
+    iiefg.strategy_from_ii_policy(conv, ne_profile)
+    stray = InformationSet("H", (("X", "x"),), ("high", "low"))
+    cases = [
+        (conv.game, lambda: iiefg.state_strategy(conv.game, {}, "elsewhere"),
+         GameError, "unknown state: elsewhere"),
+        (tree, lambda: efg.info_sets(tree, "Z"), UnknownAgent, "Z"),
+        (conv, lambda: iiefg.strategy_from_ii_policy(
+            conv, {**ne_profile, stray: {"high": 1.0, "low": 0.0}}),
+         MissingRule, "unknown information set"),
+    ]
+    for obj, call, error, message in cases:
+        before = _index_keys(obj)
+        for _ in range(2):
+            with pytest.raises(error, match=message):
+                call()
+            assert _index_keys(obj) == before
 
 
 def test_index_leaves_equality_repr_and_serialization_alone():
@@ -183,7 +279,7 @@ def test_verify_equivalence_keeps_only_results_that_can_repeat(
 
 def test_recursive_best_response_builds_one_slot_table_per_base_diagram(
         monkeypatch, depth3):
-    builds = _counting(monkeypatch, incomplete, "_build_decision_slots")
+    builds = _counting_builds(monkeypatch, incomplete, "_build_decision_slots")
     result = depth.recursive_best_response(depth3)
     bases = {id(maid.base_maid(s.model)) for s in depth3.nodes.values()}
     assert sorted(id(m) for m, in builds) == sorted(bases)
@@ -192,7 +288,7 @@ def test_recursive_best_response_builds_one_slot_table_per_base_diagram(
 
 
 def test_recursive_best_response_builds_one_faced_table_per_model(monkeypatch, depth3):
-    builds = _counting(monkeypatch, incomplete, "_build_faced_sets")
+    builds = _counting_builds(monkeypatch, incomplete, "_faced_sets")
     depth.recursive_best_response(depth3)
     # the stack's 4 models, and 2 committed models the reductions read again
     assert len(builds) == len({id(m) for m, in builds}) == 6
@@ -211,7 +307,7 @@ def test_conditional_utility_builds_the_fallback_measure_only_when_needed(
         return len(calls)
 
     # the committed measure rules out the observation in 4 of 16 calls
-    tables = _counting(monkeypatch, depth, "_conditional_values")
+    tables = _counting_builds(monkeypatch, depth, "_conditional_values")
     assert (run(depth.conditional_utility), len(tables)) == (16, 4)
     # 3 committed measures, and the fallback: the base diagram itself
     assert sorted(type(measure).__name__ for measure, *_ in tables) == [

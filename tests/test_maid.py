@@ -301,8 +301,9 @@ def test_equilibrium_checks_build_no_best_response_rule(monkeypatch, game, profi
         built.append(args[1])
         return real(*args)
 
-    monkeypatch.setattr(maid, "decision_rule", counted)
+    # made first: validating a diagram tabulates a uniform rule per decision
     m, rules = game(), profile()
+    monkeypatch.setattr(maid, "decision_rule", counted)
     maid.is_nash(m, rules)
     maid.find_pure_nash(m)
     assert built == []
