@@ -148,7 +148,11 @@ def classify_depth(stack: DepthStack) -> tuple[dict[str, int], int]:
 
 
 def validate_stack(stack: DepthStack) -> list[str]:
-    """Structural checks beyond construction: depth contract, belief scoping."""
+    """Structural checks beyond construction: depth contract, belief scoping.
+
+    Passing them and ``is_open_minded`` does not promise a solve: depth-1
+    nodes committing one shared believed model differently still raise
+    ``conflicting-commitments`` (see the module docstring)."""
     issues: list[str] = []
     try:
         classify_depth(stack)
@@ -185,6 +189,7 @@ def is_open_minded(
     For each node and each agent holding beliefs there, every information set
     the node's model faces must be faced in some positively believed node,
     by the one rule of ``model_information_sets``: at a supported context.
+    This does not promise a solve either (see ``validate_stack``).
     """
     gaps = []
     for nid in sorted(stack.nodes):

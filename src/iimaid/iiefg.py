@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import product
 from types import MappingProxyType
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple
 
@@ -27,7 +26,6 @@ from .efg import (
 from .errors import (
     GameError,
     MissingRule,
-    SearchSpaceTooLarge,
     UnknownAgent,
     ValidationError,
 )
@@ -43,7 +41,7 @@ from .incomplete import (
     information_sets,
     iter_pure_ii_profiles,
 )
-from .maid import DEFAULT_CAP
+from .maid import DEFAULT_CAP, _first_max, _iter_pure
 
 IiPolicy = Mapping[InformationSet, Row]
 
@@ -280,6 +278,8 @@ def _interim_value(
 
 def _deviation_cells(g: IiEfg, agent: str, state: str) -> list[MetaInfoSet]:
     """Cells of the agent's type at the state that their interim utility reads."""
+    if state not in g.space.states:
+        raise GameError(f"unknown state: {state}")
     types = _belief_types(g.space, agent)
     rep = types[state]
     cells = set()
@@ -299,24 +299,17 @@ def is_interim_nash(
     """No agent can gain more than ``tol`` by a pure deviation at the state.
 
     Deviations rewrite the agent's rows on the cells of their belief type at
-    the state; rows of other types stay as given.
+    the state; rows of other types stay as given.  ``cap`` is checked, by
+    ``maid._iter_pure``, before any utility is computed.
     """
     regrets = {}
     for agent in g.agents:
-        base = interim_utility(g, sigma, agent, state)
-        cells = _deviation_cells(g, agent, state)
-        size = 1
-        for cell in cells:
-            size *= len(cell.actions)
-            if size > cap:
-                raise SearchSpaceTooLarge(f"{agent} deviations exceed {cap}")
-        best = base
-        for combo in product(*(cell.actions for cell in cells)):
-            trial = dict(sigma)
-            for cell, action in zip(cells, combo):
-                trial[cell] = bn.point_row(cell.actions, action)
-            best = max(best, interim_utility(g, trial, agent, state))
-        regrets[agent] = max(0.0, best - base)
+        slots = [(cell, cell.actions) for cell in _deviation_cells(g, agent, state)]
+        _, best = _first_max(
+            ({**sigma, **rows} for rows in _iter_pure(slots, f"deviations for {agent}", cap)),
+            lambda trial: interim_utility(g, trial, agent, state),
+        )
+        regrets[agent] = max(0.0, best - interim_utility(g, sigma, agent, state))
     return all(r <= tol for r in regrets.values()), regrets
 
 

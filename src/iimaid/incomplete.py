@@ -29,9 +29,12 @@ from .maid import (
     Cpd,
     Maid,
     Model,
+    _count_pure,
     _decision_values,
     _expected_utilities,
+    _first_max,
     _free_decisions,
+    _iter_pure,
     _priced,
     argmax_action,
     base_maid,
@@ -680,11 +683,12 @@ def _action_values(
     With at most one free decision in every positively believed model,
     utility is additive over information sets (Koller & Milch 2003).  Each
     such model adds its ``maid.decision_values`` table, weighted by belief,
-    into ``values[iset][action]``; the agent's own rows in ``profile`` are
-    not read.  A model where the agent has no free decision adds its
-    weighted utility, from ``utilities``, to the constant.  So any policy's
-    value is ``maid._priced(constant, values, rows)``.  Returns None when the
-    agent has two or more free decisions in a believed model.
+    into ``values[iset][action]``; no rule is built for the agent's own
+    decision, so their rows in ``profile`` are not read.  A model where the
+    agent has no free decision adds its weighted utility, from
+    ``utilities``, to the constant.  So any policy's value is
+    ``maid._priced(constant, values, rows)``.  Returns None when the agent
+    has two or more free decisions in a believed model.
     """
     believed = _believed(x, agent, at)
     models = [(x.models[sid].model, sid, w) for sid, w in believed]
@@ -697,7 +701,10 @@ def _action_values(
             constant += w * utilities(sid).get(agent, 0.0)
             continue
         (d,) = _free_decisions(model, agent)
-        rules = profile_rules_for_model(model, profile)
+        rules = _rules_from_rows(
+            model, set(_free_decisions(model, None)) - {d}, profile,
+            lambda iset: MissingRule(f"no rule for {iset}"),
+        )
         cells = _decision_slots(model)[d].cells
         for ctx, q_row in _decision_values(model, rules, d, agent).items():
             iset = cells[ctx][0]
@@ -728,7 +735,8 @@ def best_response_ii(
     at: str | None = None,
     cap: int = DEFAULT_CAP,
 ) -> tuple[dict[InformationSet, Row], float]:
-    """Best pure information-set policy against the others' rules.
+    """Best pure information-set policy against the others' rules; rows in
+    ``others`` for the agent's own information sets are not read.
 
     When the agent has at most one free decision in every positively
     believed model, subjective value is a sum over information sets: each
@@ -744,15 +752,7 @@ def best_response_ii(
     lexicographic order winning, and ``cap`` bounds only that fallback.
     """
     at = at or x.objective
-    relevant, rest = _profile_slots(x, agent, at)
-    # The agent's own rows are placeholders: no believed model's table
-    # reads them.
-    placeholders = {
-        **dict(others), **{iset: _default_row(iset.actions) for iset in relevant + rest}
-    }
-    table = _action_values(
-        x, agent, at, placeholders, _per_model_utilities(x, placeholders)
-    )
+    table = _action_values(x, agent, at, others, _per_model_utilities(x, others))
     if table is None:
         return _best_response_ii_exhaustive(x, agent, others, at, cap)
     best = _argmax_rows(x, agent, at, table[1])
@@ -760,32 +760,18 @@ def best_response_ii(
 
 
 def _best_response_ii_exhaustive(
-    x: IiMaid,
-    agent: str,
-    others: IiPolicy,
-    at: str,
-    cap: int = DEFAULT_CAP,
+    x: IiMaid, agent: str, others: IiPolicy, at: str, cap: int = DEFAULT_CAP
 ) -> tuple[dict[InformationSet, Row], float]:
-    """Best response by enumerating every pure policy (at most ``cap``)."""
+    """Best response by enumerating every pure policy over the encounterable
+    information sets (``maid._iter_pure``, at most ``cap``), the rest at the
+    least action; the first maximizer in that order wins."""
     relevant, rest = _profile_slots(x, agent, at)
-    count = 1
-    for iset in relevant:
-        count *= len(iset.actions)
-        if count > cap:
-            raise SearchSpaceTooLarge(f"{count} candidate policies exceeds cap {cap}")
     fallback = {iset: _default_row(iset.actions) for iset in rest}
-    best: tuple[dict[InformationSet, Row], float] | None = None
-    for combo in product(*(iset.actions for iset in relevant)):
-        cand = {
-            iset: bn.point_row(iset.actions, label)
-            for iset, label in zip(relevant, combo)
-        }
-        cand.update(fallback)
-        value = subjective_expected_utility(x, agent, at, {**dict(others), **cand})
-        if best is None or value > best[1]:
-            best = (cand, value)
-    assert best is not None
-    return best
+    slots = [(iset, iset.actions) for iset in relevant]
+    return _first_max(
+        ({**cells, **fallback} for cells in _iter_pure(slots, "candidate policies", cap)),
+        lambda cand: subjective_expected_utility(x, agent, at, {**dict(others), **cand}),
+    )
 
 
 def validate_ii_policy(x: IiMaid, profile: IiPolicy) -> list[str]:
@@ -841,9 +827,7 @@ def _is_nash_ii(
             continue
         table = _action_values(x, agent, at, profile, utilities)
         if table is None:
-            own = information_sets(x, agent)
-            others = {i: r for i, r in profile.items() if i not in own}
-            _, brv = _best_response_ii_exhaustive(x, agent, others, at, cap)
+            _, brv = _best_response_ii_exhaustive(x, agent, profile, at, cap)
             achieved = _subjective_value(x, agent, at, utilities)
         else:
             brv = _priced(*table, _argmax_rows(x, agent, at, table[1]))
@@ -859,38 +843,22 @@ def _pure_slots(x: IiMaid) -> tuple[InformationSet, ...]:
 
 
 def count_pure_ii_profiles(x: IiMaid, cap: int | None = None) -> int:
-    """How many pure profiles ``iter_pure_ii_profiles`` yields.
-
-    With ``cap``, raises ``SearchSpaceTooLarge`` as soon as the running
-    product over the sorted information sets exceeds it.
-    """
-    count = 1
-    for iset in _pure_slots(x):
-        count *= len(iset.actions)
-        if cap is not None and count > cap:
-            raise SearchSpaceTooLarge(f"{count} pure profiles exceeds cap {cap}")
-    return count
+    """How many pure profiles ``iter_pure_ii_profiles`` yields; with ``cap``,
+    ``maid._count_pure``'s running-product check over the sorted sets."""
+    slots = [(iset, iset.actions) for iset in _pure_slots(x)]
+    return _count_pure(slots, "pure profiles", cap)
 
 
 def iter_pure_ii_profiles(
     x: IiMaid, cap: int = DEFAULT_CAP
 ) -> Iterator[dict[InformationSet, Row]]:
     """Every pure profile, over ``_pure_slots`` in sorted order, the last
-    set's action varying fastest; ``count_pure_ii_profiles`` checks the
-    ``cap`` on the first draw.
-
-    One point row is built per (information set, action) per call, and the
-    profiles yielded share those rows: a row must not be mutated, or every
-    later profile of the call that plays it changes too.  A caller that
-    edits a profile replaces rows instead.
+    set's action varying fastest; ``cap`` is checked at the first draw.  The
+    profiles share their point rows (see ``maid._iter_pure``), so a caller
+    that edits a profile replaces rows instead of mutating them.
     """
-    count_pure_ii_profiles(x, cap)
-    choices = [
-        [(iset, bn.point_row(iset.actions, label)) for label in iset.actions]
-        for iset in _pure_slots(x)
-    ]
-    for combo in product(*choices):
-        yield dict(combo)
+    slots = [(iset, iset.actions) for iset in _pure_slots(x)]
+    yield from _iter_pure(slots, "pure profiles", cap)
 
 
 def find_nash_ii(
@@ -913,13 +881,17 @@ def find_nash_ii(
             if not ok:
                 raise ValidationError([f"imperfect-recall: {agent} in {sid}"])
     try:
+        count_pure_ii_profiles(x, cap)
+    except SearchSpaceTooLarge:
+        pass
+    else:
+        # No inner cap can trip: an exhaustive best response enumerates some
+        # of ``_pure_slots``, whose product the count has checked.
         for profile in iter_pure_ii_profiles(x, cap):
             ok, _ = _is_nash_ii(x, profile, tol, cap)
             if ok:
                 return profile
         return None
-    except SearchSpaceTooLarge:
-        pass
 
     profile = {iset: bn.uniform_row(iset.actions) for iset in _pure_slots(x)}
     for _ in range(MAX_ROUNDS):
@@ -927,9 +899,7 @@ def find_nash_ii(
         for agent in x.agents:
             if agent not in x.models[x.objective].beliefs:
                 continue
-            own = information_sets(x, agent)
-            others = {i: r for i, r in profile.items() if i not in own}
-            br, _ = best_response_ii(x, agent, others, cap=cap)
+            br, _ = best_response_ii(x, agent, profile, cap=cap)
             for iset, row in br.items():
                 if not _rows_close(profile[iset], row):
                     changed = True

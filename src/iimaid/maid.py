@@ -52,6 +52,16 @@ leave a regret of rounding size instead (1.1e-16 seen).  In ``is_nash`` and
 agents with several, and the exhaustive fallbacks, take their values from
 expected utilities.
 
+Where no per-context or per-information-set path applies, a solver
+enumerates pure choices (``_best_response_exhaustive``,
+``incomplete._best_response_ii_exhaustive``, ``iiefg.is_interim_nash``) by
+``_iter_pure`` under one cap rule, ``_count_pure``, checked before any value
+is computed, and keeps the first candidate of strictly greatest value
+(``_first_max``).  ``argmax_action`` may take an action up to ``TOL`` below
+that maximum, so a fast path and its exhaustive oracle can pick different
+actions whose values lie within ``TOL``, and a regret can be negative down
+to ``-TOL``.
+
 A kernel that replaces ``bn.sweep`` must give every expected utility
 (``expected_utilities``, and so ``incomplete.subjective_expected_utility``)
 and every Q-table entry (``decision_values``) within 1e-12 absolute of
@@ -95,7 +105,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, TypeVar, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar, Union
 
 from . import bn
 from .bn import CHANCE, DECISION, TOL, UTILITY, Cpd, Row, Variable
@@ -119,6 +129,7 @@ QTable = dict[tuple[str, ...], dict[str, float]]
 
 # What a table of action values is keyed by: parent contexts or information sets.
 K = TypeVar("K")
+C = TypeVar("C")  # a candidate of an exhaustive search (see _first_max)
 
 
 @dataclass(frozen=True)
@@ -408,22 +419,49 @@ def argmax_action(values: Mapping[str, float]) -> str:
     return min(label for label, v in values.items() if v >= top - TOL)
 
 
-def _policy_slots(model: Model, decisions: Iterable[str]) -> list[tuple[str, tuple[str, ...]]]:
+def _policy_slots(model: Model, decisions: Iterable[str]) -> list:
+    """A ``((decision, context), actions)`` slot per cell of a pure policy."""
     m = base_maid(model)
-    slots = []
-    for d in sorted(decisions):
-        domains = [m.variables[p].domain for p in m.parents[d]]
-        for ctx in product(*domains):
-            slots.append((d, ctx))
-    return slots
+    return [((d, ctx), m.variables[d].domain) for d in sorted(decisions)
+            for ctx in product(*(m.variables[p].domain for p in m.parents[d]))]
+
+
+def _count_pure(slots: Iterable[tuple[object, Sequence[str]]], noun: str, cap: int | None) -> int:
+    """How many pure choices the ``(key, actions)`` slots give.  The one cap
+    rule: past ``cap`` the running product ``n`` raises
+    ``SearchSpaceTooLarge("{n} {noun} exceeds cap {cap}")``."""
+    count = 1
+    for _, actions in slots:
+        count *= len(actions)
+        if cap is not None and count > cap:
+            raise SearchSpaceTooLarge(f"{count} {noun} exceeds cap {cap}")
+    return count
+
+
+def _iter_pure(
+    slots: Sequence[tuple[K, Sequence[str]]], noun: str, cap: int
+) -> Iterator[dict[K, Row]]:
+    """Every pure choice over the slots as ``{key: point row}``, in
+    ``itertools.product`` order, checking ``cap`` at the first draw.  The
+    choices share one point row per (slot, action), which must not be mutated."""
+    _count_pure(slots, noun, cap)
+    choices = [[(key, bn.point_row(actions, a)) for a in actions] for key, actions in slots]
+    yield from map(dict, product(*choices))
+
+
+def _first_max(candidates: Iterable[C], value: Callable[[C], float]) -> tuple[C, float]:
+    """The first candidate of strictly greatest ``value``, and that value."""
+    best: tuple[C, float] | None = None
+    for cand in candidates:
+        v = value(cand)
+        if best is None or v > best[1]:
+            best = (cand, v)
+    assert best is not None
+    return best
 
 
 def count_pure_policies(model: Model, decisions: Iterable[str]) -> int:
-    m = base_maid(model)
-    total = 1
-    for d, _ in _policy_slots(model, decisions):
-        total *= len(m.variables[d].domain)
-    return total
+    return _count_pure(_policy_slots(model, decisions), "pure policies", None)
 
 
 def iter_pure_rules(
@@ -435,15 +473,11 @@ def iter_pure_rules(
     first policy picks the least action everywhere.
     """
     m = base_maid(model)
-    slots = _policy_slots(model, decisions)
-    total = count_pure_policies(model, decisions)
-    if total > cap:
-        raise SearchSpaceTooLarge(f"{total} pure policies exceeds cap {cap}")
-    for combo in product(*(m.variables[d].domain for d, _ in slots)):
-        cells: dict[str, dict[tuple[str, ...], Row]] = {}
-        for (d, ctx), label in zip(slots, combo):
-            cells.setdefault(d, {})[ctx] = bn.point_row(m.variables[d].domain, label)
-        yield {d: Cpd(d, m.parents[d], rows) for d, rows in cells.items()}
+    for cells in _iter_pure(_policy_slots(model, decisions), "pure policies", cap):
+        rows: dict[str, dict[tuple[str, ...], Row]] = {}
+        for (d, ctx), row in cells.items():
+            rows.setdefault(d, {})[ctx] = row
+        yield {d: Cpd(d, m.parents[d], r) for d, r in rows.items()}
 
 
 def _priced(
@@ -562,14 +596,10 @@ def _best_response_exhaustive(
     The first maximizer in ``iter_pure_rules`` order wins, which selects the
     least action at indifferent contexts.  It checks no rule.
     """
-    best_rules: dict[str, Cpd] | None = None
-    best_value = 0.0
-    for cand in iter_pure_rules(model, free_decisions(model, agent), cap):
-        value = _expected_utilities(model, {**others, **cand})[agent]
-        if best_rules is None or value > best_value:
-            best_rules, best_value = cand, value
-    assert best_rules is not None
-    return best_rules, best_value
+    return _first_max(
+        iter_pure_rules(model, free_decisions(model, agent), cap),
+        lambda cand: _expected_utilities(model, {**others, **cand})[agent],
+    )
 
 
 def _regrets(
@@ -640,7 +670,7 @@ def find_pure_nash(
     slots = _policy_slots(model, decisions)
     own = {agent: set(free_decisions(model, agent)) for agent in m.agents}
     others_at = {
-        agent: [i for i, (d, _) in enumerate(slots) if d not in own[agent]]
+        agent: [i for i, ((d, _), _) in enumerate(slots) if d not in own[agent]]
         for agent in m.agents
         if own[agent]
     }
@@ -648,7 +678,7 @@ def find_pure_nash(
     found = []
     # iter_pure_rules enumerates the same slots in the same product order
     for combo, profile in zip(
-        product(*(m.variables[d].domain for d, _ in slots)),
+        product(*(actions for _, actions in slots)),
         iter_pure_rules(model, decisions, cap),
     ):
         best = {}

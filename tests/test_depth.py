@@ -383,7 +383,7 @@ def test_believed_models_committed_apart_raise_instead_of_misreporting():
     # r1 commits a in z_world; r2 then decides b in b_world alone, and no
     # one row describes what r2's believed models play
     stack = shared_world_stack(with_r1=True)
-    assert dp.validate_stack(stack) == []
+    assert dp.validate_stack(stack) == [] and dp.is_open_minded(stack)[0]
     with pytest.raises(GameError) as e:
         dp.recursive_best_response(stack)
     assert str(e.value) == (

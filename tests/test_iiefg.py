@@ -114,7 +114,8 @@ def test_state_strategy_projects_to_plain_game(conversion, ne_profile):
 def test_unknown_state_is_named_like_interim_utility(conversion, ne_profile):
     sigma = iiefg.strategy_from_ii_policy(conversion, ne_profile)
     for call in (lambda: iiefg.state_strategy(conversion.game, sigma, "nope"),
-                 lambda: iiefg.interim_utility(conversion.game, sigma, "A", "nope")):
+                 lambda: iiefg.interim_utility(conversion.game, sigma, "A", "nope"),
+                 lambda: iiefg.is_interim_nash(conversion.game, sigma, "nope")):
         with pytest.raises(GameError) as e:
             call()
         assert (type(e.value), str(e.value)) == (GameError, "unknown state: nope")

@@ -1,7 +1,8 @@
 """Source lints: every name a package module imports is used in that module,
 no module imports numpy, only the enumeration kernel, its oracles and the
-tree walks recurse, only the listed writers build a `Cpd`, the structural
-index `bn.indexed` is only ever a decorator, `import iimaid` loads neither
+tree walks recurse, only the listed writers build a `Cpd`, one function
+builds the cap error, the structural index `bn.indexed` is only ever a
+decorator, `import iimaid` loads neither
 jsonschema, scipy nor numpy, reading documents never loads jsonschema, and
 only a consistency check whose realized class spans two components loads
 scipy."""
@@ -106,6 +107,20 @@ def test_only_the_listed_writers_build_rules():
         tree = ast.parse(path.read_text(), str(path))
         found |= {(path.stem, name) for name in _cpd_builders(tree)}
     assert found == CPD_WRITERS
+
+
+def test_one_function_builds_the_cap_error():
+    # The one cap rule: every exhaustive search counts its choices through
+    # ``maid._count_pure``, so no other function states a cap or its message.
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "SearchSpaceTooLarge" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    found.add((path.stem, getattr(top, "name", "<module>")))
+    assert found == {("maid", "_count_pure")}
 
 
 def _indexed_not_as_decorator(tree: ast.Module) -> list[int]:

@@ -1,9 +1,10 @@
 import random
 from itertools import product
+from unittest import mock
 
 import pytest
 
-from iimaid import bn, iiefg, incomplete as inc, maid
+from iimaid import bn, fixtures, iiefg, incomplete as inc, maid
 from iimaid.bn import Cpd
 from iimaid.errors import MissingRule, SearchSpaceTooLarge, UnknownAgent, ValidationError
 from iimaid.incomplete import IiMaid, InformationSet, SubjectiveMaid
@@ -377,3 +378,42 @@ def test_count_pure_ii_profiles_matches_enumeration(example1):
         inc.count_pure_ii_profiles(example1, cap=3)
     with pytest.raises(SearchSpaceTooLarge, match="^4 pure profiles exceeds cap 3$"):
         next(inc.iter_pure_ii_profiles(example1, cap=3))
+
+
+def _cap_cases():
+    """(search, module, value function it computes, message at cap 3) for each
+    exhaustive search: the maid fallback over ``iter_pure_rules``,
+    ``verify_equivalence`` over ``iter_pure_ii_profiles``, the ii fallback
+    and ``is_interim_nash``'s deviations."""
+    honesty = fixtures.honesty_evaluation()
+    x = fixtures.evaluation_iimaid()
+    conv = iiefg.maid2efgII(x)
+    profile = fixtures.ne_ii_profile()
+    sigma = iiefg.strategy_from_ii_policy(conv, profile)
+    others = {i: r for i, r in profile.items() if i.agent != "H"}
+    return [
+        (lambda: maid._best_response_exhaustive(honesty, {}, "H", cap=3),
+         maid, "_expected_utilities", "4 pure policies exceeds cap 3"),
+        (lambda: iiefg.verify_equivalence(x, conv, cap=3),
+         iiefg, "_subjective_value", "4 pure profiles exceeds cap 3"),
+        (lambda: inc._best_response_ii_exhaustive(x, "H", others, x.objective, cap=3),
+         inc, "subjective_expected_utility", "4 candidate policies exceeds cap 3"),
+        (lambda: iiefg.is_interim_nash(conv.game, sigma, "ground_truth", cap=3),
+         iiefg, "interim_utility", "4 deviations for A exceeds cap 3"),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_every_exhaustive_search_trips_one_cap_rule_before_any_value(case):
+    search, module, name, message = _cap_cases()[case]
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    with mock.patch.object(module, name, counted):
+        with pytest.raises(SearchSpaceTooLarge) as e:
+            search()
+    assert (str(e.value), len(calls)) == (message, 0)

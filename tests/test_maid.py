@@ -187,6 +187,22 @@ def test_iter_pure_rules_cap():
         list(maid.iter_pure_rules(m, m.decisions(), cap=10))
 
 
+def test_near_tie_regret_is_negative_within_tol_and_the_searches_may_differ():
+    # b pays 5e-10 more than a: the tie rule takes a, the first maximizer b
+    variables = [bn.decision("D", "P", ("a", "b")),
+                 bn.utility("U", "P", {"lo": 1.0, "hi": 1.0 + 5e-10})]
+    cpds = [bn.tabulate("U", ("hi", "lo"), {"D": ("a", "b")},
+                        lambda c: "hi" if c["D"] == "b" else "lo")]
+    m = maid.Maid.build(("P",), variables, [("D", "U")], cpds)
+    ok, regrets = maid.is_nash(m, {"D": maid.decision_rule(m, "D", lambda c: "b")})
+    assert ok and -bn.TOL <= regrets["P"] < 0.0
+    fast, fast_value = maid.best_response(m, {}, "P")
+    oracle, oracle_value = maid._best_response_exhaustive(m, {}, "P")
+    assert fast["D"].rows == {(): {"a": 1.0, "b": 0.0}}
+    assert oracle["D"].rows == {(): {"a": 0.0, "b": 1.0}}
+    assert 0.0 < oracle_value - fast_value < bn.TOL
+
+
 def test_post_policy_maid(capability):
     xi = {REPORT: always_low_deploy_low_rules()[REPORT]}
     fixed = maid.PostPolicyMaid(capability, xi)
