@@ -49,8 +49,9 @@ from .maid import (
     Cpd,
     Model,
     PostPolicyMaid,
+    _best_row,
     _decision_values,
-    argmax_action,
+    _first_max,
     base_maid,
     decision_rule,
     fixed_rules,
@@ -385,9 +386,10 @@ def final_decision_assignment(
 
     Every decision all of whose reachable contexts are final gets a complete
     rule: the belief-weighted argmax row per final context and the least
-    action elsewhere.  Ties follow ``maid.argmax_action``, the package's one
-    tie rule (see the ``maid`` module docstring).  Rules are written into
-    every believed model where the context arises.
+    action elsewhere.  Each final set takes ``maid._first_max`` over its
+    actions, the package's one selection rule (see the ``maid`` module
+    docstring).  Rules are written into every believed model where the
+    context arises.
     """
     finals = final_information_sets(stack, nid, agent)
     s = stack.nodes[nid]
@@ -413,12 +415,10 @@ def final_decision_assignment(
     steps = []
     picks: dict[InformationSet, Row] = {}
     for iset in to_assign:
-        values = {
-            action: believed_action_value(stack, nid, agent, iset, action, value_fn)
-            for action in iset.actions
-        }
-        best_action = argmax_action(values)
-        best_value = values[best_action]
+        best_action, best_value = _first_max(
+            iset.actions,
+            lambda a: believed_action_value(stack, nid, agent, iset, a, value_fn),
+        )
         picks[iset] = bn.point_row(iset.actions, best_action)
         written = tuple(
             cid for cid, _, isets in ready if iset in set(isets.values())
@@ -552,7 +552,7 @@ def recursive_best_response(
     for step in trace:
         profile[step.info_set] = bn.point_row(step.info_set.actions, step.action)
     for iset in sorted(wanted - set(profile)):
-        profile[iset] = bn.point_row(iset.actions, iset.actions[0])
+        profile[iset] = _best_row(iset.actions)
 
     objective_rules = dict(fixed_rules(stack.nodes[stack.objective].model))
     return RbrResult(profile, tuple(trace), stack, objective_rules, k)

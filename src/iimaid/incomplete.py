@@ -29,6 +29,7 @@ from .maid import (
     Cpd,
     Maid,
     Model,
+    _best_row,
     _count_pure,
     _decision_values,
     _expected_utilities,
@@ -36,7 +37,6 @@ from .maid import (
     _free_decisions,
     _iter_pure,
     _priced,
-    argmax_action,
     base_maid,
     has_perfect_recall,
     topological_order,
@@ -200,9 +200,10 @@ class ConsistencyReport:
     ``eq_feasible`` says whether any prior reproduces every agent's beliefs by
     conditioning.  ``strongly_consistent`` additionally requires some solution
     to give positive mass to every belief type that actually occurs.
-    ``mass_bounds`` (when computed) gives the feasible [min, max] prior mass
-    per model, which exposes forced-zero models.  ``sample`` is a prior that
-    maximizes the least realized type-class mass, which is ``min_type_mass``.
+    ``mass_bounds`` gives the feasible [min, max] prior mass per model, which
+    exposes forced-zero models.  ``sample`` is a prior that maximizes the
+    least realized type-class mass, which is ``min_type_mass``.  The three
+    are None when no prior is feasible.
     How closely each field matches separate per-bound linear programs is
     stated under "Tolerances and ties" in ``maid``.
     """
@@ -215,7 +216,7 @@ class ConsistencyReport:
     type_classes: dict[str, list[list[str]]]
 
 
-def check_consistency(x: IiMaid, include_bounds: bool = True) -> ConsistencyReport:
+def check_consistency(x: IiMaid) -> ConsistencyReport:
     """Solve the common-prior equations.
 
     The unknown is a prior p over models satisfying, for every agent i with
@@ -275,14 +276,11 @@ def check_consistency(x: IiMaid, include_bounds: bool = True) -> ConsistencyRepo
         sid: _snap(weight[component[sid]] * vector[sid]) if sid in vector else 0.0
         for sid in ids
     }
-    bounds = None
-    if include_bounds:
-        several = len(components) > 1
-        bounds = {
-            sid: (0.0 if several else _snap(vector[sid]), _snap(vector[sid]))
-            if sid in vector else (0.0, 0.0)
-            for sid in ids
-        }
+    bounds = {
+        sid: (0.0 if len(components) > 1 else _snap(vector[sid]), _snap(vector[sid]))
+        if sid in vector else (0.0, 0.0)
+        for sid in ids
+    }
     return ConsistencyReport(
         True, sample, min_type_mass > TOL, min_type_mass, bounds, type_classes
     )
@@ -503,10 +501,6 @@ def _matching_decisions(model: Model, iset: InformationSet) -> tuple[str, ...]:
     return _faced_sets(model).get(iset, ())
 
 
-def _default_row(actions: tuple[str, ...]) -> Row:
-    return bn.point_row(actions, actions[0])
-
-
 class _DecisionSlots(NamedTuple):
     """One decision's slots in a diagram.
 
@@ -579,7 +573,7 @@ def _rules_from_rows(
         out = {}
         for ctx, (iset, supported) in cells.items():
             if not supported:
-                out[ctx] = _default_row(actions)
+                out[ctx] = _best_row(actions)
             elif (row := rows.get(iset)) is None:
                 raise missing(iset)
             elif not bn.is_distribution(row, actions):
@@ -717,15 +711,9 @@ def _action_values(
 def _argmax_rows(
     x: IiMaid, agent: str, at: str, values: dict[InformationSet, dict[str, float]]
 ) -> dict[InformationSet, Row]:
-    """Per information set, ``maid.argmax_action`` of its values; the least
-    action where it has none."""
+    """Per information set, ``maid._best_row`` of its values, if it has any."""
     relevant, rest = _profile_slots(x, agent, at)
-    return {
-        iset: bn.point_row(
-            iset.actions, argmax_action(values[iset]) if iset in values else iset.actions[0]
-        )
-        for iset in relevant + rest
-    }
+    return {iset: _best_row(iset.actions, values.get(iset)) for iset in relevant + rest}
 
 
 def best_response_ii(
@@ -742,14 +730,14 @@ def best_response_ii(
     believed model, subjective value is a sum over information sets: each
     believed model's ``maid.decision_values`` table is added, weighted by
     belief, into per-information-set action values, and each information set
-    takes ``maid.argmax_action`` (the package tie rule; see ``maid``).
+    takes ``maid._best_row`` of its values (see ``maid``).
     Information sets never reached with positive probability, and those not
     encounterable in any believed model, take the least action.  The value
     returned is then read off those action values rather than recomputed by
     ``subjective_expected_utility``, from which it may differ by rounding
     (at most 1e-12 in the tests).  Otherwise every pure policy over the
-    encounterable information sets is enumerated, first maximizer in
-    lexicographic order winning, and ``cap`` bounds only that fallback.
+    encounterable information sets is enumerated and ``maid._first_max``
+    picks one; ``cap`` bounds only that fallback.
     """
     at = at or x.objective
     table = _action_values(x, agent, at, others, _per_model_utilities(x, others))
@@ -764,9 +752,9 @@ def _best_response_ii_exhaustive(
 ) -> tuple[dict[InformationSet, Row], float]:
     """Best response by enumerating every pure policy over the encounterable
     information sets (``maid._iter_pure``, at most ``cap``), the rest at the
-    least action; the first maximizer in that order wins."""
+    least action; ``maid._first_max`` in that order wins."""
     relevant, rest = _profile_slots(x, agent, at)
-    fallback = {iset: _default_row(iset.actions) for iset in rest}
+    fallback = {iset: _best_row(iset.actions) for iset in rest}
     slots = [(iset, iset.actions) for iset in relevant]
     return _first_max(
         ({**cells, **fallback} for cells in _iter_pure(slots, "candidate policies", cap)),
@@ -875,11 +863,8 @@ def find_nash_ii(
     check.  Profiles of both stages are valid by construction, so none is
     validated, and both list their information sets in sorted order.
     """
-    for agent in x.agents:
-        for sid in sorted(x.models):
-            ok, _ = has_perfect_recall(x.models[sid].model, agent)
-            if not ok:
-                raise ValidationError([f"imperfect-recall: {agent} in {sid}"])
+    if (lapse := _recall_lapse(x)) is not None:
+        raise ValidationError([f"imperfect-recall: {lapse[0]} in {lapse[1]}"])
     try:
         count_pure_ii_profiles(x, cap)
     except SearchSpaceTooLarge:
@@ -914,9 +899,14 @@ def find_nash_ii(
 
 def has_perfect_recall_ii(x: IiMaid) -> bool:
     """Perfect recall of every agent in every model of the family."""
-    for sid in sorted(x.models):
-        for agent in x.agents:
-            ok, _ = has_perfect_recall(x.models[sid].model, agent)
-            if not ok:
-                return False
-    return True
+    return _recall_lapse(x) is None
+
+
+def _recall_lapse(x: IiMaid) -> tuple[str, str] | None:
+    """The first ``(agent, model id)``, by agent then sorted model id, where
+    the agent lacks perfect recall, or None."""
+    for agent in x.agents:
+        for sid in sorted(x.models):
+            if not has_perfect_recall(x.models[sid].model, agent)[0]:
+                return agent, sid
+    return None

@@ -13,13 +13,17 @@ ones themselves.
 
 Tolerances and ties
 -------------------
-Every solver that picks an action maximizes a table of action values at one
-parent context or information set and breaks ties with ``argmax_action``:
-the least action (in sorted domain order) among those whose value is within
-``bn.TOL`` (1e-9) of the maximum.  Contexts that have probability zero, so
-that every action is worth the same, get the least action.  This one rule is
-used by ``best_response`` here, ``incomplete.best_response_ii`` and
-``depth.final_decision_assignment``.
+Every solver picks its action, its candidate and its default by one rule,
+``_first_max``: the first candidate, in a fixed order, whose value is within
+``bn.TOL`` (1e-9) of the greatest, with its own value.  Over an action table
+in sorted domain order it is ``argmax_action``, the least action within
+``TOL`` of the maximum; ``_best_row`` writes its point row, or the least
+action's where a context has no values (probability zero, so every action
+is worth the same): the package's one least-action default.  Users:
+``best_response``, ``is_nash`` and ``find_pure_nash`` here,
+``incomplete.best_response_ii``, ``is_nash_ii`` and ``_rules_from_rows``,
+``depth.final_decision_assignment`` and ``recursive_best_response``, and
+the exhaustive searches below.
 
 A context that no policy can reach has probability zero with every
 decision free, as ``incomplete._decision_slots`` judges support.  Every
@@ -56,11 +60,13 @@ Where no per-context or per-information-set path applies, a solver
 enumerates pure choices (``_best_response_exhaustive``,
 ``incomplete._best_response_ii_exhaustive``, ``iiefg.is_interim_nash``) by
 ``_iter_pure`` under one cap rule, ``_count_pure``, checked before any value
-is computed, and keeps the first candidate of strictly greatest value
-(``_first_max``).  ``argmax_action`` may take an action up to ``TOL`` below
-that maximum, so a fast path and its exhaustive oracle can pick different
-actions whose values lie within ``TOL``, and a regret can be negative down
-to ``-TOL``.
+is computed, and keeps their ``_first_max``.  That order puts the least
+action first at every slot, so a fast path and its oracle pick the same
+rule unless several contexts each hold actions within ``TOL`` (the gaps can
+add up past ``TOL``) or an agent's earlier decision ties exactly (backward
+induction keeps its least action, the oracle the first whole policy).  A
+chosen action may be worth up to ``TOL`` less than another, so a regret can
+be negative down to ``-TOL``.
 
 A kernel that replaces ``bn.sweep`` must give every expected utility
 (``expected_utilities``, and so ``incomplete.subjective_expected_utility``)
@@ -411,12 +417,15 @@ def _decision_values(
 
 
 def argmax_action(values: Mapping[str, float]) -> str:
-    """The least action whose value is within ``TOL`` of the maximum.
+    """The least action whose value is within ``TOL`` of the maximum, by
+    ``_first_max``; see the module docstring."""
+    return _first_max(sorted(values), values.__getitem__)[0]
 
-    This is the package's single tie rule; see the module docstring.
-    """
-    top = max(values.values())
-    return min(label for label, v in values.items() if v >= top - TOL)
+
+def _best_row(actions: Sequence[str], values: Mapping[str, float] | None = None) -> Row:
+    """The point row on ``argmax_action(values)``, or on the least action
+    where there are no values: the package's one least-action default."""
+    return bn.point_row(actions, actions[0] if values is None else argmax_action(values))
 
 
 def _policy_slots(model: Model, decisions: Iterable[str]) -> list:
@@ -450,14 +459,16 @@ def _iter_pure(
 
 
 def _first_max(candidates: Iterable[C], value: Callable[[C], float]) -> tuple[C, float]:
-    """The first candidate of strictly greatest ``value``, and that value."""
-    best: tuple[C, float] | None = None
+    """The first candidate whose ``value`` is within ``TOL`` of the greatest,
+    and its own value.  One pass keeps those within ``TOL`` of the running
+    maximum that beat every earlier one kept: no other can come first."""
+    near: list[tuple[C, float]] = []
     for cand in candidates:
         v = value(cand)
-        if best is None or v > best[1]:
-            best = (cand, v)
-    assert best is not None
-    return best
+        if not near or v > near[-1][1]:
+            near = [kept for kept in near if kept[1] >= v - TOL]
+            near.append((cand, v))
+    return near[0]
 
 
 def count_pure_policies(model: Model, decisions: Iterable[str]) -> int:
@@ -579,13 +590,9 @@ def _argmax_rule(
     model: Model, d: str, q: Mapping[tuple[str, ...], Mapping[str, float]], reachable
 ) -> Cpd:
     m = base_maid(model)
-    least = m.variables[d].domain[0]
-
-    def choose(ctx: dict[str, str]) -> str:
-        key = tuple(ctx[p] for p in m.parents[d])
-        return argmax_action(q[key]) if key in q and reachable(ctx) else least
-
-    return decision_rule(model, d, choose)
+    pa, actions = m.parents[d], m.variables[d].domain
+    return decision_rule(model, d, lambda ctx: _best_row(
+        actions, q.get(tuple(map(ctx.__getitem__, pa))) if reachable(ctx) else None))
 
 
 def _best_response_exhaustive(
@@ -593,8 +600,8 @@ def _best_response_exhaustive(
 ) -> tuple[dict[str, Cpd], float]:
     """Best response by enumerating every pure policy (at most ``cap``).
 
-    The first maximizer in ``iter_pure_rules`` order wins, which selects the
-    least action at indifferent contexts.  It checks no rule.
+    ``_first_max`` in ``iter_pure_rules`` order wins, which takes the least
+    action at indifferent contexts.  It checks no rule.
     """
     return _first_max(
         iter_pure_rules(model, free_decisions(model, agent), cap),

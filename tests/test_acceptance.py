@@ -62,7 +62,7 @@ def test_criterion_03_consistency():
     hits = 0
     for seed in range(100):
         x = random_common_prior_iimaid(seed)
-        r = inc.check_consistency(x, include_bounds=False)
+        r = inc.check_consistency(x)
         hits += bool(r.eq_feasible and r.strongly_consistent)
     assert hits == 100
     assert time.perf_counter() - start < 2.0

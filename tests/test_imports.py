@@ -1,8 +1,8 @@
 """Source lints: every name a package module imports is used in that module,
 no module imports numpy, only the enumeration kernel, its oracles and the
 tree walks recurse, only the listed writers build a `Cpd`, one function
-builds the cap error, the structural index `bn.indexed` is only ever a
-decorator, `import iimaid` loads neither
+builds the cap error, one writes the least-action default, the structural
+index `bn.indexed` is only ever a decorator, `import iimaid` loads neither
 jsonschema, scipy nor numpy, reading documents never loads jsonschema, and
 only a consistency check whose realized class spans two components loads
 scipy."""
@@ -121,6 +121,27 @@ def test_one_function_builds_the_cap_error():
                         getattr(node.func, "id", None), getattr(node.func, "attr", None)):
                     found.add((path.stem, getattr(top, "name", "<module>")))
     assert found == {("maid", "_count_pure")}
+
+
+def _first_of_actions(node: ast.AST) -> bool:
+    """Whether ``node`` is ``actions[0]`` or ``domain[0]``, bare or an attribute."""
+    return (isinstance(node, ast.Subscript)
+            and isinstance(node.slice, ast.Constant) and node.slice.value == 0
+            and bool({getattr(node.value, "id", None), getattr(node.value, "attr", None)}
+                     & {"actions", "domain"}))
+
+
+def test_one_function_writes_the_least_action_default():
+    # The one least-action default: a context or information set without
+    # values gets its point row from ``maid._best_row``, so no other function
+    # picks ``actions[0]`` or ``domain[0]``.
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for top in tree.body:
+            if any(map(_first_of_actions, ast.walk(top))):
+                found.add((path.stem, getattr(top, "name", "<module>")))
+    assert found == {("maid", "_best_row")}
 
 
 def _indexed_not_as_decorator(tree: ast.Module) -> list[int]:

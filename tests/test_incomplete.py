@@ -149,7 +149,7 @@ def test_common_prior_models_are_strongly_consistent():
     for seed in range(20):
         x = random_common_prior_iimaid(seed)
         assert inc.validate_coherence(x) == []
-        rep = inc.check_consistency(x, include_bounds=False)
+        rep = inc.check_consistency(x)
         assert rep.eq_feasible and rep.strongly_consistent
         assert rep.min_type_mass > 1e-6
         assert sum(rep.sample.values()) == pytest.approx(1.0)

@@ -187,8 +187,9 @@ def test_iter_pure_rules_cap():
         list(maid.iter_pure_rules(m, m.decisions(), cap=10))
 
 
-def test_near_tie_regret_is_negative_within_tol_and_the_searches_may_differ():
-    # b pays 5e-10 more than a: the tie rule takes a, the first maximizer b
+def test_near_tie_regret_is_negative_within_tol_and_the_searches_agree():
+    # b pays 5e-10 more than a: both searches take a, the first action
+    # within TOL of the best (maid._first_max)
     variables = [bn.decision("D", "P", ("a", "b")),
                  bn.utility("U", "P", {"lo": 1.0, "hi": 1.0 + 5e-10})]
     cpds = [bn.tabulate("U", ("hi", "lo"), {"D": ("a", "b")},
@@ -198,9 +199,9 @@ def test_near_tie_regret_is_negative_within_tol_and_the_searches_may_differ():
     assert ok and -bn.TOL <= regrets["P"] < 0.0
     fast, fast_value = maid.best_response(m, {}, "P")
     oracle, oracle_value = maid._best_response_exhaustive(m, {}, "P")
+    assert fast == oracle
     assert fast["D"].rows == {(): {"a": 1.0, "b": 0.0}}
-    assert oracle["D"].rows == {(): {"a": 0.0, "b": 1.0}}
-    assert 0.0 < oracle_value - fast_value < bn.TOL
+    assert fast_value == oracle_value == 1.0
 
 
 def test_post_policy_maid(capability):

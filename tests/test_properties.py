@@ -3,7 +3,7 @@ from itertools import product
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from iimaid import bn, efg, gamedoc, iiefg, incomplete, maid
 from iimaid.bn import Cpd
@@ -182,6 +182,32 @@ def recall_game_with_profile(draw):
     return m, profile
 
 
+def rounding_tie_game():
+    """A game where P2's two actions are worth -0.2 each in exact arithmetic,
+    and a profile playing l.  ``1.0 - 0.8`` rounds, so in floating point r
+    is worth about 8e-17 more than l."""
+    variables = [bn.chance("X0", "ab"), bn.decision("D1", "P1", "lr"),
+                 bn.decision("D2", "P2", "lr"), bn.utility("U1", "P1", {"lo": 0.0, "hi": 1.0}),
+                 bn.utility("U2", "P2", {"w": -1.0, "x": -0.5, "y": 0.0, "z": 1.0})]
+    pays = {("l", "a"): "x", ("l", "b"): "z", ("r", "a"): "y", ("r", "b"): "w"}
+    cpds = [Cpd("X0", (), {(): {"a": 0.8, "b": 1.0 - 0.8}}),
+            bn.tabulate("U1", ("hi", "lo"), {"D1": "lr"}, lambda c: "hi" if c["D1"] == "r" else "lo"),
+            bn.tabulate("U2", "wxyz", {"D2": "lr", "X0": "ab"}, lambda c: pays[c["D2"], c["X0"]])]
+    edges = [("D1", "U1"), ("D2", "U2"), ("X0", "U2")]
+    m = maid.Maid.build(("P1", "P2"), variables, edges, cpds)
+    return m, {d: maid.decision_rule(m, d, lambda c: "l") for d in ("D1", "D2")}
+
+
+def rounding_tie_ii_game():
+    """``rounding_tie_game`` as two models that every agent believes equally,
+    and a profile playing l."""
+    m, _ = rounding_tie_game()
+    beliefs = {agent: {"m0": 0.5, "m1": 0.5} for agent in ("P1", "P2")}
+    x = IiMaid(("P1", "P2"), "m0", {mid: SubjectiveMaid(mid, m, beliefs) for mid in ("m0", "m1")})
+    return x, {iset: bn.point_row(iset.actions, "l")
+               for agent in x.agents for iset in incomplete.information_sets(x, agent)}
+
+
 def _unique_best_actions(scored, slots, tol=bn.TOL):
     """Per slot, the action every policy beating all others by > tol takes.
 
@@ -203,6 +229,7 @@ def _unique_best_actions(scored, slots, tol=bn.TOL):
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(recall_game_with_profile())
+@example(rounding_tie_game())
 def test_best_response_matches_exhaustive_enumeration(gp):
     model, profile = gp
     for agent in ("P1", "P2"):
@@ -210,8 +237,12 @@ def test_best_response_matches_exhaustive_enumeration(gp):
         assert maid.has_perfect_recall(model, agent)[0]
         others = {d: r for d, r in profile.items() if d not in own}
         rules, value = maid.best_response(model, others, agent)
-        _, oracle_value = maid._best_response_exhaustive(model, others, agent)
+        oracle, oracle_value = maid._best_response_exhaustive(model, others, agent)
         assert abs(value - oracle_value) <= 1e-12
+        # one selection rule (maid._first_max): with one free decision the
+        # two searches return the same rule, also on ties up to rounding
+        if len(own) == 1:
+            assert rules == oracle
         assert sorted(rules) == own
         scored = [
             ({(d, ctx): _point_label(row) for d in own for ctx, row in cand[d].rows.items()},
@@ -354,6 +385,7 @@ def common_prior_game_with_profile(draw):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(common_prior_game_with_profile())
+@example(rounding_tie_ii_game())
 def test_best_response_ii_matches_exhaustive_enumeration(xp):
     x, profile = xp
     for agent in x.agents:
@@ -364,6 +396,7 @@ def test_best_response_ii_matches_exhaustive_enumeration(xp):
             oracle, oracle_value = incomplete._best_response_ii_exhaustive(
                 x, agent, others, at)
             assert abs(value - oracle_value) <= 1e-12
+            assert br == oracle  # one selection rule, row for row
             assert set(br) == own
             # With one free decision per model, subjective value is a sum
             # over information sets, so the best policy choosing action a at
