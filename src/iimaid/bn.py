@@ -7,8 +7,11 @@ enumeration kernel, ``sweep``, with zero-probability pruning, exact and fast
 enough for the network sizes this package targets (roughly twenty binary
 variables).  ``marginal`` and the expected utilities, Q-tables and support
 contexts of ``maid`` and ``incomplete``, and so ``depth``'s conditional
-utilities, are leaves over it.  ``enumerate_support`` is the one oracle kept
-apart from it; ``depth._walk_conditional_utility`` is a leaf over that.
+utilities, are leaves over it.  The diagram kernels pass it no utility
+variable: ``maid`` sums each one out first, the first step of variable
+elimination, into a table of expected payoffs per parent context that
+their leaves read.  ``enumerate_support`` is the one oracle kept apart from
+it; ``depth._walk_conditional_utility`` is a leaf over that.
 
 Every CPD, decision-rule and belief row is judged by one predicate,
 ``is_distribution``: each entry within ``TOL`` of [0, 1] (NaN and infinite

@@ -15,7 +15,7 @@ from typing import Hashable, Mapping, Sequence
 from . import bn
 from .bn import CHANCE, DECISION, Row
 from .errors import MissingRule, NonTopologicalOrder, UnknownAgent, ValidationError
-from .maid import Maid, Model, base_maid, fixed_rules, topological_order
+from .maid import Maid, Model, _payoff_tables, _sweep_order, base_maid, fixed_rules
 
 # Strategy: (agent, information-set key) -> distribution over action labels.
 Strategy = Mapping[tuple[str, Hashable], Row]
@@ -87,7 +87,7 @@ def maid2efg(
     tables = {**m.cpds, **fixed_rules(model)}
     expandable = sorted(m.chance_variables() + m.decisions())
     if order is None:
-        names = [v for v in topological_order(m) if m.kind(v) != bn.UTILITY]
+        names = _sweep_order(m)
     else:
         names = list(order)
         if sorted(names) != expandable:
@@ -96,9 +96,8 @@ def maid2efg(
             )
         seen: set[str] = set()
         for v in names:
-            before = {p for p in m.parents[v] if m.kind(p) != bn.UTILITY}
-            if not before <= seen:
-                raise NonTopologicalOrder(f"{v} expanded before parents {sorted(before - seen)}")
+            if missing := sorted(set(m.parents[v]) - seen):
+                raise NonTopologicalOrder(f"{v} expanded before parents {missing}")
             seen.add(v)
 
     payoff_tables = _payoff_tables(m)
@@ -156,27 +155,6 @@ def maid2efg(
 
     root = build(0, {})
     return Efg(m.agents, tuple(nodes), root), mu
-
-
-@bn.indexed
-def _payoff_tables(
-    m: Maid,
-) -> tuple[tuple[str, tuple[str, ...], Mapping[tuple[str, ...], float]], ...]:
-    """Each utility's owner, parents and expected payoff per parent context,
-    utilities in name order; built once per base diagram.
-
-    An entry is the row's payoff values weighted by its probabilities,
-    summed in the row's order, which is what a leaf adds for that utility.
-    """
-    out = []
-    for u in m.utilities():
-        values, cpd = m.variables[u].values, m.cpds[u]
-        table = {
-            ctx: sum(values[lbl] * p for lbl, p in row.items())
-            for ctx, row in cpd.rows.items()
-        }
-        out.append((m.variables[u].owner, cpd.parents, MappingProxyType(table)))
-    return tuple(out)
 
 
 def efg_expected_utility(g: Efg, strategy: Strategy, agent: str) -> float:

@@ -10,7 +10,7 @@ Solution concepts evaluate each agent's belief-weighted (interim) utility.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from types import MappingProxyType
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple
 
@@ -509,10 +509,11 @@ def verify_equivalence(
     very arithmetic of ``subjective_expected_utility`` and
     ``interim_utility`` on the lifted strategy, and the answer is the same
     bit for bit.  A bad row raises what those would raise.  A result is
-    kept only where the restriction reads fewer rows than the profile has;
-    otherwise, among distinct profiles, its key could not come again.  So
-    the default enumeration keeps at most each restricted space, never an
-    entry per profile.
+    kept across profiles only where the restriction reads fewer rows than
+    the profile has; otherwise, among distinct profiles, its key could not
+    come again, and only the agents believing its model within the profile
+    share it.  So the default enumeration keeps at most each restricted
+    space, never an entry per profile.
     """
     if profiles is None:
         profiles = iter_pure_ii_profiles(x, cap)
@@ -529,7 +530,7 @@ def verify_equivalence(
             keys = order
         ids = [interned.setdefault(tuple(row.items()), len(interned))
                for row in profile.values()]
-        utilities = partial(_model_utilities, x, profile, ids, reads, models)
+        utilities = cache(partial(_model_utilities, x, profile, ids, reads, models))
         for agent in x.agents:
             lhs = _subjective_value(x, agent, x.objective, utilities)
             payoff = partial(_state_payoff, conv.game, profile, ids, sources, trees, agent)

@@ -37,9 +37,9 @@ from .maid import (
     _free_decisions,
     _iter_pure,
     _priced,
+    _sweep_order,
     base_maid,
     has_perfect_recall,
-    topological_order,
 )
 
 MAX_ROUNDS = 1000  # of find_nash_ii's iterated best response
@@ -465,7 +465,7 @@ def _build_support_contexts(m: Maid, name: str) -> frozenset[tuple[str, ...]]:
     So the contexts depend on the base diagram alone.
     """
     pa = m.parents[name]
-    order = [v for v in topological_order(m) if m.kind(v) != bn.UTILITY]
+    order = _sweep_order(m)
     order = order[: max((order.index(p) + 1 for p in pa), default=0)]
     tables = {**m.cpds, **{d: bn.weight_one(m.variables[d]) for d in m.decisions()}}
     found: set[tuple[str, ...]] = set()

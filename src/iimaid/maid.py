@@ -4,7 +4,11 @@ A MAID is a Bayes net whose variables are partitioned into chance, decision
 and utility kinds, with decisions and utilities owned by agents.  Policies
 supply the missing decision CPDs; everything else reduces to exact inference
 on the induced network: one ``bn.sweep`` with the rules as tables, and open
-decisions as ``bn.weight_one`` tables (see ``decision_values``).
+decisions as ``bn.weight_one`` tables (see ``decision_values``).  No sweep
+expands a utility: each is summed out first into its expected payoff per
+parent context (``_payoff_tables``, which ``efg.maid2efg`` prices tree
+leaves from), and a sweep's leaf adds its weight times each entry, in
+utility-name order; on point utility rows this is the same arithmetic.
 
 Public functions check each rule their caller passes once, on entry, and
 a ``PostPolicyMaid`` checks its committed rules when it is made.  The
@@ -335,14 +339,29 @@ def induced_network(model: Model, rules: PolicyRules) -> bn.BayesNet:
     return bn.BayesNet(m.variables, {**m.cpds, **fixed_rules(model), **rules})
 
 
-def topological_order(model: Model) -> tuple[str, ...]:
-    """The diagram's ``bn.topo_sort`` order, built once per base diagram."""
-    return _topological_order(base_maid(model))
+@bn.indexed
+def _sweep_order(m: Maid) -> tuple[str, ...]:
+    """The ``bn.topo_sort`` order of the diagram without its utilities, which
+    ``_payoff_tables`` sums out; built once per base diagram."""
+    return tuple(bn.topo_sort({v: m.parents[v] for v in m.variables if m.kind(v) != UTILITY}))
 
 
 @bn.indexed
-def _topological_order(m: Maid) -> tuple[str, ...]:
-    return tuple(bn.topo_sort({name: m.parents[name] for name in m.variables}))
+def _payoff_tables(
+    m: Maid,
+) -> tuple[tuple[str, tuple[str, ...], Mapping[tuple[str, ...], float]], ...]:
+    """Each utility's owner, parents and expected payoff per parent context,
+    utilities in name order; built once per base diagram.  An entry sums, in
+    the row's order, each payoff times its probability where that is positive."""
+    out = []
+    for u in m.utilities():
+        values, cpd = m.variables[u].values, m.cpds[u]
+        table = {
+            ctx: sum(values[lbl] * p for lbl, p in row.items() if p > 0.0)
+            for ctx, row in cpd.rows.items()
+        }
+        out.append((m.variables[u].owner, cpd.parents, MappingProxyType(table)))
+    return tuple(out)
 
 
 def expected_utilities(model: Model, rules: PolicyRules) -> dict[str, float]:
@@ -353,18 +372,15 @@ def expected_utilities(model: Model, rules: PolicyRules) -> dict[str, float]:
 def _expected_utilities(model: Model, rules: PolicyRules) -> dict[str, float]:
     """``expected_utilities`` given a checked rule for every open decision."""
     m = base_maid(model)
-    payoff_vars = [
-        (name, m.variables[name].owner, m.variables[name].values)
-        for name in m.utilities()
-    ]
+    payoffs = _payoff_tables(m)
     totals = dict.fromkeys(m.agents, 0.0)
 
     def leaf(a: dict[str, str], weight: float) -> None:
-        for name, owner, values in payoff_vars:
-            totals[owner] += weight * values[a[name]]
+        for owner, parents, table in payoffs:
+            totals[owner] += weight * table[tuple(map(a.__getitem__, parents))]
 
     tables = {**m.cpds, **fixed_rules(model), **rules}
-    bn.sweep(m.variables, tables, topological_order(m), leaf)
+    bn.sweep(m.variables, tables, _sweep_order(m), leaf)
     return totals
 
 
@@ -399,7 +415,7 @@ def _decision_values(
     """``decision_values`` given a checked rule for every open decision but
     ``d``, whose rule, if any, is ignored."""
     m = base_maid(model)
-    payoff_vars = [(name, m.variables[name].values) for name in m.utilities(agent)]
+    payoffs = [(parents, table) for owner, parents, table in _payoff_tables(m) if owner == agent]
     pa = m.parents[d]
     actions = m.variables[d].domain
     q: dict[tuple[str, ...], dict[str, float]] = {}
@@ -409,10 +425,11 @@ def _decision_values(
         q_row = q.get(key)
         if q_row is None:
             q_row = q[key] = dict.fromkeys(actions, 0.0)
-        q_row[a[d]] += weight * sum(values[a[name]] for name, values in payoff_vars)
+        q_row[a[d]] += weight * sum(table[tuple(map(a.__getitem__, parents))]
+                                    for parents, table in payoffs)
 
     tables = {**m.cpds, **fixed_rules(model), **rules, d: bn.weight_one(m.variables[d])}
-    bn.sweep(m.variables, tables, topological_order(m), leaf)
+    bn.sweep(m.variables, tables, _sweep_order(m), leaf)
     return q
 
 

@@ -1,8 +1,9 @@
 """Source lints: every name a package module imports is used in that module,
 no module imports numpy, only the enumeration kernel, its oracles and the
 tree walks recurse, only the listed writers build a `Cpd`, one function
-builds the cap error, one writes the least-action default, the structural
-index `bn.indexed` is only ever a decorator, `import iimaid` loads neither
+builds the cap error, one writes the least-action default, only the listed
+readers read a utility's payoff labels, the structural index `bn.indexed`
+is only ever a decorator, `import iimaid` loads neither
 jsonschema, scipy nor numpy, reading documents never loads jsonschema, and
 only a consistency check whose realized class spans two components loads
 scipy."""
@@ -142,6 +143,38 @@ def test_one_function_writes_the_least_action_default():
             if any(map(_first_of_actions, ast.walk(top))):
                 found.add((path.stem, getattr(top, "name", "<module>")))
     assert found == {("maid", "_best_row")}
+
+
+# The top-level definitions that read a utility's payoffs, ``Variable.values``:
+# the class itself, which copies them, the one function that builds the
+# payoff tables every sweep and game tree prices leaves from, the diagram
+# check, the document writer, the sampler and the oracle kept apart from the
+# kernel.  No kernel reads payoff labels leaf by leaf.
+PAYOFF_READERS = {
+    ("bn", "Variable"), ("maid", "_payoff_tables"), ("maid", "validate_maid"),
+    ("gamedoc", "_variable_to_doc"), ("simulate", "simulate"),
+    ("depth", "_walk_conditional_utility"),
+}
+
+
+def _payoff_readers(tree: ast.Module) -> set[str]:
+    """Top-level definitions that read an attribute ``values`` without
+    calling it: ``dict.values()`` is always called."""
+    found = set()
+    for top in tree.body:
+        called = {id(node.func) for node in ast.walk(top) if isinstance(node, ast.Call)}
+        if any(isinstance(node, ast.Attribute) and node.attr == "values"
+               and id(node) not in called for node in ast.walk(top)):
+            found.add(getattr(top, "name", "<module>"))
+    return found
+
+
+def test_only_the_listed_readers_read_payoff_labels():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found |= {(path.stem, name) for name in _payoff_readers(tree)}
+    assert found == PAYOFF_READERS
 
 
 def _indexed_not_as_decorator(tree: ast.Module) -> list[int]:

@@ -66,7 +66,7 @@ def test_cached_structure_is_immutable(example1):
     relevant, rest = incomplete._profile_slots(example1, "H", example1.objective)
     assert isinstance(relevant, tuple) and isinstance(rest, tuple)
     assert isinstance(incomplete._matching_decisions(gt, relevant[0]), tuple)
-    assert isinstance(maid.topological_order(gt), tuple)
+    assert isinstance(maid._sweep_order(gt), tuple)
 
     # dict-valued answers are fresh copies, so a caller's edits stay local
     conv = iiefg.maid2efgII(example1)
@@ -107,7 +107,6 @@ def test_every_index_hands_back_the_value_it_kept(example1, ne_profile, honesty)
     cases = {
         ("bn", "weight_one"): (gt.variables["D_H"],),
         ("efg", "_info_sets"): (tree, "H"),
-        ("efg", "_payoff_tables"): (gt,),
         ("efg", "_walk_table"): (tree,),
         ("efg", "_parents"): (tree,),
         ("iiefg", "_belief_types"): (g.space, "A"),
@@ -122,7 +121,8 @@ def test_every_index_hands_back_the_value_it_kept(example1, ne_profile, honesty)
         ("incomplete", "_profile_slots"): (example1, "H", example1.objective),
         ("incomplete", "_pure_slots"): (example1,),
         ("maid", "_free_decisions"): (honesty, "H"),
-        ("maid", "_topological_order"): (honesty,),
+        ("maid", "_sweep_order"): (honesty,),
+        ("maid", "_payoff_tables"): (gt,),
         ("depth", "_conditional_values"): (honesty, "H", "D_H"),
     }
     assert set(cases) == _decorated_indexes()
@@ -242,6 +242,20 @@ def test_verify_equivalence_evaluates_each_restriction_once(
     assert iiefg.verify_equivalence(x, conv, profiles=profiles)[0]
     assert (len(evaluations), len(walks)) == _distinct_restrictions(x, conv, profiles)
     assert len(evaluations) < len(profiles) * len(x.models)
+
+
+def test_verify_equivalence_prices_a_full_read_model_once_per_profile(
+        monkeypatch, honesty):
+    # Both agents believe the one model, which reads all 6 rows of each of
+    # 64 profiles: its result is kept for no later profile, but the second
+    # agent of a profile reads the first one's.
+    evaluations = _counting(monkeypatch, incomplete, "_expected_utilities")
+    m = {a: {"m": 1.0} for a in honesty.agents}
+    x = incomplete.IiMaid(honesty.agents, "m", {"m": incomplete.SubjectiveMaid("m", honesty, m)})
+    conv = iiefg.maid2efgII(x)
+    assert iiefg.verify_equivalence(x, conv) == (True, 0.0)
+    profiles = list(incomplete.iter_pure_ii_profiles(x))
+    assert len(evaluations) == _distinct_restrictions(x, conv, profiles)[0] == 64
 
 
 def test_verify_equivalence_reads_rows_off_each_profile(monkeypatch, example1):
