@@ -10,7 +10,6 @@ Solution concepts evaluate each agent's belief-weighted (interim) utility.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial
 from types import MappingProxyType
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple
 
@@ -120,9 +119,13 @@ def _belief_types(space: BeliefSpace, agent: str) -> Mapping[str, str]:
     return MappingProxyType({w: members[0] for members in classes for w in members})
 
 
-@dataclass(frozen=True, order=True)
-class MetaInfoSet:
-    """What an agent can condition on: in-game observation plus belief type."""
+class MetaInfoSet(NamedTuple):
+    """What an agent can condition on: in-game observation plus belief type.
+
+    A named tuple, like ``incomplete.InformationSet``, so it hashes and
+    compares in C, by field order; it is also ``==`` to a plain tuple of
+    its fields.
+    """
 
     agent: str
     observation: tuple
@@ -263,17 +266,31 @@ def interim_utility(g: IiEfg, sigma: Strategy, agent: str, state: str) -> float:
 def _interim_value(
     g: IiEfg, agent: str, state: str, payoff: Callable[[str], float]
 ) -> float:
-    """``interim_utility`` with ``payoff(w)`` the agent's payoff at ``w``."""
-    if agent not in g.agents:
-        raise UnknownAgent(agent)
-    if state not in g.space.states:
-        raise GameError(f"unknown state: {state}")
+    """``interim_utility`` with ``payoff(w)`` the agent's payoff at ``w``,
+    summed over ``_believed_states``: indexed, so a bad agent or state
+    still raises on every call."""
     total = 0.0
-    for w, p in sorted(g.space.beliefs[agent][state].items()):
-        if p <= 0.0:
-            continue
+    for w, p in _believed_states(g.space, agent, state):
         total += p * payoff(w)
     return total
+
+
+@bn.indexed
+def _believed_states(
+    space: BeliefSpace, agent: str, state: str
+) -> tuple[tuple[str, float], ...]:
+    """(state, weight) for each state the agent does not rule out at
+    ``state``, in state order; built once per space, agent and state."""
+    if agent not in space.agents:
+        raise UnknownAgent(agent)
+    if state not in space.states:
+        raise GameError(f"unknown state: {state}")
+    out = []
+    for w, p in sorted(space.beliefs[agent][state].items()):
+        if p <= 0.0:
+            continue
+        out.append((w, p))
+    return tuple(out)
 
 
 def _deviation_cells(g: IiEfg, agent: str, state: str) -> list[MetaInfoSet]:
@@ -467,12 +484,13 @@ def strategy_from_ii_policy(conv: IiConversion, profile: IiPolicy) -> dict[MetaI
     return {cell: rows[iset] for cell, iset in sources.cells.items()}
 
 
-def _memo(table: dict, key: Hashable, compute: Callable[[], object]):
-    """``table[key]``, computed on a miss; an error leaves no entry."""
+def _memo(table: dict, key: Hashable, compute: Callable[..., object], *args):
+    """``table[key]``, computed as ``compute(*args)`` on a miss; an error
+    leaves no entry."""
     try:
         return table[key]
     except KeyError:
-        value = table[key] = compute()
+        value = table[key] = compute(*args)
         return value
 
 
@@ -505,7 +523,12 @@ def verify_equivalence(
     key is the tuple of its rows' integers.  Which rows a model or a state
     reads is worked out once per key order of the profiles
     (``_model_reads``, ``_sources``), so no lifted strategy is built, and a
-    state's rows are gathered only for a tree walk.  A shared result is the
+    state's rows are gathered only for a tree walk.  The belief supports
+    (``incomplete._believed``, ``_believed_states``) are indexed, built
+    once per game, agent and standpoint, and the two value functions the
+    sums read are made once per check.  Per profile the check interns its
+    rows, clears one dict of the models' utilities, and builds each
+    restriction key it looks up.  A shared result is the
     very arithmetic of ``subjective_expected_utility`` and
     ``interim_utility`` on the lifted strategy, and the answer is the same
     bit for bit.  A bad row raises what those would raise.  A result is
@@ -520,6 +543,20 @@ def verify_equivalence(
     interned: dict[tuple, int] = {}
     models: dict[tuple, Mapping[str, float]] = {}
     trees: dict[tuple, float] = {}
+    done: dict[str, Mapping[str, float]] = {}  # this profile's, by model
+
+    # Both read the loop's current profile, rows, sources and agent, so they
+    # are made once for the whole check.
+    def utilities(sid: str) -> Mapping[str, float]:
+        try:
+            return done[sid]
+        except KeyError:
+            value = done[sid] = _model_utilities(x, profile, ids, reads, models, sid)
+            return value
+
+    def payoff(w: str) -> float:
+        return _state_payoff(conv.game, profile, ids, sources, trees, agent, w)
+
     keys = None
     worst = 0.0
     for profile in profiles:
@@ -530,10 +567,9 @@ def verify_equivalence(
             keys = order
         ids = [interned.setdefault(tuple(row.items()), len(interned))
                for row in profile.values()]
-        utilities = cache(partial(_model_utilities, x, profile, ids, reads, models))
+        done.clear()
         for agent in x.agents:
             lhs = _subjective_value(x, agent, x.objective, utilities)
-            payoff = partial(_state_payoff, conv.game, profile, ids, sources, trees, agent)
             rhs = _interim_value(conv.game, agent, x.objective, payoff)
             worst = max(worst, abs(lhs - rhs))
     return worst <= tol, worst
@@ -570,8 +606,8 @@ def _model_utilities(
     read = reads[sid]
     if read is None or len(read) >= len(profile):
         return _profile_utilities(model, profile)
-    key = (sid, tuple(ids[i] for i in read))
-    return _memo(memo, key, partial(_profile_utilities, model, profile))
+    key = (sid, tuple(map(ids.__getitem__, read)))
+    return _memo(memo, key, _profile_utilities, model, profile)
 
 
 def _state_payoff(
@@ -590,12 +626,22 @@ def _state_payoff(
     supply, lacking = sources.states[w]
     if lacking is not None:
         raise MissingRule(f"strategy lacks a row at {lacking}")
-
-    def walk() -> float:
-        rows = tuple(profile.values())
-        plays = {slot: rows[i] for (slot, _), i in zip(slots, supply)}
-        return efg_expected_utility(g.space.games[w], plays, agent)
-
     if len(supply) >= len(profile):
-        return walk()
-    return _memo(memo, (w, agent, tuple(ids[i] for i in supply)), walk)
+        return _walk(g, w, profile, slots, supply, agent)
+    key = (w, agent, tuple(map(ids.__getitem__, supply)))
+    return _memo(memo, key, _walk, g, w, profile, slots, supply, agent)
+
+
+def _walk(
+    g: IiEfg,
+    w: str,
+    profile: IiPolicy,
+    slots: tuple[tuple[tuple[str, Hashable], MetaInfoSet], ...],
+    supply: tuple[int, ...],
+    agent: str,
+) -> float:
+    """One tree walk at ``w``, each slot playing the profile row ``supply``
+    names for it."""
+    rows = tuple(profile.values())
+    plays = {slot: rows[i] for (slot, _), i in zip(slots, supply)}
+    return efg_expected_utility(g.space.games[w], plays, agent)

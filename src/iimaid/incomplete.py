@@ -10,7 +10,6 @@ about the world.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import product
 from types import MappingProxyType
 from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple
@@ -38,6 +37,7 @@ from .maid import (
     _iter_pure,
     _priced,
     _sweep_order,
+    argmax_action,
     base_maid,
     has_perfect_recall,
 )
@@ -45,13 +45,16 @@ from .maid import (
 MAX_ROUNDS = 1000  # of find_nash_ii's iterated best response
 
 
-@dataclass(frozen=True, order=True)
-class InformationSet:
+class InformationSet(NamedTuple):
     """What an agent knows when acting: an observation plus an action set.
 
     ``observation`` is a sorted tuple of (variable, outcome) pairs; ``actions``
     is the sorted action domain.  Two decision contexts in different models
     with the same observation and actions are the same information set.
+
+    A named tuple, so it hashes and compares in C, by field order.  It is
+    also ``==`` to a plain tuple of its fields; ``validate_ii_policy``
+    checks that a profile's keys are of this very type.
     """
 
     agent: str
@@ -593,10 +596,12 @@ def profile_rules_for_model(model: Model, profile: IiPolicy) -> dict[str, Cpd]:
     rules need no further check.  Contexts that no policy can reach take the
     least action, whatever the profile holds for their set.
     """
-    return _rules_from_rows(
-        model, _free_decisions(model, None), profile,
-        lambda iset: MissingRule(f"no rule for {iset}"),
-    )
+    return _rules_from_rows(model, _free_decisions(model, None), profile, _no_rule)
+
+
+def _no_rule(iset: InformationSet) -> MissingRule:
+    """The error of a supported context whose set has no row in a profile."""
+    return MissingRule(f"no rule for {iset}")
 
 
 def _profile_utilities(model: Model, profile: IiPolicy) -> dict[str, float]:
@@ -605,8 +610,11 @@ def _profile_utilities(model: Model, profile: IiPolicy) -> dict[str, float]:
     return _expected_utilities(model, profile_rules_for_model(model, profile))
 
 
-def _believed(x: IiMaid, agent: str, at: str) -> list[tuple[str, float]]:
-    """(model id, weight) for each model the agent believes positively at ``at``."""
+@bn.indexed
+def _believed(x: IiMaid, agent: str, at: str) -> tuple[tuple[str, float], ...]:
+    """(model id, weight) for each model the agent believes positively at
+    ``at``, by model id; built once per game, agent and standpoint.  A bad
+    agent or standpoint keeps nothing, so it raises on every call."""
     if agent not in x.agents:
         raise UnknownAgent(agent)
     if at not in x.models:
@@ -614,14 +622,24 @@ def _believed(x: IiMaid, agent: str, at: str) -> list[tuple[str, float]]:
     weights = x.models[at].beliefs.get(agent)
     if weights is None:
         raise UnknownAgent(f"{agent} holds no beliefs in {at}")
-    return [(sid, w) for sid, w in sorted(weights.items()) if w > 0.0]
+    return tuple((sid, w) for sid, w in sorted(weights.items()) if w > 0.0)
 
 
 def _per_model_utilities(
     x: IiMaid, profile: IiPolicy
 ) -> Callable[[str], Mapping[str, float]]:
-    """Model id -> ``_profile_utilities``, each model evaluated on first use."""
-    return cache(lambda sid: _profile_utilities(x.models[sid].model, profile))
+    """Model id -> ``_profile_utilities``, each model evaluated on first use
+    and kept in the closure's dict."""
+    done: dict[str, Mapping[str, float]] = {}
+
+    def utilities(sid: str) -> Mapping[str, float]:
+        try:
+            return done[sid]
+        except KeyError:
+            value = done[sid] = _profile_utilities(x.models[sid].model, profile)
+            return value
+
+    return utilities
 
 
 def _subjective_value(
@@ -684,25 +702,29 @@ def _action_values(
     ``maid._priced(constant, values, rows)``.  Returns None when the agent
     has two or more free decisions in a believed model.
     """
-    believed = _believed(x, agent, at)
-    models = [(x.models[sid].model, sid, w) for sid, w in believed]
-    if any(len(_free_decisions(model, agent)) > 1 for model, _, _ in models):
-        return None
+    models = []
+    for sid, w in _believed(x, agent, at):
+        model = x.models[sid].model
+        own = _free_decisions(model, agent)
+        if len(own) > 1:
+            return None
+        models.append((model, sid, w, own))
     constant = 0.0
     values: dict[InformationSet, dict[str, float]] = {}
-    for model, sid, w in models:
-        if not _free_decisions(model, agent):
+    for model, sid, w, own in models:
+        if not own:
             constant += w * utilities(sid).get(agent, 0.0)
             continue
-        (d,) = _free_decisions(model, agent)
+        (d,) = own
         rules = _rules_from_rows(
-            model, set(_free_decisions(model, None)) - {d}, profile,
-            lambda iset: MissingRule(f"no rule for {iset}"),
+            model, [e for e in _free_decisions(model, None) if e != d], profile, _no_rule
         )
         cells = _decision_slots(model)[d].cells
         for ctx, q_row in _decision_values(model, rules, d, agent).items():
             iset = cells[ctx][0]
-            total = values.setdefault(iset, dict.fromkeys(iset.actions, 0.0))
+            total = values.get(iset)
+            if total is None:
+                total = values[iset] = dict.fromkeys(iset.actions, 0.0)
             for label, q in q_row.items():
                 total[label] += w * q
     return constant, values
@@ -763,16 +785,19 @@ def _best_response_ii_exhaustive(
 
 
 def validate_ii_policy(x: IiMaid, profile: IiPolicy) -> list[str]:
-    issues = []
-    wanted: set[InformationSet] = set()
-    for agent in x.agents:
-        wanted |= information_sets(x, agent)
-    for iset in sorted(wanted - set(profile)):
-        issues.append(f"missing-rule: {iset}")
-    for iset in sorted(set(profile) - wanted, key=repr):
-        issues.append(f"unknown-information-set: {iset}")
-    for iset in sorted(set(profile) & wanted):
-        if not bn.is_distribution(profile[iset], iset.actions):
+    """Every information set of the game, and no other key, with a row that
+    is a distribution over the set's actions.  A key must be an
+    ``InformationSet`` itself: a plain tuple equal to one is unknown, and
+    the set it stands for lacks its rule."""
+    wanted = _every_information_set(x)
+    known = {k for k in profile if type(k) is InformationSet and k in wanted}
+    slots = _pure_slots(x)  # sorted
+    issues = [f"missing-rule: {iset}" for iset in slots if iset not in known]
+    if len(known) < len(profile):
+        unknown = [k for k in profile if type(k) is not InformationSet or k not in wanted]
+        issues += [f"unknown-information-set: {k}" for k in sorted(unknown, key=repr)]
+    for iset in slots:
+        if iset in known and not bn.is_distribution(profile[iset], iset.actions):
             issues.append(f"row-not-normalized: {iset}")
     return issues
 
@@ -789,7 +814,8 @@ def is_nash_ii(
 
     Where ``best_response_ii`` takes its per-information-set path, one
     ``maid.decision_values`` pass per believed model yields both values: the
-    achieved one prices the profile's rows, the best one the argmax rows, off
+    achieved one prices the profile's rows, the best one sums each set's
+    ``argmax_action`` entry (the argmax rows' price, with no row built), off
     the same action values.  They may differ from a
     ``subjective_expected_utility`` recomputation by rounding (at most 1e-12
     in the tests), and a pure profile agreeing with the best response has a
@@ -818,7 +844,11 @@ def _is_nash_ii(
             _, brv = _best_response_ii_exhaustive(x, agent, profile, at, cap)
             achieved = _subjective_value(x, agent, at, utilities)
         else:
-            brv = _priced(*table, _argmax_rows(x, agent, at, table[1]))
+            # ``_priced`` against ``_argmax_rows``, bit for bit, without the
+            # rows: each set's best entry, as ``maid._best_value`` sums them
+            brv, values = table
+            for q in values.values():
+                brv += q[argmax_action(q)]
             achieved = _priced(*table, profile)
         regrets[agent] = brv - achieved
     return all(r <= tol for r in regrets.values()), regrets
@@ -828,6 +858,12 @@ def _is_nash_ii(
 def _pure_slots(x: IiMaid) -> tuple[InformationSet, ...]:
     """Every agent's information sets, sorted: the slots of a pure profile."""
     return tuple(sorted(iset for agent in x.agents for iset in information_sets(x, agent)))
+
+
+@bn.indexed
+def _every_information_set(x: IiMaid) -> frozenset[InformationSet]:
+    """``_pure_slots`` as a set: the keys a valid profile holds."""
+    return frozenset(_pure_slots(x))
 
 
 def count_pure_ii_profiles(x: IiMaid, cap: int | None = None) -> int:

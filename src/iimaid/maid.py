@@ -49,7 +49,11 @@ profile.  ``best_response`` takes its value off the table of the agent's
 earliest decision; ``is_nash`` and ``find_pure_nash`` price both values off
 one table for an agent with exactly one free decision, and so do
 ``incomplete.best_response_ii`` and ``incomplete.is_nash_ii`` on their
-per-information-set path.  These values may differ from an
+per-information-set path.  Where only the best value is wanted,
+``_best_value`` (for ``is_nash`` and ``find_pure_nash``) and
+``incomplete.is_nash_ii`` sum each context's or set's ``argmax_action``
+entry, in the table's order, instead of building the argmax point rows:
+``_priced`` against those rows bit for bit.  These values may differ from an
 ``expected_utilities`` (or ``incomplete.subjective_expected_utility``)
 recomputation by rounding, at most 1e-12 in the tests.  Achieved and best
 values are summed in the same order, so a pure profile agreeing with the

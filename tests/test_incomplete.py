@@ -219,6 +219,29 @@ def test_validate_ii_policy(example1, ne_profile):
     assert inc.validate_ii_policy(example1, broken)
 
 
+def test_validate_ii_policy_takes_only_information_sets_as_keys(example1, ne_profile):
+    # A plain tuple of an information set's fields is == to it, yet it is
+    # no information set: it is unknown, and the set it stands for lacks
+    # its rule.
+    iset = iset_cap("high")
+    plain = tuple(iset)
+    meta = iiefg.MetaInfoSet(*iset, "ground_truth")
+    assert plain == iset and type(plain) is tuple
+    row = ne_profile[iset]
+    profile = {k: v for k, v in ne_profile.items() if k != iset}
+    profile.update({plain: row, "junk": row, meta: row})
+    want = [
+        f"missing-rule: {iset}",
+        "unknown-information-set: junk",
+        f"unknown-information-set: {plain}",
+        f"unknown-information-set: {meta}",
+    ]
+    assert inc.validate_ii_policy(example1, profile) == want
+    with pytest.raises(ValidationError) as e:
+        inc.is_nash_ii(example1, profile)
+    assert e.value.issues == want
+
+
 def test_profile_rules_for_model(example1, ne_profile):
     gt = example1.models["ground_truth"].model
     rules = inc.profile_rules_for_model(gt, ne_profile)

@@ -110,6 +110,7 @@ def test_every_index_hands_back_the_value_it_kept(example1, ne_profile, honesty)
         ("efg", "_walk_table"): (tree,),
         ("efg", "_parents"): (tree,),
         ("iiefg", "_belief_types"): (g.space, "A"),
+        ("iiefg", "_believed_states"): (g.space, "A", "ground_truth"),
         ("iiefg", "_meta_information_sets"): (g, "H"),
         ("iiefg", "_observation_classes"): (g, "H"),
         ("iiefg", "_state_cells"): (g, "ground_truth"),
@@ -120,6 +121,8 @@ def test_every_index_hands_back_the_value_it_kept(example1, ne_profile, honesty)
         ("incomplete", "_faced_sets"): (gt,),
         ("incomplete", "_profile_slots"): (example1, "H", example1.objective),
         ("incomplete", "_pure_slots"): (example1,),
+        ("incomplete", "_every_information_set"): (example1,),
+        ("incomplete", "_believed"): (example1, "H", example1.objective),
         ("maid", "_free_decisions"): (honesty, "H"),
         ("maid", "_sweep_order"): (honesty,),
         ("maid", "_payoff_tables"): (gt,),
@@ -204,6 +207,22 @@ def test_is_nash_ii_makes_one_value_pass_per_agent_and_believed_model(
     assert len(passes) == 2
 
 
+def test_belief_supports_build_once_per_key(monkeypatch, example1, ne_profile):
+    believed = _counting_builds(monkeypatch, incomplete, "_believed")
+    states = _counting_builds(monkeypatch, iiefg, "_believed_states")
+    keys = _counting_builds(monkeypatch, incomplete, "_every_information_set")
+    conv = iiefg.maid2efgII(example1)
+    assert iiefg.verify_equivalence(example1, conv) == (True, 0.0)
+    for _ in range(10):
+        assert incomplete.is_nash_ii(example1, ne_profile) == (True, {"A": 0.0, "H": 0.0})
+    at = example1.objective
+    assert [(id(x), agent, where) for x, agent, where in believed] == [
+        (id(example1), "A", at), (id(example1), "H", at)]
+    assert [(id(space), agent, where) for space, agent, where in states] == [
+        (id(conv.game.space), "A", at), (id(conv.game.space), "H", at)]
+    assert [id(x) for x, in keys] == [id(example1)]
+
+
 def _distinct_restrictions(x, conv, profiles):
     """How many model evaluations and tree walks ``verify_equivalence``
     needs: distinct (model, rules it reads) over the models some agent
@@ -272,8 +291,8 @@ def test_verify_equivalence_keeps_only_results_that_can_repeat(
     kept = []
     original = iiefg._memo
 
-    def spy(table, key, compute):
-        value = original(table, key, compute)
+    def spy(table, key, compute, *args):
+        value = original(table, key, compute, *args)
         kept.append((id(table), key))
         return value
 

@@ -423,6 +423,22 @@ def test_best_response_ii_matches_exhaustive_enumeration(xp):
                     assert _point_label(row) == min(row)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(common_prior_game_with_profile())
+@example(rounding_tie_ii_game())
+def test_is_nash_ii_regret_is_the_argmax_rows_priced_off_the_table(xp):
+    """``is_nash_ii`` sums each set's best entry rather than building the
+    argmax rows; the regret is the same float as pricing those rows."""
+    x, profile = xp
+    _, regrets = incomplete.is_nash_ii(x, profile)
+    utilities = incomplete._per_model_utilities(x, profile)
+    for agent in x.agents:
+        table = incomplete._action_values(x, agent, x.objective, profile, utilities)
+        assert table is not None
+        best = incomplete._argmax_rows(x, agent, x.objective, table[1])
+        assert regrets[agent] == maid._priced(*table, best) - maid._priced(*table, profile)
+
+
 @st.composite
 def subjective_game_with_profile(draw):
     """A subjective game, not necessarily common-prior, and a mixed profile.
