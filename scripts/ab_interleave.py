@@ -12,15 +12,18 @@ The queries are then sent interleaved: for each pass and each query, both
 sides answer it back to back, and which side goes first alternates from one
 query to the next and from one pass to the next.  A query's latency is its
 fastest repeat, as in ``perfbench/run.py``, so each side's ``queries_per_s``
-is the number of queries over the sum of those fastest repeats.  Two
-separate processes running identical code can read 20% apart on a shared
-host; here both sides see the same moments of the machine.
+is the number of queries over the sum of those fastest repeats, and its
+``query_p50_s`` and ``query_p90_s`` are those fastest repeats' quantiles,
+taken by that side's ``perfbench/run.py``.  Two separate processes running
+identical code can read 20% apart on a shared host; here both sides see the
+same moments of the machine.
 
 After timing, each side's first answers go through that side's checks, and
 the ``repr`` of the two sides' first answers is compared query by query.
 The report goes to standard error; the last line of standard output is one
 JSON object with each side's per-kind sums (seconds), ``queries_per_s``,
-failed checks, and the queries whose answers differ.
+``query_p50_s``, ``query_p90_s`` and failed checks, and the queries whose
+answers differ.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ class Side:
         sys.path[:0] = [str(root / "src"), str(root)]
         try:
             workloads = importlib.import_module("perfbench.workloads")
+            self.quantile = importlib.import_module("perfbench.run").quantile
             build = workloads.BUILDERS.get(workload)
             if build is None:
                 sys.exit(f"error: unknown workload {workload!r}; "
@@ -138,6 +142,8 @@ def main(argv=None) -> int:
             "root": str(side.root),
             "per_kind_s": per_kind,
             "queries_per_s": len(fastest) / sum(fastest),
+            "query_p50_s": side.quantile(fastest, 0.5),
+            "query_p90_s": side.quantile(fastest, 0.9),
             "failed": check(side, answers),
         }
     report["differing_answers"] = [
@@ -152,6 +158,10 @@ def main(argv=None) -> int:
           f"{report['change']['queries_per_s']:.1f} ({report['speedup']:.3f}x) over "
           f"{args.passes} passes in {elapsed:.1f} s; "
           f"{len(report['differing_answers'])} answers differ", file=sys.stderr)
+    for metric in ("query_p50_s", "query_p90_s"):
+        a, b = (report[s][metric] for s in ("parent", "change"))
+        print(f"{metric}: {1e3 * a:.3f} ms -> {1e3 * b:.3f} ms ({a / b:.3f}x)",
+              file=sys.stderr)
     print(json.dumps(report))
     return 0
 

@@ -452,8 +452,8 @@ def run(argv: list[str] | None = None) -> int:
         _check_arguments(args)
         code, result, work = _COMMANDS[args.command](args)
     except (GameError, OSError, RecursionError) as exc:
-        # RecursionError: ``bn.sweep``, ``bn.enumerate_support`` (``solve-rbr``'s
-        # audit) and ``efg.maid2efg`` recurse once per variable, so a diagram
+        # RecursionError: ``bn.sweep`` and ``bn.enumerate_support``
+        # (``solve-rbr``'s audit) recurse once per variable, so a diagram
         # deeper than Python's stack is reported as an error, not a traceback.
         error: dict[str, Any] = {"type": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, SchemaViolation):

@@ -3,14 +3,18 @@
 Trees are immutable node arrays.  Conversion expands chance and decision
 variables in a topological order, folds utility variables into leaf payoffs
 by conditional expectation, and groups decision nodes into information sets
-by the observed parent context.
+by the observed parent context.  It builds the tree on an explicit stack,
+children before parents, so a diagram's depth is not bounded by the
+interpreter's recursion limit; the path from the root to a node is worked
+out when asked (``history``), not stored with it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import bn
 from .bn import CHANCE, DECISION, Row
@@ -25,9 +29,12 @@ Strategy = Mapping[tuple[str, Hashable], Row]
 Observation = tuple[tuple[int, str], ...]
 
 
-@dataclass(frozen=True)
-class EfgNode:
-    """One tree node.  ``edges`` holds (action label, child id), sorted by label."""
+class EfgNode(NamedTuple):
+    """One tree node.  ``edges`` holds (action label, child id), sorted by label.
+
+    A named tuple, like ``incomplete.InformationSet``, so a tree of many
+    nodes is cheap to build; it is also ``==`` to a plain tuple of its fields.
+    """
 
     kind: str  # "chance" | "decision" | "leaf"
     var: str | None = None
@@ -68,12 +75,14 @@ def _info_sets(g: Efg, agent: str) -> Mapping[Hashable, tuple[int, ...]]:
 
 def maid2efg(
     model: Model, order: Sequence[str] | None = None
-) -> tuple[Efg, dict[int, dict[str, str]]]:
+) -> tuple[Efg, Mapping[int, dict[str, str]]]:
     """Convert a MAID, possibly with committed decisions, to a game tree.
 
     Returns the tree and the node annotation map mu: node id -> the partial
     assignment of expanded variables on the path from the root (for leaves,
-    the full chance-plus-decision assignment).
+    the full chance-plus-decision assignment), in expansion order.  mu is a
+    read-only mapping that works an entry out from ``history`` when it is
+    asked for, as a new dict, so a caller that drops it pays nothing.
 
     A committed decision expands as a chance node whose distribution is its
     rule's row (``maid.fixed_rules``); only open decisions become decision
@@ -82,14 +91,107 @@ def maid2efg(
     no policy can reach is ever read; decision branches are never pruned.
     Decision nodes for the same variable whose observed parent values
     coincide share an information set keyed ``(variable, context)``.
+
+    The tree is built depth first on an explicit stack, so its depth is not
+    bounded by the interpreter's recursion limit.  A node gets its id when
+    its last child is done: children are numbered before their parents, in
+    domain order, and the root is the last node.  The path's labels sit in
+    one list by expansion position, and each context is read from it at
+    the parents' positions (``_expansion``); a leaf adds, per utility in
+    name order, the ``maid._payoff_tables`` entry at its context.  No
+    assignment is copied per node.
     """
+    steps, payoffs = _expansion(model, None if order is None else tuple(order))
+    agents = base_maid(model).agents
+    n = len(steps)
+    labels_at: list[str | None] = [None] * n
+    get = labels_at.__getitem__
+    nodes: list[EfgNode] = []
+    node = tuple.__new__  # EfgNode's fields, in order, without its __new__
+    # Each frame: a node's depth, its branch labels, the (label, child)
+    # edges done so far, and its kind, variable, owner, key and distribution.
+    stack: list[tuple[int, tuple[str, ...], list[tuple[str, int]], tuple]] = []
+    depth = 0
+    while True:
+        if depth == n:
+            out = dict.fromkeys(agents, 0.0)
+            for owner, at, table in payoffs:
+                out[owner] += table[tuple(map(get, at))]
+            nodes.append(node(EfgNode, ("leaf", None, None, None, (), None, out)))
+        else:
+            var, at, branches, owner, domain = steps[depth]
+            ctx = tuple(map(get, at))
+            if branches is None:
+                labels, fields = domain, (DECISION, var, owner, (var, ctx), None)
+            else:
+                labels, pairs = branches[ctx]
+                fields = (CHANCE, var, None, None, dict(pairs))
+            if labels:
+                stack.append((depth, labels, [], fields))
+                labels_at[depth] = labels[0]
+                depth += 1
+                continue
+            kind, var, owner, iset, dist = fields
+            nodes.append(node(EfgNode, (kind, var, owner, iset, (), dist, None)))
+        child = len(nodes) - 1
+        while stack:
+            at_depth, labels, edges, fields = stack[-1]
+            k = len(edges)
+            edges.append((labels[k], child))
+            k += 1
+            if k < len(labels):
+                labels_at[at_depth] = labels[k]
+                depth = at_depth + 1
+                break
+            stack.pop()
+            kind, var, owner, iset, dist = fields
+            nodes.append(node(EfgNode, (kind, var, owner, iset, tuple(edges), dist, None)))
+            child += 1
+        else:
+            g = Efg(agents, tuple(nodes), child)
+            return g, _Contexts(g)
+
+
+# A chance row as ``maid2efg`` expands it: the labels of positive
+# probability, in domain order, and their (label, probability) pairs.
+_Branches = tuple[tuple[str, ...], tuple[tuple[str, float], ...]]
+# A utility's owner, its parents' positions in the expansion order, and its
+# ``maid._payoff_tables`` entry.
+_Payoff = tuple[str, tuple[int, ...], Mapping[tuple[str, ...], float]]
+
+
+class _Step(NamedTuple):
+    """One variable of the expansion order, as ``maid2efg`` expands it.
+
+    ``at`` holds the positions of the parents that key its rows, in the
+    rows' parent order.  ``branches`` is None for an open decision; for a
+    chance variable or a committed decision it maps each parent context to
+    its row's branches.
+    """
+
+    var: str
+    at: tuple[int, ...]
+    branches: Mapping[tuple[str, ...], _Branches] | None
+    owner: str | None
+    domain: tuple[str, ...]
+
+
+@bn.indexed
+def _expansion(
+    model: Model, order: tuple[str, ...] | None
+) -> tuple[tuple[_Step, ...], tuple[_Payoff, ...]]:
+    """The steps of ``maid2efg``'s expansion order (``maid._sweep_order``
+    when ``order`` is None), and each ``maid._payoff_tables`` entry with its
+    parents as positions in that order; built once per model and order.
+    An order that is not a topological permutation of the chance and
+    decision variables raises ``NonTopologicalOrder``."""
     m = base_maid(model)
     tables = {**m.cpds, **fixed_rules(model)}
-    expandable = sorted(m.chance_variables() + m.decisions())
     if order is None:
         names = _sweep_order(m)
     else:
-        names = list(order)
+        names = order
+        expandable = sorted(m.chance_variables() + m.decisions())
         if sorted(names) != expandable:
             raise NonTopologicalOrder(
                 f"order must be a permutation of {expandable}"
@@ -99,62 +201,51 @@ def maid2efg(
             if missing := sorted(set(m.parents[v]) - seen):
                 raise NonTopologicalOrder(f"{v} expanded before parents {missing}")
             seen.add(v)
-
-    payoff_tables = _payoff_tables(m)
-    nodes: list[EfgNode] = []
-    mu: dict[int, dict[str, str]] = {}
-
-    def leaf_payoffs(a: dict[str, str]) -> dict[str, float]:
-        out = dict.fromkeys(m.agents, 0.0)
-        for owner, parents, table in payoff_tables:
-            out[owner] += table[tuple(a[p] for p in parents)]
-        return out
-
-    def build(i: int, a: dict[str, str]) -> int:
-        if i == len(names):
-            nodes.append(EfgNode(kind="leaf", payoffs=leaf_payoffs(a)))
-            nid = len(nodes) - 1
-            mu[nid] = dict(a)
-            return nid
-        var = names[i]
-        domain = m.variables[var].domain
-        if var in tables:
-            row = tables[var].row_for(a)
-            edges = []
-            dist = {}
-            for label in domain:
-                p = row.get(label, 0.0)
-                if p <= 0.0:
-                    continue
-                a[var] = label
-                edges.append((label, build(i + 1, a)))
-                del a[var]
-                dist[label] = p
-            nodes.append(
-                EfgNode(kind=CHANCE, var=var, edges=tuple(edges), dist=dist)
-            )
+    position = {v: i for i, v in enumerate(names)}
+    steps = []
+    for v in names:
+        var = m.variables[v]
+        if v in tables:
+            cpd = tables[v]
+            branches = {}
+            for ctx, row in cpd.rows.items():
+                pairs = tuple((label, p) for label in var.domain
+                              if not (p := row.get(label, 0.0)) <= 0.0)
+                branches[ctx] = (tuple(label for label, _ in pairs), pairs)
+            steps.append(_Step(v, tuple(position[p] for p in cpd.parents),
+                               MappingProxyType(branches), None, var.domain))
         else:
-            ctx = tuple(a[p] for p in m.parents[var])
-            edges = []
-            for label in domain:
-                a[var] = label
-                edges.append((label, build(i + 1, a)))
-                del a[var]
-            nodes.append(
-                EfgNode(
-                    kind=DECISION,
-                    var=var,
-                    owner=m.variables[var].owner,
-                    iset=(var, ctx),
-                    edges=tuple(edges),
-                )
-            )
-        nid = len(nodes) - 1
-        mu[nid] = dict(a)
-        return nid
+            steps.append(_Step(v, tuple(position[p] for p in m.parents[v]),
+                               None, var.owner, var.domain))
+    payoffs = tuple((owner, tuple(position[p] for p in parents), table)
+                    for owner, parents, table in _payoff_tables(m))
+    return tuple(steps), payoffs
 
-    root = build(0, {})
-    return Efg(m.agents, tuple(nodes), root), mu
+
+class _Contexts(MappingABC):
+    """``maid2efg``'s mu: node id -> ``{variable: label}`` along the path
+    from the root, in expansion order, worked out from ``history`` when
+    asked and returned as a new dict each time."""
+
+    __slots__ = ("_g",)
+
+    def __init__(self, g: Efg):
+        self._g = g
+
+    def __getitem__(self, nid: int) -> dict[str, str]:
+        if nid not in self:
+            raise KeyError(nid)
+        nodes = self._g.nodes
+        return {nodes[p].var: label for p, label in history(self._g, nid)}
+
+    def __contains__(self, nid: object) -> bool:
+        return isinstance(nid, int) and 0 <= nid < len(self._g.nodes)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(len(self._g.nodes)))
+
+    def __len__(self) -> int:
+        return len(self._g.nodes)
 
 
 def efg_expected_utility(g: Efg, strategy: Strategy, agent: str) -> float:

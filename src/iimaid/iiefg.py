@@ -19,7 +19,6 @@ from .efg import (
     Efg,
     _info_sets,
     efg_expected_utility,
-    info_sets,
     maid2efg,
 )
 from .errors import (
@@ -384,7 +383,7 @@ def maid2efgII(x: IiMaid) -> IiConversion:
         games[mid] = game
         slots = _decision_slots(model)
         for agent in x.agents:
-            for key in info_sets(game, agent):
+            for key in _info_sets(game, agent):
                 var, ctx = key
                 obs_map[(agent, mid, key)] = slots[var].cells[ctx][0].observation
 

@@ -560,6 +560,7 @@ def _rules_from_rows(
     decisions: Collection[str],
     rows: Mapping[InformationSet, Row],
     missing: Callable[[InformationSet], GameError],
+    check: bool = True,
 ) -> dict[str, Cpd]:
     """Rules for ``decisions``, by owner then name, read off information-set
     rows: the package's one writer of such rules.
@@ -567,7 +568,9 @@ def _rules_from_rows(
     A supported context takes its set's row, which must be a distribution
     over the decision's actions; one without a row raises
     ``missing(iset)``.  Any other context, which no policy can reach, takes
-    the least action, whatever ``rows`` holds (see ``maid``).
+    the least action, whatever ``rows`` holds (see ``maid``).  With
+    ``check`` false the rows are known to be distributions
+    (``validate_ii_policy`` passed them) and are not checked again.
     """
     rules: dict[str, Cpd] = {}
     for d, (pa, actions, cells) in _decision_slots(model).items():
@@ -579,7 +582,7 @@ def _rules_from_rows(
                 out[ctx] = _best_row(actions)
             elif (row := rows.get(iset)) is None:
                 raise missing(iset)
-            elif not bn.is_distribution(row, actions):
+            elif check and not bn.is_distribution(row, actions):
                 raise ValidationError([f"rule-row-invalid: {d}{ctx}"])
             else:
                 out[ctx] = row
@@ -604,10 +607,14 @@ def _no_rule(iset: InformationSet) -> MissingRule:
     return MissingRule(f"no rule for {iset}")
 
 
-def _profile_utilities(model: Model, profile: IiPolicy) -> dict[str, float]:
+def _profile_utilities(
+    model: Model, profile: IiPolicy, check: bool = True
+) -> dict[str, float]:
     """Every agent's expected utility in the model under the profile, whose
-    rows ``profile_rules_for_model`` checks as it reads them."""
-    return _expected_utilities(model, profile_rules_for_model(model, profile))
+    rows ``profile_rules_for_model`` checks as it reads them, unless
+    ``check`` is false (see ``_rules_from_rows``)."""
+    rules = _rules_from_rows(model, _free_decisions(model, None), profile, _no_rule, check)
+    return _expected_utilities(model, rules)
 
 
 @bn.indexed
@@ -626,7 +633,7 @@ def _believed(x: IiMaid, agent: str, at: str) -> tuple[tuple[str, float], ...]:
 
 
 def _per_model_utilities(
-    x: IiMaid, profile: IiPolicy
+    x: IiMaid, profile: IiPolicy, check: bool = True
 ) -> Callable[[str], Mapping[str, float]]:
     """Model id -> ``_profile_utilities``, each model evaluated on first use
     and kept in the closure's dict."""
@@ -636,7 +643,7 @@ def _per_model_utilities(
         try:
             return done[sid]
         except KeyError:
-            value = done[sid] = _profile_utilities(x.models[sid].model, profile)
+            value = done[sid] = _profile_utilities(x.models[sid].model, profile, check)
             return value
 
     return utilities
@@ -689,6 +696,7 @@ def _action_values(
     at: str,
     profile: IiPolicy,
     utilities: Callable[[str], Mapping[str, float]],
+    check: bool = True,
 ) -> _ActionValues | None:
     """The agent's subjective value at ``at`` as a sum over information sets.
 
@@ -700,7 +708,8 @@ def _action_values(
     agent has no free decision adds its weighted utility, from
     ``utilities``, to the constant.  So any policy's value is
     ``maid._priced(constant, values, rows)``.  Returns None when the agent
-    has two or more free decisions in a believed model.
+    has two or more free decisions in a believed model.  ``check`` is
+    ``_rules_from_rows``'s, for the other decisions' rules.
     """
     models = []
     for sid, w in _believed(x, agent, at):
@@ -717,7 +726,8 @@ def _action_values(
             continue
         (d,) = own
         rules = _rules_from_rows(
-            model, [e for e in _free_decisions(model, None) if e != d], profile, _no_rule
+            model, [e for e in _free_decisions(model, None) if e != d], profile, _no_rule,
+            check,
         )
         cells = _decision_slots(model)[d].cells
         for ctx, q_row in _decision_values(model, rules, d, agent).items():
@@ -832,14 +842,16 @@ def is_nash_ii(
 def _is_nash_ii(
     x: IiMaid, profile: IiPolicy, tol: float, cap: int
 ) -> tuple[bool, dict[str, float]]:
-    """``is_nash_ii`` on a profile ``validate_ii_policy`` passes."""
+    """``is_nash_ii`` on a valid profile: one ``validate_ii_policy`` passes,
+    or one ``find_nash_ii`` builds.  So the per-information-set path reads
+    its rows without checking them again."""
     at = x.objective
-    utilities = _per_model_utilities(x, profile)
+    utilities = _per_model_utilities(x, profile, check=False)
     regrets: dict[str, float] = {}
     for agent in x.agents:
         if agent not in x.models[at].beliefs:
             continue
-        table = _action_values(x, agent, at, profile, utilities)
+        table = _action_values(x, agent, at, profile, utilities, check=False)
         if table is None:
             _, brv = _best_response_ii_exhaustive(x, agent, profile, at, cap)
             achieved = _subjective_value(x, agent, at, utilities)

@@ -49,12 +49,12 @@ def test_modules_import_no_unused_names():
 
 
 # The top-level functions whose nested helpers call themselves: the one
-# enumeration kernel, the oracles kept apart from it, and the tree builder
-# and belief-stack walk.  Any other exact inference goes through the kernel;
-# tree values (``efg.efg_expected_utility``) are walked on an explicit stack.
+# enumeration kernel, the oracles kept apart from it, and the belief-stack
+# walk.  Any other exact inference goes through the kernel; trees are built
+# (``efg.maid2efg``) and valued (``efg.efg_expected_utility``) on explicit
+# stacks.
 RECURSIVE = {
-    ("bn", "sweep"), ("bn", "enumerate_support"), ("efg", "maid2efg"),
-    ("depth", "unroll"),
+    ("bn", "sweep"), ("bn", "enumerate_support"), ("depth", "unroll"),
 }
 
 

@@ -375,6 +375,21 @@ def test_unnormalised_row_raises_in_every_evaluation(example1, ne_profile):
     assert e.value.issues == ["rule-row-invalid: D_H('low',)"]
 
 
+def test_is_nash_ii_checks_each_row_once(example1, ne_profile):
+    # validate_ii_policy checks every row on entry; the rules built for the
+    # regrets read the same rows without checking them again
+    calls = []
+    real = bn.is_distribution
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    with mock.patch.object(bn, "is_distribution", counted):
+        inc.is_nash_ii(example1, ne_profile)
+    assert len(calls) == len(ne_profile)
+
+
 def test_row_over_the_wrong_actions_raises(example1, ne_profile):
     broken = dict(ne_profile)
     broken[iset_full("low", "high")] = {"deploy": 1.0}

@@ -109,6 +109,7 @@ def test_every_index_hands_back_the_value_it_kept(example1, ne_profile, honesty)
         ("efg", "_info_sets"): (tree, "H"),
         ("efg", "_walk_table"): (tree,),
         ("efg", "_parents"): (tree,),
+        ("efg", "_expansion"): (gt, None),
         ("iiefg", "_belief_types"): (g.space, "A"),
         ("iiefg", "_believed_states"): (g.space, "A", "ground_truth"),
         ("iiefg", "_meta_information_sets"): (g, "H"),
