@@ -600,9 +600,15 @@ def unroll(x: IiMaid, k: int) -> DepthStack:
     if k < 0:
         raise ValidationError([f"negative-depth: {k}"])
     nodes: dict[str, SubjectiveMaid] = {}
-
-    def build(model_id: str, left: int, path: str, subject: str | None) -> str:
+    # Nodes are written after their subtrees; an entry with beliefs is due.
+    stack: list[tuple[str, int, str, str | None, dict | None]] = [
+        (x.objective, k, "objective", None, None)]
+    while stack:
+        model_id, left, path, subject, beliefs = stack.pop()
         src = x.models[model_id]
+        if beliefs is not None:
+            nodes[path] = SubjectiveMaid(path, src.model, beliefs)
+            continue
         if left == 0:
             rules = {}
             for agent in base_maid(src.model).agents:
@@ -617,21 +623,19 @@ def unroll(x: IiMaid, k: int) -> DepthStack:
                 else src.model
             )
             nodes[path] = SubjectiveMaid(path, model, {})
-            return path
-        beliefs: dict[str, dict[str, float]] = {}
+            continue
+        beliefs, children = {}, []
         for agent in believers(src):
             if agent == subject or not free_decisions(src.model, agent):
                 continue
-            row = {}
+            row = beliefs[agent] = {}
             for target in sorted(src.beliefs[agent]):
                 p = src.beliefs[agent][target]
                 if p <= 0.0:
                     continue
-                child = build(target, left - 1, f"{path}/{agent}:{target}", agent)
+                child = f"{path}/{agent}:{target}"
                 row[child] = p
-            beliefs[agent] = row
-        nodes[path] = SubjectiveMaid(path, src.model, beliefs)
-        return path
-
-    build(x.objective, k, "objective", None)
+                children.append((target, left - 1, child, agent, None))
+        stack.append((model_id, left, path, subject, beliefs))
+        stack.extend(reversed(children))
     return DepthStack(x.agents, "objective", nodes)

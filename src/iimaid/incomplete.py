@@ -10,6 +10,7 @@ about the world.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 from types import MappingProxyType
 from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple
@@ -139,9 +140,9 @@ def believers(s: SubjectiveMaid) -> list[str]:
     return sorted(s.beliefs)
 
 
-def _rows_close(a: Mapping[str, float], b: Mapping[str, float], tol: float = TOL) -> bool:
+def _rows_close(a: Mapping[str, float], b: Mapping[str, float]) -> bool:
     keys = set(a) | set(b)
-    return all(abs(a.get(k, 0.0) - b.get(k, 0.0)) <= tol for k in keys)
+    return all(abs(a.get(k, 0.0) - b.get(k, 0.0)) <= TOL for k in keys)
 
 
 @dataclass(frozen=True)
@@ -151,7 +152,7 @@ class CoherenceViolation:
     compatible_mass: float
 
 
-def validate_coherence(x: IiMaid, tol: float = TOL) -> list[CoherenceViolation]:
+def validate_coherence(x: IiMaid) -> list[CoherenceViolation]:
     """Check that agents are certain of their own beliefs.
 
     For each agent and model, the belief row must put all its mass on models
@@ -165,9 +166,9 @@ def validate_coherence(x: IiMaid, tol: float = TOL) -> list[CoherenceViolation]:
             mass = 0.0
             for target, p in row.items():
                 other = x.models[target].beliefs.get(agent)
-                if other is not None and _rows_close(row, other, tol):
+                if other is not None and _rows_close(row, other):
                     mass += p
-            if abs(mass - 1.0) > tol:
+            if abs(mass - 1.0) > TOL:
                 violations.append(CoherenceViolation(agent, sid, mass))
     return violations
 
@@ -206,9 +207,9 @@ class ConsistencyReport:
     ``mass_bounds`` gives the feasible [min, max] prior mass per model, which
     exposes forced-zero models.  ``sample`` is a prior that maximizes the
     least realized type-class mass, which is ``min_type_mass``.  The three
-    are None when no prior is feasible.
-    How closely each field matches separate per-bound linear programs is
-    stated under "Tolerances and ties" in ``maid``.
+    are None when no prior is feasible.  ``check_consistency`` states how
+    each field is computed and how closely it matches separate per-bound
+    linear programs.
     """
 
     eq_feasible: bool
@@ -228,25 +229,29 @@ def check_consistency(x: IiMaid) -> ConsistencyReport:
     maximizes the minimum prior mass over realized belief-type classes and
     asks for an optimum above ``TOL``.
 
-    Every game is solved by one rule, in closed form: each such agent's
-    stationary priors mix one vector per closed group of its type classes
-    (``_closed_groups``), so the feasible priors mix one vector v_K per
-    component K of those vectors' supports, and a component whose vector
-    does not reproduce every member's own row within ``TOL`` has mass 0
-    (``_prior_components``).  A model's bounds are (v_K, v_K) with one
-    component, (0, v_K) with several, and (0, 0) when it lies in none.
-    ``sample`` weighs each v_K by 1 / m_K, where m_K is the least mass v_K
-    gives a realized class of positive mass; this is the unique strongest
-    prior when every realized class has a live member, and a fixed choice
-    among equally strong ones otherwise.
+    One rule decides every game.  Each such agent's stationary priors mix
+    one vector per closed group of its type classes (``_closed_groups``), so
+    the feasible priors mix one vector v_K per component K of those vectors'
+    supports; a component whose vector does not reproduce every member's own
+    row within ``TOL`` has mass 0 (``_prior_components``).  A model's bounds
+    are (v_K, v_K) with one component, (0, v_K) with several, and (0, 0) in
+    none.  ``sample`` weighs the v_K to maximize the least mass of a
+    realized class with a live member, solved exactly
+    (``_strongest_weights``); ``min_type_mass`` is that mass, 0.0 if a
+    realized class has no live member and 1.0 if no class is realized.
+    Where each such class lies in one component and each component holds
+    one, v_K weighs 1 / m_K, m_K being the least mass v_K gives such a
+    class, normalised; so that mixture is ``sample`` also where
+    ``min_type_mass`` is 0 and every feasible prior is optimal.
 
-    That weighting is the strongest only when every realized class lies in
-    one component and every component holds one.  Otherwise (a class of an
-    agent with beliefs in some models only spans two components, or a
-    component holds no realized class) one HiGHS solve over the component
-    weights gives ``sample`` and ``min_type_mass``; it loads scipy, decides
-    neither ``eq_feasible`` nor a bound, and raises ``GameError`` with
-    HiGHS's message if it fails.
+    Against separate per-bound linear programs on generated games, coherent
+    and not, ``type_classes`` and the verdicts are the same, and the bounds,
+    ``min_type_mass`` and a unique strongest ``sample`` are within 1e-12.
+    Class rows are read off each class's least member, so rows that differ
+    within ``TOL`` move the bounds by up to about ``TOL``.  Rows whose
+    ratios disagree by more than ``TOL`` are rejected, and a class row with
+    any mass on a model of mass 0 gives its class mass 0, also where a
+    solver, which accepts residuals of about 1e-7, finds a prior.
     """
     ids = sorted(x.models)
     type_classes = {a: belief_type_classes(x, a) for a in x.agents}
@@ -264,17 +269,8 @@ def check_consistency(x: IiMaid) -> ConsistencyReport:
             if s in vector:
                 by[component[s]] = by.get(component[s], 0.0) + vector[s]
         masses.append(by)
-    least: dict[int, float] = {}
-    for by in masses:
-        for j, mass in by.items():
-            least[j] = min(least.get(j, mass), mass)
-    if len(least) == len(components) and all(len(by) <= 1 for by in masses):
-        inverse = {j: 1.0 / m for j, m in least.items()}
-        scale = sum(inverse.values())
-        weight = {j: w / scale for j, w in inverse.items()}
-        min_type_mass = 0.0 if any(not by for by in masses) else _snap(1.0 / scale)
-    else:
-        weight, min_type_mass = _strongest_weights(len(components), masses)
+    weight, least = _strongest_weights(len(components), [by for by in masses if by])
+    min_type_mass = least if all(masses) else 0.0
     sample = {
         sid: _snap(weight[component[sid]] * vector[sid]) if sid in vector else 0.0
         for sid in ids
@@ -434,28 +430,46 @@ def _strongest_weights(
     n: int, masses: list[dict[int, float]]
 ) -> tuple[dict[int, float], float]:
     """The weights of ``n`` component vectors that maximize the least mass
-    of a realized class (given per component in ``masses``), and that mass:
-    one HiGHS solve over the weights and the least mass t."""
-    from scipy.optimize import linprog
+    of a class (given per component in ``masses``), and that mass.
 
-    res = linprog(
-        c=[0.0] * n + [-1.0],
-        A_ub=[[-by.get(j, 0.0) for j in range(n)] + [1.0] for by in masses],
-        b_ub=[0.0] * len(masses),
-        A_eq=[[1.0] * n + [0.0]],
-        b_eq=[1.0],
-        bounds=[(0.0, 1.0)] * (n + 1),
-        method="highs",
-    )
-    if not res.success:
-        raise GameError(f"strongest-prior linear program failed: {res.message}")
-    return dict(enumerate(res.x[:n])), _snap(res.x[n])
+    An exact simplex over ``Fraction`` maximizes Z = sum_C y_C subject to
+    sum_C masses[C][j] y_C <= 1 per component j and y >= 0, from the slack
+    basis by Bland's rule, which never cycles; Z is finite, as each class
+    has mass in some component.  The price u_j of j's slack gives weight
+    u_j / Z, under which each class has mass at least 1 / Z (LP duality).
+    Without classes the weights are equal and the mass is 1.
+    """
+    if not masses:
+        return dict.fromkeys(range(n), 1.0 / n), 1.0
+    # A class with at least another's mass in every component is never the
+    # least, so only the classes that no other lies under are kept.
+    kept: list[dict[int, float]] = []
+    for by in sorted(masses, key=lambda by: sum(by.values())):
+        if not any(all(by.get(j, 0.0) >= p for j, p in low.items()) for low in kept):
+            kept.append(by)
+    masses, m = kept, len(kept)
+    rows = [[Fraction(by.get(j, 0.0)) for by in masses]
+            + [Fraction(i == j) for i in range(n)] + [Fraction(1)] for j in range(n)]
+    cost = [Fraction(1)] * m + [Fraction(0)] * (n + 1)  # reduced costs; cost[-1] is -Z
+    basis = list(range(m, m + n))
+    while (enter := next((c for c in range(m + n) if cost[c] > 0), None)) is not None:
+        _, _, r = min((row[-1] / row[enter], basis[i], i)
+                      for i, row in enumerate(rows) if row[enter] > 0)
+        pivot = rows[r]
+        pivot[:] = [v / pivot[enter] for v in pivot]
+        for row in (*rows[:r], *rows[r + 1:], cost):
+            if row[enter]:
+                f = row[enter]
+                row[:] = [v - f * p for v, p in zip(row, pivot)]
+        basis[r] = enter
+    z = -cost[-1]
+    return {j: float(-cost[m + j] / z) for j in range(n)}, _snap(float(1 / z))
 
 
-def _snap(v: float, eps: float = 1e-12) -> float:
-    if abs(v) < eps:
+def _snap(v: float) -> float:
+    if abs(v) < 1e-12:
         return 0.0
-    if abs(v - 1.0) < eps:
+    if abs(v - 1.0) < 1e-12:
         return 1.0
     return float(v)
 

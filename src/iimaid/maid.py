@@ -89,29 +89,6 @@ on the bundled documents, numbers included.
 probability.  Its trace values lie within 1e-12 absolute of a recomputation
 by ``depth._walk_conditional_utility``; the trace's actions, order and
 ``written_to``, the profile and the objective rules are bit-identical.
-
-``incomplete.check_consistency`` decides every game by one rule, in closed
-form: a component of the feasible priors is kept when, on each closed
-group of a type class chain, its posterior is within ``bn.TOL`` of the
-group's vector with any live member's own row standing for its class's
-(in a coherent game: each member's own row is the posterior on its
-class).  Against separate per-bound linear programs on 3,500 generated
-games, coherent and not, ``type_classes`` and the verdicts
-(``eq_feasible``, ``strongly_consistent``) are the same; ``mass_bounds``,
-``min_type_mass``, and ``sample`` where ``min_type_mass`` is positive
-(the strongest prior is then unique) are within 1e-12 absolute (6.1e-16
-seen).  Where it is 0 every feasible prior is optimal, and ``sample`` is
-the mixture that ``check_consistency`` documents, not a solver's vertex.
-Class rows are read off each class's least member, so rows that differ
-within ``TOL`` move the bounds by up to about ``TOL`` (5.1e-10 seen).
-Rows whose ratios disagree by more than ``TOL`` are rejected, and a class
-row that puts any mass, however small, on a model of mass 0 gives its
-class mass 0; both hold also where a solver, which accepts residuals of
-about 1e-7, finds a prior, so there the verdicts differ from the
-solver's.  The one solve left, where a realized class spans two
-components, gives only ``sample`` and ``min_type_mass`` (which
-``strongly_consistent`` compares with ``TOL`` on every path); it never
-decides ``eq_feasible`` or a bound.
 """
 
 from __future__ import annotations

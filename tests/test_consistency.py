@@ -1,21 +1,19 @@
 """check_consistency against separate per-bound linear programs.
 
-Every game whose realized classes each lie in one component, coherent or
-not, takes the closed form and no solve: verdicts and type classes equal,
-bounds and ``min_type_mass`` within 1e-12, and ``sample`` within 1e-12
-where the optimum is unique, else the documented mixture.  A game with a
-class spanning two components takes one solve for ``sample`` and
+No game, coherent or not, makes a HiGHS solve: verdicts and type classes
+equal, bounds and ``min_type_mass`` within 1e-12, and ``sample`` within
+1e-12 where the optimum is unique, else the documented mixture.  Where a
+realized class spans two components, ``sample`` is checked by optimality:
+it reproduces the beliefs and gives every realized class at least
 ``min_type_mass``."""
 import random
 from unittest import mock
 
 import pytest
 import scipy.optimize
-from scipy.optimize import OptimizeResult
 
 from iimaid import cli, gamedoc, incomplete as inc
 from iimaid.bn import TOL
-from iimaid.errors import GameError
 from iimaid.incomplete import IiMaid, SubjectiveMaid
 from tests.test_incomplete import random_common_prior_iimaid, trivial_model
 
@@ -81,6 +79,16 @@ def per_bound_consistency(x):
                                  bounds, type_classes)
 
 
+def random_row(rng, ids):
+    """A belief row over ``ids`` with about a third of its entries zero."""
+    weights = {j: rng.choice((0.0, rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0)))
+               for j in ids}
+    if not any(weights.values()):
+        weights[rng.choice(ids)] = 1.0
+    total = sum(weights.values())
+    return {j: w / total for j, w in weights.items() if w}
+
+
 def random_belief_iimaid(seed):
     """Belief rows drawn independently of any prior, so many games have no
     common prior; about a third of the entries are zero."""
@@ -92,12 +100,7 @@ def random_belief_iimaid(seed):
     for mid in ids:
         beliefs = {}
         for agent in agents:
-            weights = {j: rng.choice((0.0, rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0)))
-                       for j in ids}
-            if not any(weights.values()):
-                weights[rng.choice(ids)] = 1.0
-            total = sum(weights.values())
-            beliefs[agent] = {j: w / total for j, w in weights.items() if w}
+            beliefs[agent] = random_row(rng, ids)
         models[mid] = SubjectiveMaid(mid, base, beliefs)
     return IiMaid(agents, ids[0], models)
 
@@ -212,12 +215,7 @@ def random_class_row_iimaid(seed, perturb=0.0):
         rng.shuffle(shuffled)
         step = rng.randint(1, len(ids))
         for cell in (shuffled[i::step] for i in range(step)):
-            weights = {j: rng.choice((0.0, rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0)))
-                       for j in cell}
-            if not any(weights.values()):
-                weights[rng.choice(cell)] = 1.0
-            total = sum(weights.values())
-            row = {j: w / total for j, w in weights.items() if w}
+            row = random_row(rng, cell)
             for mid in cell:
                 own = {j: max(0.0, p + rng.uniform(-perturb, perturb)) for j, p in row.items()}
                 beliefs[mid][agent] = {j: p / sum(own.values()) for j, p in own.items()}
@@ -324,11 +322,10 @@ def spanning_class_iimaid():
     })
 
 
-def test_class_spanning_two_components_takes_the_solver():
+def test_class_spanning_two_components_matches_per_bound_solves():
     x = spanning_class_iimaid()
     assert inc.validate_coherence(x) == []
-    rep, solves = linprog_calls(x)
-    assert solves == 1
+    rep = inc.check_consistency(x)
     assert rep.min_type_mass == pytest.approx(1 / 3)
     assert_matches_per_bound(x)
 
@@ -413,26 +410,74 @@ def test_coherent_game_makes_no_solve(k):
     assert solves == 0
 
 
-def _failing_solve(monkeypatch):
-    """Fail every solve as HiGHS does on numerical trouble."""
-    def linprog(*args, **kwargs):
-        return OptimizeResult(x=None, fun=None, success=False, status=4,
-                              message="Numerical difficulties encountered. "
-                                      "(HiGHS Status 7: model_status is Unknown)")
+def random_spanning_iimaid(seed):
+    """P1's rows split the models into blocks, and every member of a block
+    holds the block's row, so each block with a live member is a component.
+    P2 holds beliefs in some models only, one row per P2 class, so its
+    classes can span blocks."""
+    rng = random.Random(seed)
+    agents = ("P1", "P2")
+    ids = [f"m{i}" for i in range(rng.randint(2, 6))]
+    beliefs = {mid: {} for mid in ids}
+    shuffled = ids[:]
+    rng.shuffle(shuffled)
+    step = rng.randint(1, len(ids))
+    for block in (shuffled[i::step] for i in range(step)):
+        row = random_row(rng, block)
+        for mid in block:
+            beliefs[mid]["P1"] = row
+    holders = rng.sample(ids, rng.randint(1, len(ids) - 1))
+    step = rng.randint(1, len(holders))
+    for cls in (holders[i::step] for i in range(step)):
+        row = random_row(rng, ids)
+        for mid in cls:
+            beliefs[mid]["P2"] = row
+    base = trivial_model(agents)
+    return IiMaid(agents, ids[0], {
+        mid: SubjectiveMaid(mid, base, beliefs[mid]) for mid in ids})
 
-    monkeypatch.setattr(scipy.optimize, "linprog", linprog)
+
+def test_classes_spanning_components_match_per_bound_solves():
+    spanning = 0
+    for seed in range(300):
+        x = random_spanning_iimaid(seed)
+        got, solves = linprog_calls(x)
+        want = per_bound_consistency(x)
+        assert solves == 0
+        assert (got.eq_feasible, got.strongly_consistent, got.type_classes) == (
+            want.eq_feasible, want.strongly_consistent, want.type_classes)
+        assert got.min_type_mass == pytest.approx(want.min_type_mass, rel=0,
+                                                  abs=BOUND_DRIFT)
+        assert got.mass_bounds.keys() == want.mass_bounds.keys()
+        for sid, pair in want.mass_bounds.items():
+            assert got.mass_bounds[sid] == pytest.approx(pair, rel=0, abs=BOUND_DRIFT)
+        # an optimum need not be unique: check the sample by optimality
+        assert belief_residual(x, got.sample) <= BOUND_DRIFT
+        classes = [members for a in x.agents for members in got.type_classes[a]]
+        for members in classes:
+            assert sum(got.sample[sid] for sid in members) >= (
+                got.min_type_mass - BOUND_DRIFT)
+        # a P2 class whose live members hold different P1 rows spans two
+        # components
+        p1 = {sid: cls[0] for cls in got.type_classes["P1"] for sid in cls}
+        spanning += any(
+            len({p1[sid] for sid in members if got.mass_bounds[sid][1] > 0.0}) > 1
+            for members in got.type_classes["P2"])
+    assert spanning >= 30
 
 
-def test_failed_solve_raises_instead_of_a_report(monkeypatch):
-    _failing_solve(monkeypatch)
-    with pytest.raises(GameError, match="HiGHS Status 7"):
-        inc.check_consistency(spanning_class_iimaid())
-
-
-def test_failed_solve_exits_two(monkeypatch, tmp_path, capsys):
-    path = tmp_path / "spanning.iimaid.json"
-    path.write_text(gamedoc.serialize_document(spanning_class_iimaid()))
-    _failing_solve(monkeypatch)
-    code = cli.run(["check-consistency", str(path)])
-    assert code == 2
-    assert "HiGHS Status 7" in capsys.readouterr().err
+def test_document_without_beliefs_is_strongly_consistent(tmp_path, capsys):
+    # No type class is realized, so the components weigh the same and the
+    # least class mass is 1.0.
+    base = trivial_model(("P1", "P2"))
+    x = IiMaid(("P1", "P2"), "a", {
+        mid: SubjectiveMaid(mid, base, {}) for mid in ("a", "b")})
+    rep = inc.check_consistency(x)
+    assert (rep.eq_feasible, rep.strongly_consistent, rep.min_type_mass) == (True, True, 1.0)
+    assert rep.sample == {"a": 0.5, "b": 0.5}
+    want = per_bound_consistency(x)
+    assert (want.min_type_mass, want.mass_bounds) == (1.0, rep.mass_bounds)
+    path = tmp_path / "beliefless.iimaid.json"
+    path.write_text(gamedoc.serialize_document(x))
+    assert cli.run(["check-consistency", str(path)]) == 0
+    assert "Traceback" not in capsys.readouterr().err

@@ -629,3 +629,62 @@ def test_unrolled_best_response(example1):
         ("high", "high"): "deploy", ("high", "low"): "not_deploy",
         ("low", "high"): "not_deploy", ("low", "low"): "deploy"}
     assert dp.audit_trace(st, res) == []
+
+
+def unroll_recursive(x, k):
+    """``dp.unroll`` as one recursive call per node: the oracle for its
+    node ids, contents and insertion order."""
+    nodes = {}
+
+    def build(model_id, left, path, subject):
+        src = x.models[model_id]
+        if left == 0:
+            rules = {}
+            for agent in maid.base_maid(src.model).agents:
+                if agent == subject:
+                    continue
+                for d in maid.free_decisions(src.model, agent):
+                    rules[d] = maid.uniform_rule(src.model, d)
+            model = (maid.PostPolicyMaid(maid.base_maid(src.model),
+                                         {**maid.fixed_rules(src.model), **rules})
+                     if rules else src.model)
+            nodes[path] = SubjectiveMaid(path, model, {})
+            return path
+        beliefs = {}
+        for agent in inc.believers(src):
+            if agent == subject or not maid.free_decisions(src.model, agent):
+                continue
+            row = {}
+            for target in sorted(src.beliefs[agent]):
+                p = src.beliefs[agent][target]
+                if p <= 0.0:
+                    continue
+                row[build(target, left - 1, f"{path}/{agent}:{target}", agent)] = p
+            beliefs[agent] = row
+        nodes[path] = SubjectiveMaid(path, src.model, beliefs)
+        return path
+
+    build(x.objective, k, "objective", None)
+    return nodes
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 5])
+def test_unroll_matches_the_recursive_builder(example1, k):
+    games = [example1] + [generators.random_ii_game(random.Random(seed), 3, 2, 1, 1, 1)
+                          for seed in range(3)]
+    for x in games:
+        want = unroll_recursive(x, k)
+        got = dp.unroll(x, k).nodes
+        assert list(got) == list(want)
+        assert got == want
+
+
+def test_unroll_deeper_than_the_recursion_limit(example1):
+    # One model that both agents believe: each branch is a chain, so the
+    # stack has 2k + 1 nodes and depth k.
+    m = example1.models["ai_belief"]
+    x = IiMaid(example1.agents, "m", {
+        "m": SubjectiveMaid("m", m.model, {a: {"m": 1.0} for a in example1.agents})})
+    st = dp.unroll(x, 5000)
+    assert len(st.nodes) == 10001
+    assert dp.classify_depth(st)[1] == 5000

@@ -5,8 +5,7 @@ builds the cap error, one writes the least-action default, only the listed
 readers read a utility's payoff labels, the structural index `bn.indexed`
 is only ever a decorator, `import iimaid` loads neither
 jsonschema, scipy nor numpy, reading documents never loads jsonschema, and
-only a consistency check whose realized class spans two components loads
-scipy."""
+no consistency check loads numpy or scipy."""
 import ast
 import os
 import subprocess
@@ -49,13 +48,11 @@ def test_modules_import_no_unused_names():
 
 
 # The top-level functions whose nested helpers call themselves: the one
-# enumeration kernel, the oracles kept apart from it, and the belief-stack
-# walk.  Any other exact inference goes through the kernel; trees are built
-# (``efg.maid2efg``) and valued (``efg.efg_expected_utility``) on explicit
-# stacks.
-RECURSIVE = {
-    ("bn", "sweep"), ("bn", "enumerate_support"), ("depth", "unroll"),
-}
+# enumeration kernel and the oracle kept apart from it.  Any other exact
+# inference goes through the kernel; trees are built (``efg.maid2efg``) and
+# valued (``efg.efg_expected_utility``), and belief stacks unrolled
+# (``depth.unroll``), on explicit stacks.
+RECURSIVE = {("bn", "sweep"), ("bn", "enumerate_support")}
 
 
 def _recursive_nested(tree: ast.Module) -> set[str]:
@@ -269,10 +266,10 @@ def test_no_module_imports_numpy():
     assert found == []
 
 
-def test_only_classes_spanning_components_load_scipy(tmp_path):
+def test_no_consistency_check_loads_numpy_or_scipy(tmp_path):
     # A in ground_truth splits its belief between two models whose rows
-    # for A differ, so the game is incoherent; it is still solved in closed
-    # form.  The spanning game's class of P2 spans two components.
+    # for A differ, so the game is incoherent.  The spanning game's class
+    # of P2 spans two components.
     x = fixtures.evaluation_iimaid()
     gt = x.models["ground_truth"]
     incoherent = IiMaid(x.agents, x.objective, {
@@ -306,5 +303,5 @@ def test_only_classes_spanning_components_load_scipy(tmp_path):
     assert proc.stdout.splitlines() == [
         "1 True True []",
         "1 False True []",
-        "0 True True ['numpy', 'scipy']",
+        "0 True True []",
     ]
