@@ -339,13 +339,11 @@ def believed_action_value(
     asked = InformationSet(agent, iset.observation, iset.actions)
     total = 0.0
     hit = False
-    for target, weight in sorted(row.items()):
-        if weight <= 0.0:
-            continue
+    for target in _positive_targets(s, agent):
         c = stack.nodes[target]
         for d in _matching_decisions(c.model, asked):
             hit = True
-            total += weight * value_fn(
+            total += row[target] * value_fn(
                 c.model, agent, d, dict(iset.observation), action
             )
             break
@@ -366,7 +364,8 @@ def _supported_sets(model: Model, d: str) -> dict[tuple[str, ...], InformationSe
 def _committed(node: SubjectiveMaid, decisions: Collection[str],
                rows: Mapping[InformationSet, Row], beliefs: Mapping) -> SubjectiveMaid:
     """The node with ``decisions`` committed to rules read off ``rows`` by
-    ``incomplete._rules_from_rows``, holding ``beliefs``."""
+    ``incomplete._rules_from_rows``, holding ``beliefs``.  The rows are
+    checked once, by the ``PostPolicyMaid`` that commits them."""
     rules = _rules_from_rows(
         node.model, decisions, rows,
         lambda iset: NotOpenMinded(f"{iset} never resolved for {node.id}"),

@@ -37,17 +37,17 @@ def _maid_body(model: Model, prefix: str = "", indent: str = "  ") -> list[str]:
     return lines
 
 
-def maid_dot(model: Model, name: str = "G") -> str:
+def maid_dot(model: Model) -> str:
     """A diagram graph: dashed information links, one shape per variable kind."""
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph G {"]
     lines.extend(_maid_body(model))
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def efg_dot(g: Efg, name: str = "G") -> str:
+def efg_dot(g: Efg) -> str:
     """A game tree with dashed connectors joining information-set members."""
-    lines = [f"digraph {name} {{",
+    lines = ["digraph G {",
              "  node [shape=point];"]
     for nid, node in enumerate(g.nodes):
         ident = _quote(f"n{nid}")
@@ -83,7 +83,7 @@ def efg_dot(g: Efg, name: str = "G") -> str:
     return "\n".join(lines) + "\n"
 
 
-def belief_tree_dot(x: IiMaid, depth: int, name: str = "G") -> str:
+def belief_tree_dot(x: IiMaid, depth: int) -> str:
     """Bounded unrolling of the belief structure into a tree of diagrams.
 
     One cluster per visited model occurrence, starting at the objective model;
@@ -92,7 +92,7 @@ def belief_tree_dot(x: IiMaid, depth: int, name: str = "G") -> str:
     """
     if depth < 0:
         raise ValidationError([f"negative-depth: {depth}"])
-    lines = [f"digraph {name} {{", "  compound=true;"]
+    lines = ["digraph G {", "  compound=true;"]
 
     def anchor(mid: str, idx: int) -> str:
         m = base_maid(x.models[mid].model)
@@ -136,10 +136,10 @@ def belief_tree_dot(x: IiMaid, depth: int, name: str = "G") -> str:
     return "\n".join(lines) + "\n"
 
 
-def stack_dot(stack: DepthStack, name: str = "G") -> str:
+def stack_dot(stack: DepthStack) -> str:
     """A depth stack's belief graph: one box per node, one edge per belief
     entry labeled ``agent:probability``."""
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph G {"]
     for nid in sorted(stack.nodes):
         lines.append(f"  {_quote(nid)} [shape=box];")
     for nid in sorted(stack.nodes):

@@ -33,7 +33,9 @@ from .incomplete import (
     _decision_slots,
     _faced_sets,
     _profile_utilities,
+    _pure_slots,
     _row_classes,
+    _row_issues,
     _rows_close,
     _subjective_value,
     information_sets,
@@ -530,14 +532,18 @@ def verify_equivalence(
     restriction key it looks up.  A shared result is the
     very arithmetic of ``subjective_expected_utility`` and
     ``interim_utility`` on the lifted strategy, and the answer is the same
-    bit for bit.  A bad row raises what those would raise.  A result is
+    bit for bit.  Each profile the caller passes is checked on entry, as
+    ``subjective_expected_utility`` checks it (``incomplete._row_issues``),
+    and a bad row raises what that would raise; the default enumeration's
+    point rows are valid by construction and are not checked.  A result is
     kept across profiles only where the restriction reads fewer rows than
     the profile has; otherwise, among distinct profiles, its key could not
     come again, and only the agents believing its model within the profile
     share it.  So the default enumeration keeps at most each restricted
     space, never an entry per profile.
     """
-    if profiles is None:
+    given = profiles is not None
+    if not given:
         profiles = iter_pure_ii_profiles(x, cap)
     interned: dict[tuple, int] = {}
     models: dict[tuple, Mapping[str, float]] = {}
@@ -559,6 +565,8 @@ def verify_equivalence(
     keys = None
     worst = 0.0
     for profile in profiles:
+        if given and (issues := _row_issues(profile, _pure_slots(x))):
+            raise ValidationError(issues)
         order = tuple(profile)
         if order != keys:
             sources = _sources(conv, order)

@@ -574,17 +574,15 @@ def _rules_from_rows(
     decisions: Collection[str],
     rows: Mapping[InformationSet, Row],
     missing: Callable[[InformationSet], GameError],
-    check: bool = True,
 ) -> dict[str, Cpd]:
     """Rules for ``decisions``, by owner then name, read off information-set
     rows: the package's one writer of such rules.
 
-    A supported context takes its set's row, which must be a distribution
-    over the decision's actions; one without a row raises
+    A supported context takes its set's row; one without a row raises
     ``missing(iset)``.  Any other context, which no policy can reach, takes
-    the least action, whatever ``rows`` holds (see ``maid``).  With
-    ``check`` false the rows are known to be distributions
-    (``validate_ii_policy`` passed them) and are not checked again.
+    the least action, whatever ``rows`` holds (see ``maid``).  Rows are not
+    checked here: the public entry that received them has (``_row_issues``),
+    or a ``PostPolicyMaid`` checks the rules ``depth`` commits.
     """
     rules: dict[str, Cpd] = {}
     for d, (pa, actions, cells) in _decision_slots(model).items():
@@ -596,8 +594,6 @@ def _rules_from_rows(
                 out[ctx] = _best_row(actions)
             elif (row := rows.get(iset)) is None:
                 raise missing(iset)
-            elif check and not bn.is_distribution(row, actions):
-                raise ValidationError([f"rule-row-invalid: {d}{ctx}"])
             else:
                 out[ctx] = row
         rules[d] = Cpd(d, pa, out)
@@ -608,12 +604,32 @@ def profile_rules_for_model(model: Model, profile: IiPolicy) -> dict[str, Cpd]:
     """The model's open decision rules read off an information-set policy,
     by ``_rules_from_rows``.
 
-    Every supported context must be covered, or ``MissingRule`` is raised,
-    and its row must be a distribution over the decision's actions, so the
-    rules need no further check.  Contexts that no policy can reach take the
-    least action, whatever the profile holds for their set.
+    Every set the model faces (``_faced_sets``) that has a row must hold a
+    distribution over its actions, or ``ValidationError`` lists each
+    ``row-not-normalized`` set, so the rules need no further check.  Every
+    supported context must be covered, or ``MissingRule`` is raised.
+    Contexts that no policy can reach take the least action, whatever the
+    profile holds for their set.
     """
+    issues = _row_issues(profile, _faced_sets(model))
+    if issues:
+        raise ValidationError(issues)
     return _rules_from_rows(model, _free_decisions(model, None), profile, _no_rule)
+
+
+def _row_issues(profile: IiPolicy, isets: Iterable[InformationSet]) -> list[str]:
+    """``row-not-normalized`` for each of ``isets`` whose row in the profile
+    is not a distribution over the set's actions; a set without a row is
+    not judged here.  The one check of an information-set row: each public
+    entry runs it once on the profile it receives, and no kernel checks a
+    row again.  Rows are looked up by ``profile.get``, so a profile keyed by
+    plain tuples equal to the sets is checked the same."""
+    return [
+        f"row-not-normalized: {iset}"
+        for iset in isets
+        if (row := profile.get(iset)) is not None
+        and not bn.is_distribution(row, iset.actions)
+    ]
 
 
 def _no_rule(iset: InformationSet) -> MissingRule:
@@ -621,13 +637,10 @@ def _no_rule(iset: InformationSet) -> MissingRule:
     return MissingRule(f"no rule for {iset}")
 
 
-def _profile_utilities(
-    model: Model, profile: IiPolicy, check: bool = True
-) -> dict[str, float]:
+def _profile_utilities(model: Model, profile: IiPolicy) -> dict[str, float]:
     """Every agent's expected utility in the model under the profile, whose
-    rows ``profile_rules_for_model`` checks as it reads them, unless
-    ``check`` is false (see ``_rules_from_rows``)."""
-    rules = _rules_from_rows(model, _free_decisions(model, None), profile, _no_rule, check)
+    rows the caller has checked (see ``_rules_from_rows``)."""
+    rules = _rules_from_rows(model, _free_decisions(model, None), profile, _no_rule)
     return _expected_utilities(model, rules)
 
 
@@ -647,7 +660,7 @@ def _believed(x: IiMaid, agent: str, at: str) -> tuple[tuple[str, float], ...]:
 
 
 def _per_model_utilities(
-    x: IiMaid, profile: IiPolicy, check: bool = True
+    x: IiMaid, profile: IiPolicy
 ) -> Callable[[str], Mapping[str, float]]:
     """Model id -> ``_profile_utilities``, each model evaluated on first use
     and kept in the closure's dict."""
@@ -657,7 +670,7 @@ def _per_model_utilities(
         try:
             return done[sid]
         except KeyError:
-            value = done[sid] = _profile_utilities(x.models[sid].model, profile, check)
+            value = done[sid] = _profile_utilities(x.models[sid].model, profile)
             return value
 
     return utilities
@@ -680,7 +693,12 @@ def subjective_expected_utility(
 
     Each positively believed model is evaluated under the profile restricted
     to it; models the agent gives probability zero are skipped entirely.
+    Every row the profile holds for a set of the game is checked first, read
+    or not (``_row_issues``).
     """
+    issues = _row_issues(profile, _pure_slots(x))
+    if issues:
+        raise ValidationError(issues)
     return _subjective_value(x, agent, at, _per_model_utilities(x, profile))
 
 
@@ -710,7 +728,6 @@ def _action_values(
     at: str,
     profile: IiPolicy,
     utilities: Callable[[str], Mapping[str, float]],
-    check: bool = True,
 ) -> _ActionValues | None:
     """The agent's subjective value at ``at`` as a sum over information sets.
 
@@ -722,8 +739,9 @@ def _action_values(
     agent has no free decision adds its weighted utility, from
     ``utilities``, to the constant.  So any policy's value is
     ``maid._priced(constant, values, rows)``.  Returns None when the agent
-    has two or more free decisions in a believed model.  ``check`` is
-    ``_rules_from_rows``'s, for the other decisions' rules.
+    has two or more free decisions in a believed model.  The other
+    decisions' rules read ``profile``'s rows unchecked: the public entry
+    checked them (see ``_rules_from_rows``).
     """
     models = []
     for sid, w in _believed(x, agent, at):
@@ -740,8 +758,7 @@ def _action_values(
             continue
         (d,) = own
         rules = _rules_from_rows(
-            model, [e for e in _free_decisions(model, None) if e != d], profile, _no_rule,
-            check,
+            model, [e for e in _free_decisions(model, None) if e != d], profile, _no_rule
         )
         cells = _decision_slots(model)[d].cells
         for ctx, q_row in _decision_values(model, rules, d, agent).items():
@@ -778,14 +795,25 @@ def best_response_ii(
     belief, into per-information-set action values, and each information set
     takes ``maid._best_row`` of its values (see ``maid``).
     Information sets never reached with positive probability, and those not
-    encounterable in any believed model, take the least action.  The value
+    encounterable in any believed model, take the least action.  Every row
+    in ``others`` for a set of the game, the agent's own included, is
+    checked first (``_row_issues``), read or not.  The value
     returned is then read off those action values rather than recomputed by
     ``subjective_expected_utility``, from which it may differ by rounding
     (at most 1e-12 in the tests).  Otherwise every pure policy over the
     encounterable information sets is enumerated and ``maid._first_max``
     picks one; ``cap`` bounds only that fallback.
     """
-    at = at or x.objective
+    issues = _row_issues(others, _pure_slots(x))
+    if issues:
+        raise ValidationError(issues)
+    return _best_response_ii(x, agent, others, at or x.objective, cap)
+
+
+def _best_response_ii(
+    x: IiMaid, agent: str, others: IiPolicy, at: str, cap: int
+) -> tuple[dict[InformationSet, Row], float]:
+    """``best_response_ii`` on rows already checked."""
     table = _action_values(x, agent, at, others, _per_model_utilities(x, others))
     if table is None:
         return _best_response_ii_exhaustive(x, agent, others, at, cap)
@@ -798,13 +826,16 @@ def _best_response_ii_exhaustive(
 ) -> tuple[dict[InformationSet, Row], float]:
     """Best response by enumerating every pure policy over the encounterable
     information sets (``maid._iter_pure``, at most ``cap``), the rest at the
-    least action; ``maid._first_max`` in that order wins."""
+    least action; ``maid._first_max`` in that order wins.  Candidates are
+    point rows, so none is checked."""
     relevant, rest = _profile_slots(x, agent, at)
     fallback = {iset: _best_row(iset.actions) for iset in rest}
     slots = [(iset, iset.actions) for iset in relevant]
     return _first_max(
         ({**cells, **fallback} for cells in _iter_pure(slots, "candidate policies", cap)),
-        lambda cand: subjective_expected_utility(x, agent, at, {**dict(others), **cand}),
+        lambda cand: _subjective_value(
+            x, agent, at, _per_model_utilities(x, {**dict(others), **cand})
+        ),
     )
 
 
@@ -820,10 +851,7 @@ def validate_ii_policy(x: IiMaid, profile: IiPolicy) -> list[str]:
     if len(known) < len(profile):
         unknown = [k for k in profile if type(k) is not InformationSet or k not in wanted]
         issues += [f"unknown-information-set: {k}" for k in sorted(unknown, key=repr)]
-    for iset in slots:
-        if iset in known and not bn.is_distribution(profile[iset], iset.actions):
-            issues.append(f"row-not-normalized: {iset}")
-    return issues
+    return issues + _row_issues(profile, [iset for iset in slots if iset in known])
 
 
 def is_nash_ii(
@@ -857,15 +885,15 @@ def _is_nash_ii(
     x: IiMaid, profile: IiPolicy, tol: float, cap: int
 ) -> tuple[bool, dict[str, float]]:
     """``is_nash_ii`` on a valid profile: one ``validate_ii_policy`` passes,
-    or one ``find_nash_ii`` builds.  So the per-information-set path reads
-    its rows without checking them again."""
+    or one ``find_nash_ii`` builds.  No kernel below checks a row, so each
+    row is checked at most once, by the entry."""
     at = x.objective
-    utilities = _per_model_utilities(x, profile, check=False)
+    utilities = _per_model_utilities(x, profile)
     regrets: dict[str, float] = {}
     for agent in x.agents:
         if agent not in x.models[at].beliefs:
             continue
-        table = _action_values(x, agent, at, profile, utilities, check=False)
+        table = _action_values(x, agent, at, profile, utilities)
         if table is None:
             _, brv = _best_response_ii_exhaustive(x, agent, profile, at, cap)
             achieved = _subjective_value(x, agent, at, utilities)
@@ -946,7 +974,7 @@ def find_nash_ii(
         for agent in x.agents:
             if agent not in x.models[x.objective].beliefs:
                 continue
-            br, _ = best_response_ii(x, agent, profile, cap=cap)
+            br, _ = _best_response_ii(x, agent, profile, x.objective, cap)
             for iset, row in br.items():
                 if not _rows_close(profile[iset], row):
                     changed = True

@@ -13,7 +13,9 @@ utility-name order; on point utility rows this is the same arithmetic.
 Public functions check each rule their caller passes once, on entry, and
 a ``PostPolicyMaid`` checks its committed rules when it is made.  The
 ``_``-prefixed kernels assume checked rules and add the model's committed
-ones themselves.
+ones themselves.  The ii layer keeps the same rule for information-set
+profile rows: its public entries check each row they receive once, with
+``incomplete._row_issues``, and no kernel checks a row again.
 
 Tolerances and ties
 -------------------

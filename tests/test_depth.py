@@ -17,7 +17,7 @@ from iimaid.fixtures import (
 from iimaid.incomplete import IiMaid, InformationSet, SubjectiveMaid
 from iimaid.simulate import simulate
 from perfbench import generators
-from tests.test_incomplete import iset_cap, iset_full, iset_report
+from tests.test_incomplete import iset_cap, iset_full, iset_report, row_checks
 
 
 def single_agent_chain():
@@ -508,6 +508,13 @@ def test_believed_model_that_cannot_reach_the_observation_adds_nothing():
         ((("X", "c"),), "r", 0.5, ("c1",)),
     ]
     assert dp.audit_trace(st, res) == []
+
+
+def test_committed_rows_are_checked_only_by_the_model_that_commits_them(depth3):
+    # each PostPolicyMaid of the solve checks the rules it is made with, 54
+    # rows in all; reading the picks into rules checks none (18 more when
+    # the rules' writer checked its rows too)
+    assert row_checks(lambda: dp.recursive_best_response(depth3)) == 54
 
 
 # X's row over a, b, c, from small integer weights, so that zeros are common

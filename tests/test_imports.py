@@ -1,8 +1,9 @@
 """Source lints: every name a package module imports is used in that module,
 no module imports numpy, only the enumeration kernel, its oracles and the
-tree walks recurse, only the listed writers build a `Cpd`, one function
-builds the cap error, one writes the least-action default, only the listed
-readers read a utility's payoff labels, the structural index `bn.indexed`
+tree walks recurse, only the listed writers build a `Cpd`, only the listed
+checkers check a probability row, one function builds the cap error, one
+writes the least-action default, only the listed readers read a utility's
+payoff labels, the structural index `bn.indexed`
 is only ever a decorator, `import iimaid` loads neither
 jsonschema, scipy nor numpy, reading documents never loads jsonschema, and
 no consistency check loads numpy or scipy."""
@@ -140,6 +141,30 @@ def test_one_function_writes_the_least_action_default():
             if any(map(_first_of_actions, ast.walk(top))):
                 found.add((path.stem, getattr(top, "name", "<module>")))
     assert found == {("maid", "_best_row")}
+
+
+# The top-level functions that check a probability row, ``bn.is_distribution``:
+# one per kind of input.  A network's CPDs, a document's rows, a belief
+# space's rows, a game's belief rows, an information-set profile's rows
+# (checked once by each public entry that receives a profile) and a
+# decision rule.  No kernel checks a row it is handed.
+ROW_CHECKERS = {
+    ("bn", "validate_net"), ("gamedoc", "_row_from_doc"),
+    ("iiefg", "validate_belief_space"), ("incomplete", "_structural_issues"),
+    ("incomplete", "_row_issues"), ("maid", "_check_rule"),
+}
+
+
+def test_only_the_listed_checkers_check_a_row():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for top in tree.body:
+            if any(isinstance(node, ast.Call) and "is_distribution" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None))
+                   for node in ast.walk(top)):
+                found.add((path.stem, getattr(top, "name", "<module>")))
+    assert found == ROW_CHECKERS
 
 
 # The top-level definitions that read a utility's payoffs, ``Variable.values``:

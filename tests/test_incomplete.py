@@ -362,7 +362,9 @@ def test_unnormalised_row_raises_in_every_evaluation(example1, ne_profile):
     broken = _unnormalised(ne_profile, iset_full("high", "high"))
     with pytest.raises(ValidationError) as e:
         inc.subjective_expected_utility(example1, "H", "ground_truth", broken)
-    assert e.value.issues == ["rule-row-invalid: D_H('high', 'high')"]
+    assert e.value.issues == [
+        "row-not-normalized: InformationSet(agent='H', observation="
+        "(('C', 'high'), ('D_A', 'high')), actions=('deploy', 'not_deploy'))"]
     with pytest.raises(ValidationError):
         inc.is_nash_ii(example1, broken)
     conv = iiefg.maid2efgII(example1)
@@ -372,12 +374,13 @@ def test_unnormalised_row_raises_in_every_evaluation(example1, ne_profile):
     others = {k: v for k, v in broken.items() if k.agent == "H"}
     with pytest.raises(ValidationError) as e:
         inc.best_response_ii(example1, "A", others)
-    assert e.value.issues == ["rule-row-invalid: D_H('low',)"]
+    assert e.value.issues == [
+        "row-not-normalized: InformationSet(agent='H', observation="
+        "(('D_A', 'low'),), actions=('deploy', 'not_deploy'))"]
 
 
-def test_is_nash_ii_checks_each_row_once(example1, ne_profile):
-    # validate_ii_policy checks every row on entry; the rules built for the
-    # regrets read the same rows without checking them again
+def row_checks(call):
+    """How many times ``call()`` runs ``bn.is_distribution``."""
     calls = []
     real = bn.is_distribution
 
@@ -386,8 +389,72 @@ def test_is_nash_ii_checks_each_row_once(example1, ne_profile):
         return real(*args, **kwargs)
 
     with mock.patch.object(bn, "is_distribution", counted):
-        inc.is_nash_ii(example1, ne_profile)
-    assert len(calls) == len(ne_profile)
+        call()
+    return len(calls)
+
+
+def test_is_nash_ii_checks_each_row_once(example1, ne_profile):
+    # validate_ii_policy checks every row on entry; the rules built for the
+    # regrets read the same rows without checking them again
+    assert row_checks(lambda: inc.is_nash_ii(example1, ne_profile)) == len(ne_profile)
+
+
+def test_subjective_expected_utility_checks_each_given_row_once(example1, ne_profile):
+    # the entry checks every row it is given, and the models it evaluates
+    # read them unchecked, however many of them read one row
+    for at in sorted(example1.models):
+        for agent in example1.agents:
+            got = row_checks(
+                lambda: inc.subjective_expected_utility(example1, agent, at, ne_profile))
+            assert got == len(ne_profile)
+
+
+def test_a_bad_row_no_evaluated_model_reads_still_raises(example1, ne_profile):
+    # H at the ground truth believes only that model, which never reads H's
+    # report-only rows; A's best response never reads A's own rows
+    broken = _unnormalised(ne_profile, iset_report("H", "low"))
+    with pytest.raises(ValidationError) as e:
+        inc.subjective_expected_utility(example1, "H", "ground_truth", broken)
+    assert e.value.issues == [
+        "row-not-normalized: InformationSet(agent='H', observation="
+        "(('D_A', 'low'),), actions=('deploy', 'not_deploy'))"]
+    own = dict(ne_profile)
+    own[iset_cap("high")] = {"high": 0.6, "low": 0.6}
+    with pytest.raises(ValidationError) as e:
+        inc.best_response_ii(example1, "A", own)
+    assert e.value.issues == [
+        "row-not-normalized: InformationSet(agent='A', observation="
+        "(('C', 'high'),), actions=('high', 'low'))"]
+
+
+def test_plain_tuple_keys_give_the_same_values_and_errors(example1, ne_profile):
+    plain = {tuple(k): v for k, v in ne_profile.items()}
+    for at in sorted(example1.models):
+        for agent in example1.agents:
+            assert inc.subjective_expected_utility(example1, agent, at, plain) == \
+                inc.subjective_expected_utility(example1, agent, at, ne_profile)
+    assert inc.best_response_ii(example1, "A", plain) == \
+        inc.best_response_ii(example1, "A", ne_profile)
+    broken = _unnormalised(ne_profile, iset_full("high", "high"))
+    plain_broken = {tuple(k): v for k, v in broken.items()}
+    for call in (
+        lambda p: inc.subjective_expected_utility(example1, "H", "ground_truth", p),
+        lambda p: inc.best_response_ii(example1, "A", p),
+        lambda p: inc.profile_rules_for_model(example1.models["ground_truth"].model, p),
+    ):
+        with pytest.raises(ValidationError) as want:
+            call(broken)
+        with pytest.raises(ValidationError) as got:
+            call(plain_broken)
+        assert got.value.issues == want.value.issues
+
+
+def test_no_row_the_package_builds_is_checked(example1):
+    # verify_equivalence's own enumeration, and find_nash_ii's iterated best
+    # responses (cap 3 forces that stage), build valid rows
+    conv = iiefg.maid2efgII(example1)
+    assert row_checks(lambda: iiefg.verify_equivalence(example1, conv)) == 0
+    assert row_checks(lambda: inc.find_nash_ii(example1, cap=3)) == 0
 
 
 def test_row_over_the_wrong_actions_raises(example1, ne_profile):
@@ -395,7 +462,9 @@ def test_row_over_the_wrong_actions_raises(example1, ne_profile):
     broken[iset_full("low", "high")] = {"deploy": 1.0}
     with pytest.raises(ValidationError) as e:
         inc.subjective_expected_utility(example1, "H", "ground_truth", broken)
-    assert e.value.issues == ["rule-row-invalid: D_H('high', 'low')"]
+    assert e.value.issues == [
+        "row-not-normalized: InformationSet(agent='H', observation="
+        "(('C', 'high'), ('D_A', 'low')), actions=('deploy', 'not_deploy'))"]
 
 
 def test_missing_reachable_row_raises_in_best_response(example1, ne_profile):
