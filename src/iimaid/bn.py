@@ -17,6 +17,12 @@ Every CPD, decision-rule and belief row is judged by one predicate,
 ``is_distribution``: each entry within ``TOL`` of [0, 1] (NaN and infinite
 entries never are), a sum within ``TOL`` of one, and, when a domain is
 given, exactly its labels.  Callers keep their own issue codes.
+
+So a valid row may hold an entry down to ``-TOL``, and every reader counts
+an entry only when it is ``> 0.0``: a CPD or decision-rule entry in each
+sweep, sample, joint probability, payoff table, tree expansion and walk,
+and pricing (``maid._priced``), and a belief entry in each support, which
+``positive`` gives.  The kernels test their entries inline.
 """
 
 from __future__ import annotations
@@ -123,6 +129,12 @@ def is_distribution(row: Row, domain: Iterable[str] | None = None) -> bool:
     if domain is not None and set(row) != set(domain):
         return False
     return bad_entry(row) is None and abs(sum(row.values()) - 1.0) <= TOL
+
+
+def positive(row: Row) -> tuple[tuple[str, float], ...]:
+    """(label, entry) for each entry ``> 0.0``, by label: a belief row's
+    support (see the module docstring)."""
+    return tuple((label, p) for label, p in sorted(row.items()) if p > 0.0)
 
 
 def point_row(domain: Sequence[str], label: str) -> dict[str, float]:
@@ -273,9 +285,10 @@ def joint_probability(net: BayesNet, assignment: Assignment) -> float:
     _check_evidence(net, assignment)
     prob = 1.0
     for name in net.variables:
-        prob *= net.cpds[name].row_for(assignment)[assignment[name]]
-        if prob == 0.0:
+        p = net.cpds[name].row_for(assignment)[assignment[name]]
+        if p <= 0.0:
             return 0.0
+        prob *= p
     return prob
 
 

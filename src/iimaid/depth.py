@@ -38,7 +38,7 @@ from .incomplete import (
     InformationSet,
     SubjectiveMaid,
     _decision_slots,
-    _matching_decisions,
+    _faced_sets,
     _rules_from_rows,
     _structural_issues,
     believers,
@@ -103,7 +103,7 @@ class RbrResult:
 
 
 def _positive_targets(s: SubjectiveMaid, agent: str) -> list[str]:
-    return [t for t, p in sorted(s.beliefs.get(agent, {}).items()) if p > 0.0]
+    return [t for t, _ in bn.positive(s.beliefs.get(agent, {}))]
 
 
 def _free_agents(model: Model) -> list[str]:
@@ -233,7 +233,7 @@ def final_information_sets(
         for iset in model_information_sets(model, agent):
             faced.add(iset)
             if any(d in m.parents[d2]
-                   for d in _matching_decisions(model, iset) for d2 in later if d2 != d):
+                   for d in _faced_sets(model)[iset] for d2 in later if d2 != d):
                 feeding.add(iset)
     return faced - feeding
 
@@ -341,7 +341,7 @@ def believed_action_value(
     hit = False
     for target in _positive_targets(s, agent):
         c = stack.nodes[target]
-        for d in _matching_decisions(c.model, asked):
+        for d in _faced_sets(c.model).get(asked, ()):
             hit = True
             total += row[target] * value_fn(
                 c.model, agent, d, dict(iset.observation), action
@@ -628,10 +628,7 @@ def unroll(x: IiMaid, k: int) -> DepthStack:
             if agent == subject or not free_decisions(src.model, agent):
                 continue
             row = beliefs[agent] = {}
-            for target in sorted(src.beliefs[agent]):
-                p = src.beliefs[agent][target]
-                if p <= 0.0:
-                    continue
+            for target, p in bn.positive(src.beliefs[agent]):
                 child = f"{path}/{agent}:{target}"
                 row[child] = p
                 children.append((target, left - 1, child, agent, None))

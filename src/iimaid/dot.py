@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .bn import CHANCE, DECISION, UTILITY
+from .bn import CHANCE, DECISION, UTILITY, positive
 from .depth import DepthStack
 from .efg import Efg, info_sets
 from .errors import ValidationError
@@ -127,8 +127,7 @@ def belief_tree_dot(x: IiMaid, depth: int) -> str:
             children = [
                 (target, left - 1, (mid, idx, agent, p))
                 for agent in believers(s)
-                for target, p in sorted(s.beliefs[agent].items())
-                if p > 0.0
+                for target, p in positive(s.beliefs[agent])
             ]
             stack.extend(reversed(children))
         idx += 1

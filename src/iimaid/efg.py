@@ -254,9 +254,9 @@ def efg_expected_utility(g: Efg, strategy: Strategy, agent: str) -> float:
     The tree is walked depth first on an explicit stack, so its depth is
     not bounded by the interpreter's recursion limit.  A node's value is
     ``sum`` over its edges, in edge order, of the edge's weight times the
-    child's value; decision edges the strategy gives weight zero are
-    skipped, and a decision node without a strategy row raises
-    ``MissingRule`` when the walk reaches it.
+    child's value; decision edges the strategy gives no positive weight
+    are skipped (see ``bn``), and a decision node without a strategy row
+    raises ``MissingRule`` when the walk reaches it.
     """
     if agent not in g.agents:
         raise UnknownAgent(agent)
@@ -272,7 +272,7 @@ def efg_expected_utility(g: Efg, strategy: Strategy, agent: str) -> float:
                 if data not in strategy:
                     raise MissingRule(f"no strategy row for {data}")
                 row = strategy[data]
-                edges = [(w, child) for lbl, child in edges if (w := row.get(lbl, 0.0)) != 0.0]
+                edges = [(w, child) for lbl, child in edges if (w := row.get(lbl, 0.0)) > 0.0]
             if edges:
                 stack.append((edges, []))
                 kind, data, edges = table[edges[0][1]]

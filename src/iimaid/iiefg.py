@@ -199,17 +199,6 @@ def _meta_information_sets(
 
 
 @bn.indexed
-def _observation_classes(
-    g: IiEfg, agent: str
-) -> Mapping[tuple[tuple, tuple[str, ...]], tuple[MetaInfoSet, ...]]:
-    """The agent's cells grouped by (observation, actions), one per belief type."""
-    out: dict[tuple[tuple, tuple[str, ...]], list[MetaInfoSet]] = {}
-    for cell in _meta_information_sets(g, agent):
-        out.setdefault((cell.observation, cell.actions), []).append(cell)
-    return MappingProxyType({k: tuple(v) for k, v in out.items()})
-
-
-@bn.indexed
 def _state_cells(
     g: IiEfg, state: str
 ) -> tuple[tuple[tuple[str, Hashable], MetaInfoSet], ...]:
@@ -286,12 +275,7 @@ def _believed_states(
         raise UnknownAgent(agent)
     if state not in space.states:
         raise GameError(f"unknown state: {state}")
-    out = []
-    for w, p in sorted(space.beliefs[agent][state].items()):
-        if p <= 0.0:
-            continue
-        out.append((w, p))
-    return tuple(out)
+    return bn.positive(space.beliefs[agent][state])
 
 
 def _deviation_cells(g: IiEfg, agent: str, state: str) -> list[MetaInfoSet]:
@@ -301,8 +285,8 @@ def _deviation_cells(g: IiEfg, agent: str, state: str) -> list[MetaInfoSet]:
     types = _belief_types(g.space, agent)
     rep = types[state]
     cells = set()
-    for w, p in g.space.beliefs[agent][state].items():
-        if p > 0.0 and types[w] == rep:
+    for w, _ in _believed_states(g.space, agent, state):
+        if types[w] == rep:
             cells.update(cell for (a, _), cell in _state_cells(g, w) if a == agent)
     return sorted(cells)
 
@@ -404,27 +388,6 @@ def maid2efgII(x: IiMaid) -> IiConversion:
     return IiConversion(g, correspondence)
 
 
-@bn.indexed
-def _lift(
-    conv: IiConversion,
-) -> Mapping[InformationSet, tuple[MetaInfoSet, tuple[MetaInfoSet, ...]]]:
-    """Each corresponded information set's cell and that cell's siblings,
-    the other cells of its observation class; built once per conversion.
-
-    It is kept on the conversion rather than on its game, because two
-    conversions may share one game under different correspondences.
-    """
-    targets = {}
-    for iset, cell in conv.correspondence.items():
-        classes = _observation_classes(conv.game, cell.agent)
-        targets[iset] = (cell, tuple(
-            other
-            for other in classes.get((cell.observation, cell.actions), ())
-            if other != cell
-        ))
-    return MappingProxyType(targets)
-
-
 class _Sources(NamedTuple):
     """Where each row of a profile's lift comes from.
 
@@ -442,23 +405,30 @@ class _Sources(NamedTuple):
 @bn.indexed
 def _sources(conv: IiConversion, keys: tuple[InformationSet, ...]) -> _Sources:
     """The row sources of a profile whose information sets are ``keys``, in
-    the profile's order: the one precedence rule of the lift.
+    the profile's order: the whole rule of the lift, built once per
+    conversion and key order.
 
-    A set's row lands on its own cell, which it takes over from any sibling
-    row already there (among sets sharing one cell, the last in sorted
-    order wins), and on each sibling cell that no earlier set in sorted
-    order has reached.  A set the correspondence does not know raises
-    ``MissingRule``.  Built once per conversion and key order, beside
-    ``_lift``.
+    Each set the correspondence maps to a cell, in sorted order, takes that
+    cell, over any row already there (so among sets sharing one cell, the
+    last wins), and then each sibling cell, one of the cell's observation
+    class (same agent, observation and actions) at another belief type,
+    that no earlier set has reached.  A set the correspondence does not know
+    raises ``MissingRule``; a corresponded agent the game does not know
+    raises ``UnknownAgent``, whatever the keys.  It is kept on the
+    conversion rather than on its game, because two conversions may share
+    one game under different correspondences.
     """
-    targets = _lift(conv)
+    classes: dict[tuple, list[MetaInfoSet]] = {}  # by agent, observation, actions
+    for agent in sorted({cell.agent for cell in conv.correspondence.values()}):
+        for cell in _meta_information_sets(conv.game, agent):
+            classes.setdefault(cell[:3], []).append(cell)
     cells: dict[MetaInfoSet, InformationSet] = {}
     for iset in sorted(keys):
-        if iset not in targets:
+        if iset not in conv.correspondence:
             raise MissingRule(f"policy covers unknown information set {iset}")
-        cell, siblings = targets[iset]
+        cell = conv.correspondence[iset]
         cells[cell] = iset
-        for other in siblings:
+        for other in classes.get(cell[:3], ()):
             cells.setdefault(other, iset)
     position = {iset: i for i, iset in enumerate(keys)}
     states = {}

@@ -513,11 +513,6 @@ def is_encounterable(iset: InformationSet, s: SubjectiveMaid) -> bool:
     return iset in _faced_sets(s.model)
 
 
-def _matching_decisions(model: Model, iset: InformationSet) -> tuple[str, ...]:
-    """The model's open decisions that face ``iset``, in name order."""
-    return _faced_sets(model).get(iset, ())
-
-
 class _DecisionSlots(NamedTuple):
     """One decision's slots in a diagram.
 
@@ -656,7 +651,7 @@ def _believed(x: IiMaid, agent: str, at: str) -> tuple[tuple[str, float], ...]:
     weights = x.models[at].beliefs.get(agent)
     if weights is None:
         raise UnknownAgent(f"{agent} holds no beliefs in {at}")
-    return tuple((sid, w) for sid, w in sorted(weights.items()) if w > 0.0)
+    return bn.positive(weights)
 
 
 def _per_model_utilities(

@@ -499,14 +499,15 @@ def _priced(
     ``values`` maps a key to ``{action: q}`` and ``rows`` maps the same keys
     to distributions over actions: a Q-table from ``decision_values`` against
     a rule's ``rows``, or ``incomplete``'s per-information-set values against
-    a profile.  Only the keys of ``values`` are read.  Every caller sums in
+    a profile.  Only the keys of ``values`` are read, and a row's
+    non-positive entries are skipped (see ``bn``).  Every caller sums in
     this one order, so a pure rule agreeing with the best response is worth
     exactly the best-response value.
     """
     total = constant
     for key, q in values.items():
         row = rows[key]
-        total += sum(row[label] * v for label, v in q.items())
+        total += sum(p * v for label, v in q.items() if (p := row[label]) > 0.0)
     return total
 
 

@@ -70,6 +70,17 @@ def test_joint_probability():
     assert p == pytest.approx(0.2 * 0.99 * 0.8)
 
 
+def test_joint_probability_skips_an_entry_below_zero():
+    # A valid row may hold an entry down to -TOL; like every sweep, the
+    # chain rule counts it as no mass.
+    net = sprinkler()
+    w = net.cpds["W"]
+    rows = {**w.rows, ("n", "off"): {"dry": 1 + 5e-10, "wet": -5e-10}}
+    net = bn.make_net(net.variables.values(), [*net.cpds.values(), Cpd("W", w.parents, rows)])
+    assert bn.validate_net(net) == []
+    assert bn.joint_probability(net, {"R": "n", "S": "off", "W": "wet"}) == 0.0
+
+
 def test_enumerate_support_sums_to_one():
     net = sprinkler()
     total = sum(p for _, p in bn.enumerate_support(net))

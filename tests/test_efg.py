@@ -89,6 +89,25 @@ def test_utility_preserved_with_stochastic_profile(honesty):
             maid.expected_utility(honesty, rules, agent), abs=1e-9)
 
 
+def test_a_rule_entry_below_zero_is_skipped_by_the_diagram_and_the_tree(honesty):
+    # ``bn.is_distribution`` accepts an entry down to -TOL, and every reader
+    # counts an entry only when it is > 0.0, so the diagram, the tree and
+    # the equilibrium check price this valid rule alike.
+    d = truthful_match_rules()["D_A"]
+    rows = {ctx: {a: 1 + 5e-10 if p == 1.0 else -5e-10 for a, p in row.items()}
+            for ctx, row in d.rows.items()}
+    rules = {**truthful_match_rules(), "D_A": Cpd("D_A", d.parents, rows)}
+    g, _ = efg.maid2efg(honesty)
+    sigma = efg.strategy_from_policy(honesty, g, rules)
+    eus = maid.expected_utilities(honesty, rules)
+    assert eus["A"] == pytest.approx(1 + 5e-10, abs=1e-15)
+    for agent in honesty.agents:
+        assert efg.efg_expected_utility(g, sigma, agent) == pytest.approx(
+            eus[agent], abs=1e-15)
+    ok, regrets = maid.is_nash(honesty, rules)
+    assert ok and regrets["A"] == pytest.approx(-5e-10, abs=1e-15)
+
+
 def test_explicit_order_matches_default_values(capability):
     g1, _ = efg.maid2efg(capability)
     g2, _ = efg.maid2efg(capability, order=["C", "D_A", "D_H"])

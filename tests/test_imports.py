@@ -1,7 +1,8 @@
 """Source lints: every name a package module imports is used in that module,
 no module imports numpy, only the enumeration kernel, its oracles and the
 tree walks recurse, only the listed writers build a `Cpd`, only the listed
-checkers check a probability row, one function builds the cap error, one
+checkers check a probability row, only ``bn.positive`` filters a belief
+row's support, one function builds the cap error, one
 writes the least-action default, only the listed readers read a utility's
 payoff labels, the structural index `bn.indexed`
 is only ever a decorator, `import iimaid` loads neither
@@ -165,6 +166,27 @@ def test_only_the_listed_checkers_check_a_row():
                    for node in ast.walk(top)):
                 found.add((path.stem, getattr(top, "name", "<module>")))
     assert found == ROW_CHECKERS
+
+
+def _compares_with_zero(top: ast.AST) -> bool:
+    return any(isinstance(node, ast.Compare) and any(
+        isinstance(side, ast.Constant) and type(side.value) is float and side.value == 0.0
+        for side in (node.left, *node.comparators)) for node in ast.walk(top))
+
+
+def test_only_bn_positive_filters_a_belief_support():
+    # One support rule: a belief entry counts when it is > 0.0, and
+    # ``bn.positive`` applies it.  So no top-level function that reads a
+    # ``beliefs`` attribute compares a value with 0.0.
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for top in tree.body:
+            if _compares_with_zero(top) and any(
+                    isinstance(node, ast.Attribute) and node.attr == "beliefs"
+                    for node in ast.walk(top)):
+                found.add((path.stem, getattr(top, "name", "<module>")))
+    assert found == set()
 
 
 # The top-level definitions that read a utility's payoffs, ``Variable.values``:

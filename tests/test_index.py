@@ -65,7 +65,7 @@ def test_cached_structure_is_immutable(example1):
     assert isinstance(incomplete._faced_sets(gt), MappingProxyType)
     relevant, rest = incomplete._profile_slots(example1, "H", example1.objective)
     assert isinstance(relevant, tuple) and isinstance(rest, tuple)
-    assert isinstance(incomplete._matching_decisions(gt, relevant[0]), tuple)
+    assert all(isinstance(d, tuple) for d in incomplete._faced_sets(gt).values())
     assert isinstance(maid._sweep_order(gt), tuple)
 
     # dict-valued answers are fresh copies, so a caller's edits stay local
@@ -113,9 +113,7 @@ def test_every_index_hands_back_the_value_it_kept(example1, ne_profile, honesty)
         ("iiefg", "_belief_types"): (g.space, "A"),
         ("iiefg", "_believed_states"): (g.space, "A", "ground_truth"),
         ("iiefg", "_meta_information_sets"): (g, "H"),
-        ("iiefg", "_observation_classes"): (g, "H"),
         ("iiefg", "_state_cells"): (g, "ground_truth"),
-        ("iiefg", "_lift"): (conv,),
         ("iiefg", "_sources"): (conv, tuple(ne_profile)),
         ("incomplete", "information_sets"): (example1, "H"),
         ("incomplete", "_build_decision_slots"): (gt,),
@@ -146,8 +144,9 @@ def _index_keys(obj):
 def test_a_build_that_raises_keeps_nothing(example1, ne_profile):
     conv = iiefg.maid2efgII(example1)
     tree = conv.game.space.games["ground_truth"]
-    # a good lift first: it keeps ``_lift``, which a failing ``_sources``
-    # build reads before it raises
+    # a good lift first: the conversion keeps its ``_sources`` and the game
+    # the ``_meta_information_sets`` that a failing ``_sources`` build reads
+    # before it raises
     iiefg.strategy_from_ii_policy(conv, ne_profile)
     stray = InformationSet("H", (("X", "x"),), ("high", "low"))
     cases = [
