@@ -23,7 +23,8 @@ the ``repr`` of the two sides' first answers is compared query by query.
 The report goes to standard error; the last line of standard output is one
 JSON object with each side's per-kind sums (seconds), ``queries_per_s``,
 ``query_p50_s``, ``query_p90_s`` and failed checks, and the queries whose
-answers differ.
+answers differ.  The exit status is 1 when either side fails a check, and 0
+otherwise.
 """
 
 from __future__ import annotations
@@ -163,7 +164,7 @@ def main(argv=None) -> int:
         print(f"{metric}: {1e3 * a:.3f} ms -> {1e3 * b:.3f} ms ({a / b:.3f}x)",
               file=sys.stderr)
     print(json.dumps(report))
-    return 0
+    return 1 if report["parent"]["failed"] or report["change"]["failed"] else 0
 
 
 if __name__ == "__main__":

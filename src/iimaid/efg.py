@@ -19,7 +19,15 @@ from typing import Hashable, Iterator, Mapping, NamedTuple, Sequence
 from . import bn
 from .bn import CHANCE, DECISION, Row
 from .errors import MissingRule, NonTopologicalOrder, UnknownAgent, ValidationError
-from .maid import Maid, Model, _payoff_tables, _sweep_order, base_maid, fixed_rules
+from .maid import (
+    Maid,
+    Model,
+    _context_reader,
+    _payoff_tables,
+    _sweep_order,
+    base_maid,
+    fixed_rules,
+)
 
 # Strategy: (agent, information-set key) -> distribution over action labels.
 Strategy = Mapping[tuple[str, Hashable], Row]
@@ -96,16 +104,20 @@ def maid2efg(
     bounded by the interpreter's recursion limit.  A node gets its id when
     its last child is done: children are numbered before their parents, in
     domain order, and the root is the last node.  The path's labels sit in
-    one list by expansion position, and each context is read from it at
-    the parents' positions (``_expansion``); a leaf adds, per utility in
-    name order, the ``maid._payoff_tables`` entry at its context.  No
-    assignment is copied per node.
+    one list by expansion position.  Each step's context and each utility's
+    payoff key are read off that list by a reader made once per call over
+    the parents' positions (``maid._context_reader`` over ``_expansion``'s
+    positions); a leaf adds, per utility in name order, the
+    ``maid._payoff_tables`` entry at its key.  No assignment is copied per
+    node.
     """
     steps, payoffs = _expansion(model, None if order is None else tuple(order))
+    steps = [(var, _context_reader(at), branches, owner, domain)
+             for var, at, branches, owner, domain in steps]
+    payoffs = [(owner, _context_reader(at), table) for owner, at, table in payoffs]
     agents = base_maid(model).agents
     n = len(steps)
     labels_at: list[str | None] = [None] * n
-    get = labels_at.__getitem__
     nodes: list[EfgNode] = []
     node = tuple.__new__  # EfgNode's fields, in order, without its __new__
     # Each frame: a node's depth, its branch labels, the (label, child)
@@ -115,12 +127,12 @@ def maid2efg(
     while True:
         if depth == n:
             out = dict.fromkeys(agents, 0.0)
-            for owner, at, table in payoffs:
-                out[owner] += table[tuple(map(get, at))]
+            for owner, key, table in payoffs:
+                out[owner] += table[key(labels_at)]
             nodes.append(node(EfgNode, ("leaf", None, None, None, (), None, out)))
         else:
-            var, at, branches, owner, domain = steps[depth]
-            ctx = tuple(map(get, at))
+            var, key, branches, owner, domain = steps[depth]
+            ctx = key(labels_at)
             if branches is None:
                 labels, fields = domain, (DECISION, var, owner, (var, ctx), None)
             else:

@@ -30,6 +30,7 @@ from .maid import (
     Maid,
     Model,
     _best_row,
+    _context_reader,
     _count_pure,
     _decision_values,
     _expected_utilities,
@@ -486,7 +487,8 @@ def _build_support_contexts(m: Maid, name: str) -> frozenset[tuple[str, ...]]:
     order = order[: max((order.index(p) + 1 for p in pa), default=0)]
     tables = {**m.cpds, **{d: bn.weight_one(m.variables[d]) for d in m.decisions()}}
     found: set[tuple[str, ...]] = set()
-    bn.sweep(m.variables, tables, order, lambda a, w: found.add(tuple(a[p] for p in pa)))
+    key = _context_reader(pa)
+    bn.sweep(m.variables, tables, order, lambda a, w: found.add(key(a)))
     return frozenset(found)
 
 

@@ -8,7 +8,12 @@ decisions as ``bn.weight_one`` tables (see ``decision_values``).  No sweep
 expands a utility: each is summed out first into its expected payoff per
 parent context (``_payoff_tables``, which ``efg.maid2efg`` prices tree
 leaves from), and a sweep's leaf adds its weight times each entry, in
-utility-name order; on point utility rows this is the same arithmetic.
+utility-name order; on point utility rows this is the same arithmetic.  A
+leaf reads each key it needs, every payoff entry's parent context and a
+Q-table's decision context, through a reader made once per sweep
+(``_context_reader``, an ``operator.itemgetter`` over the parents' names),
+not by building the tuple name by name; the operands and their order are
+the same, so every sum is too.
 
 Public functions check each rule their caller passes once, on entry, and
 a ``PostPolicyMaid`` checks its committed rules when it is made.  The
@@ -97,8 +102,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import itemgetter
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar, Union
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar, Union
 
 from . import bn
 from .bn import CHANCE, DECISION, TOL, UTILITY, Cpd, Row, Variable
@@ -347,6 +353,20 @@ def _payoff_tables(
     return tuple(out)
 
 
+def _context_reader(keys: Sequence[Hashable]) -> Callable[[object], tuple]:
+    """A function that reads the context key at ``keys`` off an assignment
+    (variable names) or a path (positions), made once per sweep or tree
+    instead of at every leaf: ``operator.itemgetter`` over several keys, and
+    a 1-tuple or ``()`` for one or none, since a bare ``itemgetter(key)``
+    gives the label, not a table key."""
+    if len(keys) > 1:
+        return itemgetter(*keys)
+    if keys:
+        (key,) = keys
+        return lambda a: (a[key],)
+    return lambda a: ()
+
+
 def expected_utilities(model: Model, rules: PolicyRules) -> dict[str, float]:
     """Each agent's expected sum of utility variables under the profile."""
     return _expected_utilities(model, _checked_rules(model, rules))
@@ -355,12 +375,13 @@ def expected_utilities(model: Model, rules: PolicyRules) -> dict[str, float]:
 def _expected_utilities(model: Model, rules: PolicyRules) -> dict[str, float]:
     """``expected_utilities`` given a checked rule for every open decision."""
     m = base_maid(model)
-    payoffs = _payoff_tables(m)
+    payoffs = [(owner, _context_reader(parents), table)
+               for owner, parents, table in _payoff_tables(m)]
     totals = dict.fromkeys(m.agents, 0.0)
 
     def leaf(a: dict[str, str], weight: float) -> None:
-        for owner, parents, table in payoffs:
-            totals[owner] += weight * table[tuple(map(a.__getitem__, parents))]
+        for owner, key, table in payoffs:
+            totals[owner] += weight * table[key(a)]
 
     tables = {**m.cpds, **fixed_rules(model), **rules}
     bn.sweep(m.variables, tables, _sweep_order(m), leaf)
@@ -398,18 +419,18 @@ def _decision_values(
     """``decision_values`` given a checked rule for every open decision but
     ``d``, whose rule, if any, is ignored."""
     m = base_maid(model)
-    payoffs = [(parents, table) for owner, parents, table in _payoff_tables(m) if owner == agent]
-    pa = m.parents[d]
+    payoffs = [(_context_reader(parents), table)
+               for owner, parents, table in _payoff_tables(m) if owner == agent]
+    context = _context_reader(m.parents[d])
     actions = m.variables[d].domain
     q: dict[tuple[str, ...], dict[str, float]] = {}
 
     def leaf(a: dict[str, str], weight: float) -> None:
-        key = tuple(map(a.__getitem__, pa))
-        q_row = q.get(key)
+        ctx = context(a)
+        q_row = q.get(ctx)
         if q_row is None:
-            q_row = q[key] = dict.fromkeys(actions, 0.0)
-        q_row[a[d]] += weight * sum(table[tuple(map(a.__getitem__, parents))]
-                                    for parents, table in payoffs)
+            q_row = q[ctx] = dict.fromkeys(actions, 0.0)
+        q_row[a[d]] += weight * sum(table[key(a)] for key, table in payoffs)
 
     tables = {**m.cpds, **fixed_rules(model), **rules, d: bn.weight_one(m.variables[d])}
     bn.sweep(m.variables, tables, _sweep_order(m), leaf)

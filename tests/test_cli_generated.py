@@ -4,11 +4,17 @@ where the kind takes one.
 
 Every subcommand that accepts a kind runs on each of its documents, text and
 JSON: it exits 0 or 1, or 2 with the error envelope, no exception escapes
-``cli.run``, and the JSON report is byte-identical across two runs.
+``cli.run``, and the JSON report is byte-identical across two runs.  Each
+document reads back to the text it was written as, and one invocation per
+subcommand gives the same JSON bytes under ``PYTHONHASHSEED`` 0 and 1.
 """
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -92,3 +98,48 @@ def test_generated_documents_keep_the_exit_code_contract(written, kind, seed):
         assert "Traceback" not in err
         if code == 2:
             assert err.startswith("error:") and out == "", argv
+
+
+def test_generated_documents_read_back_to_their_text(written):
+    for paths in written.values():
+        for path in filter(None, paths):
+            text = Path(path).read_text()
+            assert gamedoc.serialize_document(gamedoc.parse_document(text).value) == text, path
+
+
+# Runs each argv in JSON mode and prints the [exit code, stdout] pairs.
+_RUN_ALL = """
+import contextlib, io, json, sys
+from iimaid import cli
+out = []
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.run([*argv, "--output", "json"])
+    out.append([code, buf.getvalue()])
+print(json.dumps(out))
+"""
+
+
+def test_json_output_does_not_depend_on_the_hash_seed(written):
+    # one invocation per subcommand, on the first kind that accepts it
+    invocations = {}
+    for kind in sorted(COMMANDS):
+        game, profile = written[kind, SEEDS[0]]
+        for command, takes_profile in COMMANDS[kind]:
+            invocations.setdefault(command, [
+                command, game, *(["--profile", profile] if takes_profile else []),
+                *EXTRA.get(command, [])])
+    assert set(invocations) == set(cli._COMMANDS)
+    argvs = json.dumps(sorted(invocations.values()))
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", _RUN_ALL, argvs], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(json.loads(proc.stdout))
+    assert len(outputs[0]) == len(invocations)
+    assert all(code in (0, 1) for code, _ in outputs[0]), outputs[0]
+    assert outputs[0] == outputs[1]

@@ -145,6 +145,118 @@ def test_stochastic_payoffs_stay_within_the_kernel_bound(gp):
             assert all(abs(got_q[ctx][x] - q[ctx][x]) <= 1e-12 for ctx in q for x in actions)
 
 
+def _row(draw, labels):
+    """A distribution over ``labels`` with small integer weights, some zero."""
+    w = [draw(st.integers(0, 3)) for _ in labels]
+    w[draw(st.integers(0, len(w) - 1))] += 1
+    return {label: x / sum(w) for label, x in zip(labels, w)}
+
+
+@st.composite
+def reader_game(draw):
+    """A diagram whose decisions and utilities each read 0-3 parents, and a
+    mixed rule for every open decision.
+
+    One to three chance variables over two or three labels, each maybe
+    observing the one before; two decisions owned by P1 and P2, each
+    observing up to three earlier variables; one to three utilities with up
+    to three parents among the chance and decision variables and stochastic
+    rows over their payoff labels; sometimes D1 is committed."""
+    k = draw(st.integers(1, 3))
+    variables = [bn.chance(f"X{i}", "abc"[: draw(st.integers(2, 3))]) for i in range(k)]
+    parents = {}
+    for i in range(k):
+        parents[f"X{i}"] = (f"X{i - 1}",) if i and draw(st.booleans()) else ()
+    earlier = [v.name for v in variables]
+    for name, owner in (("D0", "P1"), ("D1", "P2")):
+        parents[name] = tuple(draw(st.lists(st.sampled_from(earlier), unique=True, max_size=3)))
+        variables.append(bn.decision(name, owner, "lr"))
+        earlier.append(name)
+    domains = {v.name: v.domain for v in variables}
+    cpds = [Cpd(x, parents[x], {ctx: _row(draw, domains[x])
+                                for ctx in product(*(domains[p] for p in parents[x]))})
+            for x in sorted(parents) if x.startswith("X")]
+    for j in range(draw(st.integers(1, 3))):
+        name = f"U{j}"
+        parents[name] = tuple(draw(st.lists(st.sampled_from(earlier), unique=True, max_size=3)))
+        values = {f"v{i}": draw(st.integers(-4, 4)) * 0.5 for i in range(3)}
+        variables.append(bn.utility(name, draw(st.sampled_from(("P1", "P2"))), values))
+        cpds.append(Cpd(name, parents[name], {
+            ctx: _row(draw, sorted(values))
+            for ctx in product(*(domains[p] for p in parents[name]))}))
+    edges = [(p, child) for child, ps in parents.items() for p in ps]
+    m = maid.Maid.build(("P1", "P2"), variables, edges, cpds)
+    profile = {d: Cpd(d, m.parents[d], {
+        ctx: _row(draw, "lr") for ctx in product(*(domains[p] for p in m.parents[d]))})
+        for d in m.decisions()}
+    if draw(st.booleans()):
+        return maid.PostPolicyMaid(m, {"D1": profile.pop("D1")}), profile
+    return m, profile
+
+
+def _by_name_expected_utilities(model, rules):
+    """``maid._expected_utilities`` as it was written with each leaf
+    building every payoff key by name."""
+    m = maid.base_maid(model)
+    payoffs = maid._payoff_tables(m)
+    totals = dict.fromkeys(m.agents, 0.0)
+
+    def leaf(a, weight):
+        for owner, parents, table in payoffs:
+            totals[owner] += weight * table[tuple(map(a.__getitem__, parents))]
+
+    tables = {**m.cpds, **maid.fixed_rules(model), **rules}
+    bn.sweep(m.variables, tables, maid._sweep_order(m), leaf)
+    return totals
+
+
+def _by_name_decision_values(model, rules, d, agent):
+    """``maid._decision_values`` as it was written with each leaf building
+    its context and every payoff key by name."""
+    m = maid.base_maid(model)
+    payoffs = [(parents, table) for owner, parents, table in maid._payoff_tables(m)
+               if owner == agent]
+    pa, actions = m.parents[d], m.variables[d].domain
+    q = {}
+
+    def leaf(a, weight):
+        key = tuple(map(a.__getitem__, pa))
+        q_row = q.get(key)
+        if q_row is None:
+            q_row = q[key] = dict.fromkeys(actions, 0.0)
+        q_row[a[d]] += weight * sum(table[tuple(map(a.__getitem__, parents))]
+                                    for parents, table in payoffs)
+
+    tables = {**m.cpds, **maid.fixed_rules(model), **rules, d: bn.weight_one(m.variables[d])}
+    bn.sweep(m.variables, tables, maid._sweep_order(m), leaf)
+    return q
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(reader_game())
+def test_context_readers_leave_every_sum_bit_identical(gp):
+    # Reading keys through readers made once changes no operand and no
+    # order, so each value is ``==`` to the by-name leaves'.
+    model, profile = gp
+    m = maid.base_maid(model)
+    assert maid.expected_utilities(model, profile) == _by_name_expected_utilities(model, profile)
+    for d in maid.free_decisions(model):
+        others = {e: r for e, r in profile.items() if e != d}
+        for agent in m.agents:
+            want = _by_name_decision_values(model, others, d, agent)
+            assert maid.decision_values(model, profile, d, agent) == want
+
+
+def test_a_context_reader_returns_a_key_tuple():
+    a = {"X": "x", "Y": "y", "Z": "z"}
+    assert maid._context_reader(("Y",))(a) == ("y",)
+    assert maid._context_reader(())(a) == ()
+    assert maid._context_reader(("Z", "X"))(a) == ("z", "x")
+    path = ["p", "q", "r"]
+    assert maid._context_reader((1,))(path) == ("q",)
+    assert maid._context_reader((2, 0))(path) == ("r", "p")
+
+
 def test_diagram_sweeps_expand_no_utility(monkeypatch, honesty, depth3):
     orders = []
     original = bn.sweep
