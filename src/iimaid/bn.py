@@ -5,13 +5,16 @@ Variables and outcome labels are iterated in sorted order everywhere, so
 identical inputs always produce identical outputs.  Inference is one
 enumeration kernel, ``sweep``, with zero-probability pruning, exact and fast
 enough for the network sizes this package targets (roughly twenty binary
-variables).  ``marginal`` and the expected utilities, Q-tables and support
-contexts of ``maid`` and ``incomplete``, and so ``depth``'s conditional
-utilities, are leaves over it.  The diagram kernels pass it no utility
-variable: ``maid`` sums each one out first, the first step of variable
-elimination, into a table of expected payoffs per parent context that
-their leaves read.  ``enumerate_support`` is the one oracle kept apart from
-it; ``depth._walk_conditional_utility`` is a leaf over that.
+variables).  It walks one loop over an explicit stack, not one call per
+variable, so a diagram's depth is not bounded by the recursion limit.
+``marginal`` and the expected utilities, Q-tables and support contexts of
+``maid`` and ``incomplete``, and so ``depth``'s conditional utilities, are
+leaves over it.  The diagram kernels pass it no utility variable: ``maid``
+sums each one out first, the first step of variable elimination, into a
+table of expected payoffs per parent context that their leaves read.
+``enumerate_support`` is the one oracle kept apart from it, and still
+recurses once per variable; ``depth._walk_conditional_utility`` is a leaf
+over that.
 
 Every CPD, decision-rule and belief row is judged by one predicate,
 ``is_distribution``: each entry within ``TOL`` of [0, 1] (NaN and infinite
@@ -310,28 +313,41 @@ def sweep(
     """Walk ``order`` depth first over sorted labels (only the evidence label,
     if any), each weighted by its entry in ``tables[name].row_for(a)``; an
     entry that is not positive prunes the branch.  Calls ``leaf(a, weight)``
-    once per surviving assignment; ``a`` is live, so a leaf keeps a copy."""
+    once per surviving assignment; ``a`` is live, so a leaf keeps a copy.
+
+    The walk is one loop over an explicit stack, so a diagram's depth is not
+    bounded by the recursion limit.  Each step of ``order`` is read from a
+    table built once per call, its labels reversed: expanding a step pushes
+    ``(next step, name, label, weight * entry)`` for each positive entry, so
+    the smallest label is popped first, and leaves come in depth-first order
+    with the products a recursive walk forms, operand for operand.  A popped
+    entry overwrites its variable in ``a``; the later variables it leaves
+    there are read by no row, since ``order`` puts every parent first, and
+    are overwritten before the next leaf."""
     ev = evidence or {}
     steps = [(name, tables[name].rows, tables[name].parents,
-              (ev[name],) if name in ev else variables[name].domain) for name in order]
+              ((ev[name],) if name in ev else variables[name].domain)[::-1]) for name in order]
     last = len(steps)
     a: dict[str, str] = {}
-
-    def visit(i: int, weight: float) -> None:
+    stack: list[tuple[int, str, str, float]] = []
+    push, pop = stack.append, stack.pop
+    i, weight = 0, 1.0
+    while True:
         if i == last:
             leaf(a, weight)
+        else:
+            name, rows, parents, labels = steps[i]
+            row = rows[tuple(map(a.__getitem__, parents))]
+            i += 1
+            for label in labels:
+                p = row.get(label, 0.0)
+                if p <= 0.0:
+                    continue
+                push((i, name, label, weight * p))
+        if not stack:
             return
-        name, rows, parents, labels = steps[i]
-        row = rows[tuple(map(a.__getitem__, parents))]
-        for label in labels:
-            p = row.get(label, 0.0)
-            if p <= 0.0:
-                continue
-            a[name] = label
-            visit(i + 1, weight * p)
-        a.pop(name, None)
-
-    visit(0, 1.0)
+        i, name, label, weight = pop()
+        a[name] = label
 
 
 def enumerate_support(

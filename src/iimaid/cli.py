@@ -452,9 +452,10 @@ def run(argv: list[str] | None = None) -> int:
         _check_arguments(args)
         code, result, work = _COMMANDS[args.command](args)
     except (GameError, OSError, RecursionError) as exc:
-        # RecursionError: ``bn.sweep`` and ``bn.enumerate_support``
-        # (``solve-rbr``'s audit) recurse once per variable, so a diagram
-        # deeper than Python's stack is reported as an error, not a traceback.
+        # RecursionError: only the oracle ``bn.enumerate_support``, through
+        # ``solve-rbr``'s audit, still recurses once per variable, so a
+        # diagram deeper than Python's stack is reported there as an error,
+        # not a traceback.
         error: dict[str, Any] = {"type": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, SchemaViolation):
             error = {"type": "SchemaViolation", "path": exc.path,

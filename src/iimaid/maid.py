@@ -13,7 +13,12 @@ leaf reads each key it needs, every payoff entry's parent context and a
 Q-table's decision context, through a reader made once per sweep
 (``_context_reader``, an ``operator.itemgetter`` over the parents' names),
 not by building the tuple name by name; the operands and their order are
-the same, so every sum is too.
+the same, so every sum is too.  A Q-table leaf of an agent that owns exactly
+one utility adds its weight times that one entry; agents with none or
+several keep the ``sum`` in utility-name order.  A one-entry ``sum`` is
+``0 + x``, which differs from ``x`` only in the sign of a zero, and a Q
+entry starts at ``0.0``, to which adding either zero gives ``0.0``, so
+every Q entry is bit-identical, signed zeros included.
 
 Public functions check each rule their caller passes once, on entry, and
 a ``PostPolicyMaid`` checks its committed rules when it is made.  The
@@ -425,12 +430,22 @@ def _decision_values(
     actions = m.variables[d].domain
     q: dict[tuple[str, ...], dict[str, float]] = {}
 
-    def leaf(a: dict[str, str], weight: float) -> None:
-        ctx = context(a)
-        q_row = q.get(ctx)
-        if q_row is None:
-            q_row = q[ctx] = dict.fromkeys(actions, 0.0)
-        q_row[a[d]] += weight * sum(table[key(a)] for key, table in payoffs)
+    if len(payoffs) == 1:
+        ((key, table),) = payoffs
+
+        def leaf(a: dict[str, str], weight: float) -> None:
+            ctx = context(a)
+            q_row = q.get(ctx)
+            if q_row is None:
+                q_row = q[ctx] = dict.fromkeys(actions, 0.0)
+            q_row[a[d]] += weight * table[key(a)]
+    else:
+        def leaf(a: dict[str, str], weight: float) -> None:
+            ctx = context(a)
+            q_row = q.get(ctx)
+            if q_row is None:
+                q_row = q[ctx] = dict.fromkeys(actions, 0.0)
+            q_row[a[d]] += weight * sum(table[key(a)] for key, table in payoffs)
 
     tables = {**m.cpds, **fixed_rules(model), **rules, d: bn.weight_one(m.variables[d])}
     bn.sweep(m.variables, tables, _sweep_order(m), leaf)

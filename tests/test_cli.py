@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from iimaid import cli, fixtures
+from iimaid import bn, cli, fixtures, gamedoc, maid
+from iimaid.bn import Cpd
 
 
 @pytest.fixture
@@ -254,6 +255,39 @@ def test_a_belief_tree_deeper_than_the_stack_renders(capsys, tmp_path):
     code, report = run_json(capsys, "export-dot", str(deep), "--depth", "5000")
     assert code == 0
     assert report["result"]["dot"].count("subgraph cluster_") == 5001
+
+
+def test_a_diagram_deeper_than_the_stack_is_solved(capsys, tmp_path):
+    # 1,200 chance variables in a line, each copying the one before, and a
+    # decision that observes the last: a sweep one call per variable deep
+    # would exceed the recursion limit, though it has at most two leaves.
+    names = [f"X{i:04d}" for i in range(1200)]
+    copy = {("a",): {"a": 1.0, "b": 0.0}, ("b",): {"a": 0.0, "b": 1.0}}
+    match = {(x, d): {"lo": float(x != d), "hi": float(x == d)} for x in "ab" for d in "ab"}
+    m = maid.Maid.build(
+        ("P",),
+        [*(bn.chance(x, "ab") for x in names), bn.decision("D", "P", "ab"),
+         bn.utility("U", "P", {"lo": 0.0, "hi": 1.0})],
+        [*zip(names, names[1:]), (names[-1], "D"), (names[-1], "U"), ("D", "U")],
+        [Cpd(names[0], (), {(): {"a": 0.0, "b": 1.0}}),
+         *(Cpd(x, (p,), copy) for p, x in zip(names, names[1:])),
+         Cpd("U", (names[-1], "D"), match)])
+    game = tmp_path / "chain.maid.json"
+    game.write_text(gamedoc.serialize_document(m))
+    profile = tmp_path / "copy.profile.json"
+    profile.write_text(json.dumps({"format_version": 1, "kind": "maid-profile", "rules": [
+        {"decision": "D", "parents": [names[-1]], "rows": [
+            {"context": [x], "row": {"a": str(int(x == "a")), "b": str(int(x == "b"))}}
+            for x in "ab"]}]}))
+
+    code, report = run_json(capsys, "eu", str(game), "--profile", str(profile))
+    assert code == 0
+    assert report["result"]["expected_utilities"] == {"P": 1.0}
+    code, report = run_json(capsys, "check-nash", str(game), "--profile", str(profile))
+    assert code == 0
+    assert report["result"]["is_nash"] is True and report["result"]["regrets"] == {"P": 0.0}
+    code, _ = run_json(capsys, "convert-efg", str(game))
+    assert code == 0
 
 
 def test_json_reports_are_byte_identical(capsys, data_dir):

@@ -1,7 +1,7 @@
 """Source lints: every name a package module imports is used in that module,
-no module imports numpy, only the enumeration kernel, its oracles and the
-tree walks recurse, only the listed writers build a `Cpd`, only the listed
-checkers check a probability row, only ``bn.positive`` filters a belief
+no module imports numpy, only the enumeration kernel's oracle recurses,
+only the listed writers build a `Cpd`, only the listed checkers check a
+probability row, only ``bn.positive`` filters a belief
 row's support, one function builds the cap error, one
 writes the least-action default, only the listed readers read a utility's
 payoff labels, the structural index `bn.indexed`
@@ -49,12 +49,12 @@ def test_modules_import_no_unused_names():
     assert found == {}
 
 
-# The top-level functions whose nested helpers call themselves: the one
-# enumeration kernel and the oracle kept apart from it.  Any other exact
-# inference goes through the kernel; trees are built (``efg.maid2efg``) and
-# valued (``efg.efg_expected_utility``), and belief stacks unrolled
-# (``depth.unroll``), on explicit stacks.
-RECURSIVE = {("bn", "sweep"), ("bn", "enumerate_support")}
+# The top-level functions whose nested helpers call themselves: only the
+# oracle kept apart from the enumeration kernel.  The kernel (``bn.sweep``),
+# through which any other exact inference goes, walks an explicit stack;
+# trees are built (``efg.maid2efg``) and valued (``efg.efg_expected_utility``),
+# and belief stacks unrolled (``depth.unroll``), on explicit stacks too.
+RECURSIVE = {("bn", "enumerate_support")}
 
 
 def _recursive_nested(tree: ast.Module) -> set[str]:

@@ -1,10 +1,13 @@
-"""The enumeration kernel, ``bn.sweep``, against the oracle kept apart from it.
+"""The enumeration kernel, ``bn.sweep``, against the oracles kept apart from it.
 
 The kernel visits assignments in the oracle's order and multiplies the same
 factors, so every answer must equal the oracle's bit for bit (``==``).  The
 diagram kernels sum utilities out as payoff tables; on point utility rows
 that is the same arithmetic, and on stochastic rows it moves an answer by
-rounding only, within the 1e-12 that ``maid`` documents.
+rounding only, within the 1e-12 that ``maid`` documents.  The kernel walks
+an explicit stack; ``_recursive_sweep`` below is the recursive walk it
+replaced, kept as the oracle its leaves must match, and it is the sweep
+under the by-name leaves that the diagram kernels must match too.
 """
 from itertools import product
 from unittest import mock
@@ -15,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from iimaid import bn, depth, fixtures, incomplete, maid
 from iimaid.bn import Cpd
 from iimaid.errors import ZeroProbabilityEvidence
+from tests.test_efg_build import deterministic_chain
 from tests.test_properties import recall_game_with_profile
 
 
@@ -34,6 +38,81 @@ def small_net(draw):
             rows[ctx] = {label: x / sum(w) for label, x in zip(domains[v], w)}
         cpds.append(Cpd(v, pa, rows))
     return bn.make_net([bn.chance(v, domains[v]) for v in names], cpds)
+
+
+def _recursive_sweep(variables, tables, order, leaf, evidence=None):
+    """``bn.sweep`` as it was written before its explicit stack: one
+    recursive call per variable of ``order``."""
+    ev = evidence or {}
+    steps = [(name, tables[name].rows, tables[name].parents,
+              (ev[name],) if name in ev else variables[name].domain) for name in order]
+    last = len(steps)
+    a = {}
+
+    def visit(i, weight):
+        if i == last:
+            leaf(a, weight)
+            return
+        name, rows, parents, labels = steps[i]
+        row = rows[tuple(map(a.__getitem__, parents))]
+        for label in labels:
+            p = row.get(label, 0.0)
+            if p <= 0.0:
+                continue
+            a[name] = label
+            visit(i + 1, weight * p)
+        a.pop(name, None)
+
+    visit(0, 1.0)
+
+
+def _leaves(walk, net, order, evidence):
+    out = []
+    walk(net.variables, net.cpds, order, lambda a, w: out.append((dict(a), w)), evidence)
+    return out
+
+
+@st.composite
+def swept_net(draw):
+    """``small_net``, sometimes with one entry moved to -5e-10 (a valid row
+    within ``bn.TOL``), an order that is a prefix of its variables (maybe
+    empty) and evidence on up to two of them."""
+    net = draw(small_net())
+    names = sorted(net.variables)
+    cpds = dict(net.cpds)
+    if draw(st.booleans()):
+        v = draw(st.sampled_from(names))
+        cpd = cpds[v]
+        ctx = draw(st.sampled_from(sorted(cpd.rows)))
+        low, high = draw(st.permutations(net.variables[v].domain))[:2]
+        row = dict(cpd.rows[ctx])
+        row[high] += row[low] + 5e-10
+        row[low] = -5e-10
+        assert bn.is_distribution(row, net.variables[v].domain)
+        cpds[v] = Cpd(v, cpd.parents, {**cpd.rows, ctx: row})
+    order = names[: draw(st.integers(0, len(names)))]
+    observed = draw(st.lists(st.sampled_from(names), unique=True, max_size=2))
+    evidence = {v: draw(st.sampled_from(net.variables[v].domain)) for v in observed}
+    return bn.BayesNet(net.variables, cpds), order, evidence
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(swept_net())
+def test_the_stack_walk_gives_the_recursive_walks_leaves(case):
+    net, order, evidence = case
+    for ev in ({}, evidence):
+        want = _leaves(_recursive_sweep, net, order, ev)
+        assert _leaves(bn.sweep, net, order, ev) == want
+
+
+def test_a_chain_deeper_than_the_recursion_limit_is_swept():
+    # one leaf and linear work: 5,000 nested calls would exceed the limit
+    m = deterministic_chain(5000)
+    last = "X4999"
+    net = maid.induced_network(m, {})
+    assert bn.marginal(net, [last]) == {("a",): 0.0, ("b",): 1.0}
+    assert bn.marginal(net, [last], {"X0000": "b"}) == {("a",): 0.0, ("b",): 1.0}
+    assert maid.expected_utilities(m, {}) == {"P": 1.0}
 
 
 def _oracle_marginal(net, names, evidence):
@@ -196,7 +275,7 @@ def reader_game(draw):
 
 def _by_name_expected_utilities(model, rules):
     """``maid._expected_utilities`` as it was written with each leaf
-    building every payoff key by name."""
+    building every payoff key by name, over the recursive walk."""
     m = maid.base_maid(model)
     payoffs = maid._payoff_tables(m)
     totals = dict.fromkeys(m.agents, 0.0)
@@ -206,13 +285,14 @@ def _by_name_expected_utilities(model, rules):
             totals[owner] += weight * table[tuple(map(a.__getitem__, parents))]
 
     tables = {**m.cpds, **maid.fixed_rules(model), **rules}
-    bn.sweep(m.variables, tables, maid._sweep_order(m), leaf)
+    _recursive_sweep(m.variables, tables, maid._sweep_order(m), leaf)
     return totals
 
 
 def _by_name_decision_values(model, rules, d, agent):
     """``maid._decision_values`` as it was written with each leaf building
-    its context and every payoff key by name."""
+    its context and every payoff key by name, and summing the agent's
+    payoffs however many it owns, over the recursive walk."""
     m = maid.base_maid(model)
     payoffs = [(parents, table) for owner, parents, table in maid._payoff_tables(m)
                if owner == agent]
@@ -228,15 +308,17 @@ def _by_name_decision_values(model, rules, d, agent):
                                     for parents, table in payoffs)
 
     tables = {**m.cpds, **maid.fixed_rules(model), **rules, d: bn.weight_one(m.variables[d])}
-    bn.sweep(m.variables, tables, maid._sweep_order(m), leaf)
+    _recursive_sweep(m.variables, tables, maid._sweep_order(m), leaf)
     return q
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(reader_game())
 def test_context_readers_leave_every_sum_bit_identical(gp):
-    # Reading keys through readers made once changes no operand and no
-    # order, so each value is ``==`` to the by-name leaves'.
+    # Reading keys through readers made once, walking the stack and reading
+    # a one-utility agent's payoff without ``sum`` change no operand and no
+    # order, so each value is ``==`` to the by-name leaves' over the
+    # recursive walk.  Agents here own none, one or several utilities.
     model, profile = gp
     m = maid.base_maid(model)
     assert maid.expected_utilities(model, profile) == _by_name_expected_utilities(model, profile)
