@@ -380,20 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _envelope(args: argparse.Namespace, result: dict, work: dict) -> dict:
-    arguments = {
-        k: v
-        for k, v in sorted(vars(args).items())
-        if k not in ("command", "output") and v is not None
-    }
-    report = {
-        "format_version": gamedoc.FORMAT_VERSION,
-        "command": args.command,
-        "arguments": arguments,
-        "result": result,
-        "timings": work,
-    }
-    return report
+def _report(args: argparse.Namespace, **fields: Any) -> dict:
+    """A JSON report on ``args.command``: the header, then ``fields``."""
+    return {"format_version": gamedoc.FORMAT_VERSION, "command": args.command, **fields}
 
 
 def _print_text(args: argparse.Namespace, result: dict) -> None:
@@ -460,22 +449,20 @@ def run(argv: list[str] | None = None) -> int:
         if isinstance(exc, SchemaViolation):
             error = {"type": "SchemaViolation", "path": exc.path,
                      "message": exc.message}
-        report = {
-            "format_version": gamedoc.FORMAT_VERSION,
-            "command": args.command,
-            "error": error,
-        }
         if args.output == "json":
-            print(json.dumps(report, sort_keys=True, indent=2))
+            print(json.dumps(_report(args, error=error), sort_keys=True, indent=2))
         else:
             where = f"{error['path']} " if "path" in error else ""
             print(f"error: {where}{error['message']}", file=sys.stderr)
         return ERROR
     if args.output == "json":
-        sys.stdout.write(
-            json.dumps(_envelope(args, result, work), sort_keys=True, indent=2)
-            + "\n"
-        )
+        arguments = {
+            k: v
+            for k, v in vars(args).items()
+            if k not in ("command", "output") and v is not None
+        }
+        report = _report(args, arguments=arguments, result=result, timings=work)
+        print(json.dumps(report, sort_keys=True, indent=2))
     else:
         _print_text(args, result)
         elapsed = time.monotonic() - started

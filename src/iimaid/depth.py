@@ -240,11 +240,13 @@ def final_information_sets(
 
 def _net_rows(model: Model, decision: str, action: str) -> bn.BayesNet:
     """The oracle's measure: the model's network under its commitments,
-    uniform where open, with ``decision`` pinned to ``action``."""
+    uniform where open, with ``decision`` pinned to ``action``.  ``decision``
+    may be committed, so the network is built over the base diagram, which
+    takes a rule for every decision."""
     m = base_maid(model)
-    rules = {d: uniform_rule(m, d) for d in free_decisions(model)}
+    rules = {**fixed_rules(model), **{d: uniform_rule(m, d) for d in free_decisions(model)}}
     rules[decision] = decision_rule(m, decision, lambda ctx: action)
-    return induced_network(model, rules)
+    return induced_network(m, rules)
 
 
 @bn.indexed

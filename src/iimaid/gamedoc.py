@@ -13,6 +13,12 @@ to one plain walk over a parsed document; a keyword outside that subset
 fails the import.  The walk reports the violation a Draft 2020-12 validator
 reports first once its errors are sorted by path: the same JSON path and
 the same message text, so no third-party validator runs at run time.
+
+Each shape is written once: ``SCHEMAS`` is built from ``_closed`` (every
+closed object but ``_VARIABLE``'s branches), ``_document`` (the header first)
+and ``_family`` (``ii-maid`` and ``depth-stack``).  Key order is part of the
+spec, since the walk breaks ties at one path in schema key order, and
+``tests/golden/schemas.json`` is its rendering, ``json.dumps(SCHEMAS, indent=2)``.
 """
 
 from __future__ import annotations
@@ -35,11 +41,42 @@ FORMAT_VERSION = 1
 PROB = {"type": "string", "pattern": r"^-?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$"}
 NAME = {"type": "string", "minLength": 1}
 
+# The parts that several schemas share, each written once.
+_ROW = {"type": "object", "minProperties": 1, "additionalProperties": PROB}
+_NAMES = {"type": "array", "items": NAME, "minItems": 1, "uniqueItems": True}
+_PAIRS = {
+    "type": "array", "uniqueItems": True,
+    "items": {
+        "type": "array",
+        "items": NAME,
+        "minItems": 2,
+        "maxItems": 2,
+    },
+}
 
-def _row_schema() -> dict:
-    return {"type": "object", "minProperties": 1, "additionalProperties": PROB}
+
+def _closed(required: list[str], **properties: dict) -> dict:
+    """An object schema with exactly ``properties``, of which ``required``."""
+    return {
+        "type": "object",
+        "properties": properties,
+        "required": required,
+        "additionalProperties": False,
+    }
 
 
+def _document(kind: str, required: list[str], **properties: dict) -> dict:
+    """The schema of a ``kind`` document: the header, then ``properties``."""
+    return _closed(
+        ["format_version", "kind", *required],
+        format_version={"const": FORMAT_VERSION},
+        kind={"const": kind},
+        **properties,
+    )
+
+
+# A variable's three shapes stay literal: they carry no ``type``, and a
+# ``oneOf`` message prints each branch.
 _VARIABLE = {
     "type": "object",
     "oneOf": [
@@ -47,7 +84,7 @@ _VARIABLE = {
             "properties": {
                 "name": NAME,
                 "kind": {"const": "chance"},
-                "domain": {"type": "array", "items": NAME, "minItems": 1, "uniqueItems": True},
+                "domain": _NAMES,
             },
             "required": ["name", "kind", "domain"],
             "additionalProperties": False,
@@ -57,7 +94,7 @@ _VARIABLE = {
                 "name": NAME,
                 "kind": {"const": "decision"},
                 "owner": NAME,
-                "domain": {"type": "array", "items": NAME, "minItems": 1, "uniqueItems": True},
+                "domain": _NAMES,
             },
             "required": ["name", "kind", "owner", "domain"],
             "additionalProperties": False,
@@ -67,11 +104,7 @@ _VARIABLE = {
                 "name": NAME,
                 "kind": {"const": "utility"},
                 "owner": NAME,
-                "values": {
-                    "type": "object",
-                    "minProperties": 1,
-                    "additionalProperties": PROB,
-                },
+                "values": _ROW,
             },
             "required": ["name", "kind", "owner", "values"],
             "additionalProperties": False,
@@ -79,150 +112,72 @@ _VARIABLE = {
     ],
 }
 
-_CPD = {
-    "type": "object",
-    "properties": {
-        "child": NAME,
-        "rows": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "context": {"type": "array", "items": NAME},
-                    "row": _row_schema(),
-                },
-                "required": ["context", "row"],
-                "additionalProperties": False,
-            },
-        },
-    },
-    "required": ["child", "rows"],
-    "additionalProperties": False,
+_ROWS = {
+    "type": "array",
+    "items": _closed(
+        ["context", "row"],
+        context={"type": "array", "items": NAME},
+        row=_ROW,
+    ),
 }
-
+_CPD = _closed(
+    ["child", "rows"],
+    child=NAME,
+    rows=_ROWS,
+)
 _GRAPH_PROPS = {
     "variables": {"type": "array", "items": _VARIABLE, "minItems": 1},
-    "edges": {
-        "type": "array", "uniqueItems": True,
-        "items": {
-            "type": "array",
-            "items": NAME,
-            "minItems": 2,
-            "maxItems": 2,
-        },
-    },
+    "edges": _PAIRS,
     "cpds": {"type": "array", "items": _CPD},
 }
+_SUBJECTIVE = _closed(
+    ["id", "variables", "edges", "cpds", "beliefs"],
+    id=NAME,
+    **_GRAPH_PROPS,
+    xi={"type": "array", "items": _CPD},
+    beliefs={"type": "object", "additionalProperties": _ROW},
+)
 
-_BELIEFS = {
-    "type": "object",
-    "additionalProperties": {
-        "type": "object",
-        "minProperties": 1,
-        "additionalProperties": PROB,
-    },
-}
 
-_SUBJECTIVE = {
-    "type": "object",
-    "properties": {
-        "id": NAME,
-        **_GRAPH_PROPS,
-        "xi": {"type": "array", "items": _CPD},
-        "beliefs": _BELIEFS,
-    },
-    "required": ["id", "variables", "edges", "cpds", "beliefs"],
-    "additionalProperties": False,
-}
+def _family(kind: str, key: str) -> dict:
+    """The schema of an ``ii-maid`` or ``depth-stack``, members under ``key``."""
+    members = {"type": "array", "items": _SUBJECTIVE, "minItems": 1}
+    return _document(
+        kind,
+        ["agents", "objective", key],
+        agents=_NAMES,
+        objective=NAME,
+        **{key: members},
+    )
+
 
 SCHEMAS: dict[str, dict] = {
-    "maid": {
-        "type": "object",
-        "properties": {
-            "format_version": {"const": FORMAT_VERSION},
-            "kind": {"const": "maid"},
-            "agents": {"type": "array", "items": NAME, "minItems": 1, "uniqueItems": True},
-            **_GRAPH_PROPS,
-        },
-        "required": ["format_version", "kind", "agents", "variables", "edges", "cpds"],
-        "additionalProperties": False,
-    },
-    "ii-maid": {
-        "type": "object",
-        "properties": {
-            "format_version": {"const": FORMAT_VERSION},
-            "kind": {"const": "ii-maid"},
-            "agents": {"type": "array", "items": NAME, "minItems": 1, "uniqueItems": True},
-            "objective": NAME,
-            "models": {"type": "array", "items": _SUBJECTIVE, "minItems": 1},
-        },
-        "required": ["format_version", "kind", "agents", "objective", "models"],
-        "additionalProperties": False,
-    },
-    "depth-stack": {
-        "type": "object",
-        "properties": {
-            "format_version": {"const": FORMAT_VERSION},
-            "kind": {"const": "depth-stack"},
-            "agents": {"type": "array", "items": NAME, "minItems": 1, "uniqueItems": True},
-            "objective": NAME,
-            "nodes": {"type": "array", "items": _SUBJECTIVE, "minItems": 1},
-        },
-        "required": ["format_version", "kind", "agents", "objective", "nodes"],
-        "additionalProperties": False,
-    },
-    "maid-profile": {
-        "type": "object",
-        "properties": {
-            "format_version": {"const": FORMAT_VERSION},
-            "kind": {"const": "maid-profile"},
-            "rules": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "properties": {
-                        "decision": NAME,
-                        "parents": {"type": "array", "items": NAME, "uniqueItems": True},
-                        "rows": _CPD["properties"]["rows"],
-                    },
-                    "required": ["decision", "parents", "rows"],
-                    "additionalProperties": False,
-                },
-            },
-        },
-        "required": ["format_version", "kind", "rules"],
-        "additionalProperties": False,
-    },
-    "ii-profile": {
-        "type": "object",
-        "properties": {
-            "format_version": {"const": FORMAT_VERSION},
-            "kind": {"const": "ii-profile"},
-            "rules": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "properties": {
-                        "agent": NAME,
-                        "observation": {
-                            "type": "array", "uniqueItems": True,
-                            "items": {
-                                "type": "array",
-                                "items": NAME,
-                                "minItems": 2,
-                                "maxItems": 2,
-                            },
-                        },
-                        "row": _row_schema(),
-                    },
-                    "required": ["agent", "observation", "row"],
-                    "additionalProperties": False,
-                },
-            },
-        },
-        "required": ["format_version", "kind", "rules"],
-        "additionalProperties": False,
-    },
+    "maid": _document(
+        "maid",
+        ["agents", "variables", "edges", "cpds"],
+        agents=_NAMES,
+        **_GRAPH_PROPS,
+    ),
+    "ii-maid": _family("ii-maid", "models"),
+    "depth-stack": _family("depth-stack", "nodes"),
+    "maid-profile": _document("maid-profile", ["rules"], rules={
+        "type": "array",
+        "items": _closed(
+            ["decision", "parents", "rows"],
+            decision=NAME,
+            parents={"type": "array", "items": NAME, "uniqueItems": True},
+            rows=_ROWS,
+        ),
+    }),
+    "ii-profile": _document("ii-profile", ["rules"], rules={
+        "type": "array",
+        "items": _closed(
+            ["agent", "observation", "row"],
+            agent=NAME,
+            observation=_PAIRS,
+            row=_ROW,
+        ),
+    }),
 }
 
 
@@ -613,14 +568,9 @@ def parse_document(text: str) -> GameDocument:
             }
             member = SubjectiveMaid(item["id"], model, beliefs)
             _put(members, item["id"], member, f"{path}.id", f"id {item['id']}")
+        family = IiMaid if kind == "ii-maid" else DepthStack
         try:
-            if kind == "ii-maid":
-                return GameDocument(
-                    kind, IiMaid(tuple(raw["agents"]), raw["objective"], members)
-                )
-            return GameDocument(
-                kind, DepthStack(tuple(raw["agents"]), raw["objective"], members)
-            )
+            return GameDocument(kind, family(tuple(raw["agents"]), raw["objective"], members))
         except ValidationError as exc:
             raise SchemaViolation(f"$.{key}", "; ".join(exc.issues)) from None
 
@@ -697,12 +647,10 @@ def _beliefs_to_doc(beliefs: Mapping[str, Mapping[str, float]]) -> dict:
 
 
 def _family_to_doc(
-    kind: str, key: str, value: IiMaid | DepthStack, members: Mapping[str, SubjectiveMaid]
+    key: str, value: IiMaid | DepthStack, members: Mapping[str, SubjectiveMaid]
 ) -> dict[str, Any]:
-    """An ``ii-maid`` or ``depth-stack`` document, whose members sit under ``key``."""
+    """The body of an ``ii-maid`` or ``depth-stack``, members under ``key``."""
     return {
-        "format_version": FORMAT_VERSION,
-        "kind": kind,
         "agents": list(value.agents),
         "objective": value.objective,
         key: [
@@ -721,20 +669,13 @@ def serialize_document(value: object) -> str:
     if isinstance(value, GameDocument):
         value = value.value
     if isinstance(value, Maid):
-        doc: dict[str, Any] = {
-            "format_version": FORMAT_VERSION,
-            "kind": "maid",
-            "agents": list(value.agents),
-            **_graph_to_doc(value),
-        }
+        kind, body = "maid", {"agents": list(value.agents), **_graph_to_doc(value)}
     elif isinstance(value, IiMaid):
-        doc = _family_to_doc("ii-maid", "models", value, value.models)
+        kind, body = "ii-maid", _family_to_doc("models", value, value.models)
     elif isinstance(value, DepthStack):
-        doc = _family_to_doc("depth-stack", "nodes", value, value.nodes)
+        kind, body = "depth-stack", _family_to_doc("nodes", value, value.nodes)
     elif isinstance(value, MaidProfile):
-        doc = {
-            "format_version": FORMAT_VERSION,
-            "kind": "maid-profile",
+        kind, body = "maid-profile", {
             "rules": [
                 {
                     "decision": d,
@@ -745,9 +686,7 @@ def serialize_document(value: object) -> str:
             ],
         }
     elif isinstance(value, IiProfile):
-        doc = {
-            "format_version": FORMAT_VERSION,
-            "kind": "ii-profile",
+        kind, body = "ii-profile", {
             "rules": [
                 {
                     "agent": iset.agent,
@@ -762,4 +701,5 @@ def serialize_document(value: object) -> str:
         }
     else:
         raise TypeError(f"cannot serialize {type(value).__name__}")
+    doc = {"format_version": FORMAT_VERSION, "kind": kind, **body}
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"

@@ -21,7 +21,9 @@ entry starts at ``0.0``, to which adding either zero gives ``0.0``, so
 every Q entry is bit-identical, signed zeros included.
 
 Public functions check each rule their caller passes once, on entry, and
-a ``PostPolicyMaid`` checks its committed rules when it is made.  The
+a ``PostPolicyMaid`` checks its committed rules when it is made.  A public
+function rejects a rule for a committed decision (``committed-decision``)
+rather than lay it over the commitment.  The
 ``_``-prefixed kernels assume checked rules and add the model's committed
 ones themselves.  The ii layer keeps the same rule for information-set
 profile rows: its public entries check each row they receive once, with
@@ -309,18 +311,23 @@ def decision_rule(model: Model, name: str, choose) -> Cpd:
 def _checked_rules(
     model: Model, rules: PolicyRules, open_decisions: Iterable[str] = ()
 ) -> dict[str, Cpd]:
-    """The caller's rules but those for ``open_decisions``, checked; with the
-    committed rules they must cover every other decision."""
+    """The caller's rules but those for ``open_decisions``, checked; they
+    must cover every other free decision, and none may be for a committed
+    one, whose rule the model already fixes."""
     m = base_maid(model)
     rules = {d: r for d, r in rules.items() if d not in open_decisions}
-    for d in m.decisions():
-        if d not in rules and d not in fixed_rules(model) and d not in open_decisions:
+    for d in _free_decisions(model, None):
+        if d not in rules and d not in open_decisions:
             raise MissingRule(f"no rule for decision {d}")
+    committed = fixed_rules(model)
     issues = []
     for name, rule in rules.items():
         if name not in m.variables or m.kind(name) != DECISION:
             raise MissingRule(f"rule for non-decision {name}")
-        issues.extend(_check_rule(m, name, rule))
+        if name in committed:
+            issues.append(f"committed-decision: {name}")
+        else:
+            issues.extend(_check_rule(m, name, rule))
     if issues:
         raise ValidationError(issues)
     return rules

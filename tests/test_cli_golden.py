@@ -1,22 +1,25 @@
 """Golden CLI output: the exit code and stdout of each subcommand on the
-bundled documents, text and JSON, byte for byte.
+bundled documents, text and JSON, byte for byte; and the rendered document
+spec, ``json.dumps(gamedoc.SCHEMAS, indent=2)`` in its key order, in
+``tests/golden/schemas.json``.
 
 Each invocation runs in a directory holding the bundled documents
 (``fixtures.write_data_files``), named by bare file name, so the JSON
 ``arguments`` carry no temporary path.  The expected stdout is the file
-``tests/golden/<name>.<output>``.  To rewrite them, run
+``tests/golden/<name>.<output>``.  To rewrite them and the spec, run
 ``PYTHONPATH=src python -m tests.test_cli_golden`` from the repository root,
 and name in CHANGES.md each byte that moved.
 """
 import contextlib
 import io
+import json
 import os
 import tempfile
 from pathlib import Path
 
 import pytest
 
-from iimaid import cli, fixtures
+from iimaid import cli, fixtures, gamedoc
 
 GOLDEN = Path(__file__).parent / "golden"
 HONESTY, CAPABILITY = "honesty_eval.maid.json", "capability_eval.maid.json"
@@ -71,8 +74,19 @@ def test_cli_output_matches_its_golden_file(data_dir, monkeypatch, name, output)
     assert got == (code, (GOLDEN / f"{name}.{output}").read_bytes())
 
 
+def _schemas_text() -> str:
+    # No sort_keys: the walk breaks ties between violations at one path in
+    # schema key order, so the order is part of the spec.
+    return json.dumps(gamedoc.SCHEMAS, indent=2) + "\n"
+
+
+def test_the_document_spec_matches_its_golden_file():
+    assert _schemas_text() == (GOLDEN / "schemas.json").read_text()
+
+
 def _rewrite() -> None:
     GOLDEN.mkdir(exist_ok=True)
+    (GOLDEN / "schemas.json").write_text(_schemas_text())
     with tempfile.TemporaryDirectory() as tmp:
         fixtures.write_data_files(tmp)
         here = os.getcwd()

@@ -4,8 +4,10 @@ only the listed writers build a `Cpd`, only the listed checkers check a
 probability row, only ``bn.positive`` filters a belief
 row's support, one function builds the cap error, one
 writes the least-action default, only the listed readers read a utility's
-payoff labels, the structural index `bn.indexed`
-is only ever a decorator, `import iimaid` loads neither
+payoff labels, one function each writes a document's and a
+report's ``format_version`` header and only ``gamedoc._closed`` closes a
+schema object (``_VARIABLE``'s branches aside), the structural index
+`bn.indexed` is only ever a decorator, `import iimaid` loads neither
 jsonschema, scipy nor numpy, reading documents never loads jsonschema, and
 no consistency check loads numpy or scipy."""
 import ast
@@ -166,6 +168,56 @@ def test_only_the_listed_checkers_check_a_row():
                    for node in ast.walk(top)):
                 found.add((path.stem, getattr(top, "name", "<module>")))
     assert found == ROW_CHECKERS
+
+
+def _definition(top: ast.stmt) -> str:
+    """The name a top-level statement defines: a function's or class's, or
+    the one name a module-level assignment binds; else ``<module>``."""
+    if isinstance(top, ast.Assign) and len(top.targets) == 1:
+        top = top.targets[0]
+    elif isinstance(top, ast.AnnAssign):
+        top = top.target
+    return getattr(top, "name", None) or getattr(top, "id", None) or "<module>"
+
+
+def _written_under(top: ast.stmt, key: str) -> list[ast.expr]:
+    """The values ``top`` writes under ``key``, as a dict key or a keyword."""
+    found = []
+    for node in ast.walk(top):
+        if isinstance(node, ast.Dict):
+            found += [v for k, v in zip(node.keys, node.values)
+                      if isinstance(k, ast.Constant) and k.value == key]
+        elif isinstance(node, ast.keyword) and node.arg == key:
+            found.append(node.value)
+    return found
+
+
+# One header and one closed-object rule.  Every document and every CLI report
+# opens with ``format_version``: ``gamedoc._document`` writes it into each
+# kind's schema, ``gamedoc.serialize_document`` onto each document and
+# ``cli._report`` onto each report.  ``gamedoc._closed`` writes
+# ``"additionalProperties": False`` for every closed object of ``SCHEMAS``
+# but ``_VARIABLE``'s three ``oneOf`` branches, which carry no ``type``.
+HEADER_WRITERS = {
+    ("gamedoc", "_document"), ("gamedoc", "serialize_document"), ("cli", "_report"),
+}
+CLOSED_WRITERS = {("gamedoc", "_closed"): 1, ("gamedoc", "_VARIABLE"): 3}
+
+
+def test_one_header_and_one_closed_object_rule():
+    headers, closed = set(), {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for top in tree.body:
+            where = (path.stem, _definition(top))
+            if _written_under(top, "format_version"):
+                headers.add(where)
+            n = sum(isinstance(v, ast.Constant) and v.value is False
+                    for v in _written_under(top, "additionalProperties"))
+            if n:
+                closed[where] = closed.get(where, 0) + n
+    assert headers == HEADER_WRITERS
+    assert closed == CLOSED_WRITERS
 
 
 def _compares_with_zero(top: ast.AST) -> bool:

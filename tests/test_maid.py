@@ -1,8 +1,9 @@
 import pytest
 
-from iimaid import bn, fixtures, gamedoc, maid
+from iimaid import bn, efg, fixtures, gamedoc, maid
 from iimaid.bn import Cpd
 from iimaid.errors import SearchSpaceTooLarge, ValidationError
+from iimaid.simulate import simulate
 from iimaid.fixtures import (
     AI, AI_PAYOFF, CAPABILITY, DEPLOY, GO, HIGH, HUMAN, HUMAN_PAYOFF, LOW,
     REPORT, STOP, always_low_deploy_low_rules, always_low_match_rules,
@@ -259,6 +260,43 @@ def test_committed_rules_are_read_only(capability):
         capability, {REPORT: always_low_deploy_low_rules()[REPORT]})
     assert gamedoc.serialize_document(fixtures.evaluation_depth3_stack()) == (
         fixtures.data_text("evaluation_game_depth3.stack.json"))
+
+
+def _report_committed_low(honesty):
+    """The honesty game with the AI's report committed to low."""
+    return maid.PostPolicyMaid(
+        honesty, {REPORT: maid.decision_rule(honesty, REPORT, lambda ctx: LOW)})
+
+
+def test_a_rule_for_a_committed_decision_is_rejected(honesty):
+    # A caller's rule for D_A would otherwise be laid over the commitment:
+    # the truthful profile then priced 1.0 for both agents, not 0.8 and 0.9.
+    committed = _report_committed_low(honesty)
+    rules = truthful_match_rules()
+    calls = [
+        lambda: maid.expected_utilities(committed, rules),
+        lambda: maid.is_nash(committed, rules),
+        lambda: maid.best_response(committed, rules, HUMAN),
+        lambda: maid.best_response(committed, rules, AI),
+        lambda: maid.decision_values(committed, rules, DEPLOY, HUMAN),
+        lambda: maid.induced_network(committed, rules),
+        lambda: simulate(committed, rules, 10, 0),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError) as exc:
+            call()
+        assert exc.value.issues == [f"committed-decision: {REPORT}"]
+
+
+def test_a_committed_decision_prices_alike_on_the_diagram_and_the_tree(honesty):
+    committed = _report_committed_low(honesty)
+    rules = {DEPLOY: truthful_match_rules()[DEPLOY]}
+    eus = maid.expected_utilities(committed, rules)
+    assert eus == pytest.approx({AI: 0.8, HUMAN: 0.9}, abs=1e-12)
+    g, _ = efg.maid2efg(committed)
+    sigma = efg.strategy_from_policy(honesty, g, rules)
+    for agent in honesty.agents:
+        assert efg.efg_expected_utility(g, sigma, agent) == pytest.approx(eus[agent], abs=1e-12)
 
 
 def test_agent_with_no_free_decision_has_no_regret(capability):
