@@ -23,9 +23,9 @@ given, exactly its labels.  Callers keep their own issue codes.
 
 So a valid row may hold an entry down to ``-TOL``, and every reader counts
 an entry only when it is ``> 0.0``: a CPD or decision-rule entry in each
-sweep, sample, joint probability, payoff table, tree expansion and walk,
-and pricing (``maid._priced``), and a belief entry in each support, which
-``positive`` gives.  The kernels test their entries inline.
+sweep, sample, joint probability, payoff table, tree expansion and tree
+pricing, and pricing (``maid._priced``), and a belief entry in each
+support, which ``positive`` gives.  The kernels test their entries inline.
 """
 
 from __future__ import annotations

@@ -7,6 +7,9 @@ by the observed parent context.  It builds the tree on an explicit stack,
 children before parents, so a diagram's depth is not bounded by the
 interpreter's recursion limit; the path from the root to a node is worked
 out when asked (``history``), not stored with it.
+
+A tree is valued from one leaf table built once (``_leaves``), a flat sum
+of path products as in the diagram's ``bn.sweep``.
 """
 
 from __future__ import annotations
@@ -263,59 +266,50 @@ class _Contexts(MappingABC):
 def efg_expected_utility(g: Efg, strategy: Strategy, agent: str) -> float:
     """Expected payoff of the agent under a behaviour strategy profile.
 
-    The tree is walked depth first on an explicit stack, so its depth is
-    not bounded by the interpreter's recursion limit.  A node's value is
-    ``sum`` over its edges, in edge order, of the edge's weight times the
-    child's value; decision edges the strategy gives no positive weight
-    are skipped (see ``bn``), and a decision node without a strategy row
-    raises ``MissingRule`` when the walk reaches it.
+    Each leaf of ``_leaves`` adds its chance weight times the strategy
+    entries on its path, in path order, times its payoff.  A path stops at
+    its first entry that is not ``> 0.0`` (see ``bn``), and a missing row
+    raises ``MissingRule`` when a path reaches it; chance weights are
+    never filtered.
     """
     if agent not in g.agents:
         raise UnknownAgent(agent)
-    table = _walk_table(g)
-    # Each frame: a node's (weight, child) edges and the products so far.
-    stack: list[tuple[Sequence[tuple[float, int]], list[float]]] = []
-    kind, data, edges = table[g.root]
-    while True:
-        if kind == "leaf":
-            value = data.get(agent, 0.0)
-        else:
-            if kind != CHANCE:
-                if data not in strategy:
-                    raise MissingRule(f"no strategy row for {data}")
-                row = strategy[data]
-                edges = [(w, child) for lbl, child in edges if (w := row.get(lbl, 0.0)) > 0.0]
-            if edges:
-                stack.append((edges, []))
-                kind, data, edges = table[edges[0][1]]
-                continue
-            value = 0  # ``sum`` over no edges
-        while stack:
-            pending, products = stack[-1]
-            k = len(products)
-            products.append(pending[k][0] * value)
-            if k + 1 < len(pending):
-                kind, data, edges = table[pending[k + 1][1]]
+    total = 0.0
+    for weight, choices, payoffs in _leaves(g):
+        for key, label in choices:
+            if key not in strategy:
+                raise MissingRule(f"no strategy row for {key}")
+            p = strategy[key].get(label, 0.0)
+            if not p > 0.0:
                 break
-            stack.pop()
-            value = sum(products)
+            weight *= p
         else:
-            return value
+            total += weight * payoffs.get(agent, 0.0)
+    return total
 
 
 @bn.indexed
-def _walk_table(g: Efg) -> tuple[tuple[str, object, tuple], ...]:
-    """Each node as ``efg_expected_utility`` reads it, by node id: a leaf's
-    payoffs, a chance node's (probability, child) edges, or a decision
-    node's strategy key and (label, child) edges; built once per tree."""
+def _leaves(g: Efg) -> tuple[tuple[float, tuple, Mapping[str, float]], ...]:
+    """Each leaf, in depth-first edge order: the product of the chance
+    probabilities on its path, multiplied from the root, the path's
+    ``((owner, iset), label)`` decision choices and its payoffs.  The
+    payoff table of the sequence form, built once per tree on an explicit
+    stack, so a tree's depth is not bounded by the recursion limit.  An
+    inner node without edges (``maid2efg`` makes none) adds no leaf."""
     out = []
-    for node in g.nodes:
+    stack = [(g.root, 1.0, ())]
+    while stack:
+        nid, weight, choices = stack.pop()
+        node = g.nodes[nid]
         if node.kind == "leaf":
-            out.append(("leaf", node.payoffs, ()))
+            out.append((weight, choices, node.payoffs))
         elif node.kind == CHANCE:
-            out.append((CHANCE, None, tuple((node.dist[lbl], c) for lbl, c in node.edges)))
+            stack += [(child, weight * node.dist[label], choices)
+                      for label, child in reversed(node.edges)]
         else:
-            out.append((DECISION, (node.owner, node.iset), node.edges))
+            key = (node.owner, node.iset)
+            stack += [(child, weight, choices + ((key, label),))
+                      for label, child in reversed(node.edges)]
     return tuple(out)
 
 

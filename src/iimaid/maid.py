@@ -124,9 +124,6 @@ from .errors import (
 
 DEFAULT_CAP = 10_000_000
 
-# A decision rule is structurally just a CPD for the decision variable.
-DecisionRule = Cpd
-
 # A (possibly partial) policy profile: decision variable name -> rule.
 PolicyRules = Mapping[str, Cpd]
 

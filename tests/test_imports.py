@@ -4,7 +4,8 @@ only the listed writers build a `Cpd`, only the listed checkers check a
 probability row, only ``bn.positive`` filters a belief
 row's support, one function builds the cap error, one
 writes the least-action default, only the listed readers read a utility's
-payoff labels, one function each writes a document's and a
+payoff labels, only the listed readers read a tree node's chance
+distribution or payoffs, one function each writes a document's and a
 report's ``format_version`` header and only ``gamedoc._closed`` closes a
 schema object (``_VARIABLE``'s branches aside), the structural index
 `bn.indexed` is only ever a decorator, `import iimaid` loads neither
@@ -54,8 +55,9 @@ def test_modules_import_no_unused_names():
 # The top-level functions whose nested helpers call themselves: only the
 # oracle kept apart from the enumeration kernel.  The kernel (``bn.sweep``),
 # through which any other exact inference goes, walks an explicit stack;
-# trees are built (``efg.maid2efg``) and valued (``efg.efg_expected_utility``),
-# and belief stacks unrolled (``depth.unroll``), on explicit stacks too.
+# trees are built (``efg.maid2efg``) and tabled leaf by leaf (``efg._leaves``,
+# which ``efg.efg_expected_utility`` loops over), and belief stacks unrolled
+# (``depth.unroll``), on explicit stacks too.
 RECURSIVE = {("bn", "enumerate_support")}
 
 
@@ -271,6 +273,24 @@ def test_only_the_listed_readers_read_payoff_labels():
         tree = ast.parse(path.read_text(), str(path))
         found |= {(path.stem, name) for name in _payoff_readers(tree)}
     assert found == PAYOFF_READERS
+
+
+# The top-level functions that read a tree node's chance distribution or
+# payoffs, ``EfgNode.dist`` and ``EfgNode.payoffs``: the one leaf table every
+# tree is priced from and the two writers, JSON and Graphviz.  No pricing
+# walks the nodes.
+TREE_READERS = {("efg", "_leaves"), ("cli", "_efg_json"), ("dot", "efg_dot")}
+
+
+def test_only_the_listed_readers_read_tree_values():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for top in tree.body:
+            if any(isinstance(node, ast.Attribute) and node.attr in ("dist", "payoffs")
+                   for node in ast.walk(top)):
+                found.add((path.stem, getattr(top, "name", "<module>")))
+    assert found == TREE_READERS
 
 
 def _indexed_not_as_decorator(tree: ast.Module) -> list[int]:

@@ -107,7 +107,7 @@ def test_every_index_hands_back_the_value_it_kept(example1, ne_profile, honesty)
     cases = {
         ("bn", "weight_one"): (gt.variables["D_H"],),
         ("efg", "_info_sets"): (tree, "H"),
-        ("efg", "_walk_table"): (tree,),
+        ("efg", "_leaves"): (tree,),
         ("efg", "_parents"): (tree,),
         ("efg", "_expansion"): (gt, None),
         ("iiefg", "_belief_types"): (g.space, "A"),

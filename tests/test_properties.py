@@ -70,7 +70,7 @@ def test_tree_conversion_preserves_utilities(mp):
     sigma = efg.strategy_from_policy(m, g, rules)
     for agent in m.agents:
         assert efg.efg_expected_utility(g, sigma, agent) == pytest.approx(
-            maid.expected_utility(m, rules, agent), abs=1e-9)
+            maid.expected_utility(m, rules, agent), abs=1e-12)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -503,6 +503,50 @@ def test_is_nash_ii_matches_three_pass_regrets(xp):
     for agent, r in reference.items():
         assert abs(regrets[agent] - r) <= 1e-12
     assert ok == all(r <= 1e-6 for r in reference.values())
+
+
+def _tree_and_diagram_regrets(x, profile):
+    """``is_interim_nash`` on the belief-space trees at the objective state,
+    and ``is_nash_ii`` on the diagrams: each one's verdict and regrets."""
+    conv = iiefg.maid2efgII(x)
+    sigma = iiefg.strategy_from_ii_policy(conv, profile)
+    return (iiefg.is_interim_nash(conv.game, sigma, x.objective),
+            incomplete.is_nash_ii(x, profile))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(common_prior_game_with_profile())
+def test_tree_and_diagram_equilibrium_checks_agree(xp):
+    x, profile = xp
+    (ok_tree, tree_regrets), (ok, regrets) = _tree_and_diagram_regrets(x, profile)
+    assert ok_tree == ok
+    assert set(tree_regrets) == set(regrets)
+    for agent, r in regrets.items():
+        assert abs(tree_regrets[agent] - r) <= 1e-12
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(subjective_game_with_profile())
+def test_tree_and_diagram_equilibrium_checks_agree_for_introspective_agents(xp):
+    """An agent is introspective at the objective state when every state it
+    believes there gives it the same belief type.  Such an agent's regret
+    is the same on both sides within 1e-12, and so is the verdict when every
+    agent is.  Other agents' regrets differ: the tree side holds the rows of
+    the agent's other types fixed, the diagram side lets the agent rewrite
+    them (see CHANGES.md)."""
+    x, profile = xp
+    (ok_tree, tree_regrets), (ok, regrets) = _tree_and_diagram_regrets(x, profile)
+    space = iiefg.maid2efgII(x).game.space
+    assert set(tree_regrets) == set(regrets)
+    introspective = set()
+    for agent, r in regrets.items():
+        types = iiefg.belief_types(space, agent)
+        believed = bn.positive(x.models[x.objective].beliefs[agent])
+        if all(types[w] == types[x.objective] for w, _ in believed):
+            introspective.add(agent)
+            assert abs(tree_regrets[agent] - r) <= 1e-12
+    if introspective == set(regrets):
+        assert ok_tree == ok
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
