@@ -16,15 +16,18 @@ is the number of queries over the sum of those fastest repeats, and its
 ``query_p50_s`` and ``query_p90_s`` are those fastest repeats' quantiles,
 taken by that side's ``perfbench/run.py``.  Two separate processes running
 identical code can read 20% apart on a shared host; here both sides see the
-same moments of the machine.
+same moments of the machine.  Each side's wall-clock total over every repeat
+of every query is reported too, with the parent's total over the change's:
+a closed loop like ``perfbench/run.py``'s makes calls at about that ratio of
+the parent's rate, and its ``peak_rss_mb`` grows with its call count.
 
 After timing, each side's first answers go through that side's checks, and
 the ``repr`` of the two sides' first answers is compared query by query.
 The report goes to standard error; the last line of standard output is one
 JSON object with each side's per-kind sums (seconds), ``queries_per_s``,
-``query_p50_s``, ``query_p90_s`` and failed checks, and the queries whose
-answers differ.  The exit status is 1 when either side fails a check, and 0
-otherwise.
+``query_p50_s``, ``query_p90_s``, ``total_s`` and failed checks, the ratio
+of the totals and the queries whose answers differ.  The exit status is 1
+when either side fails a check, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -77,9 +80,11 @@ class Side:
 
 
 def interleave(sides: list[Side], passes: int):
-    """Each side's fastest repeat and first answer, per query."""
+    """Each side's fastest repeat and first answer, per query, and its
+    total over every repeat."""
     n = len(sides[0].workload.queries)
     best = [[float("inf")] * n for _ in sides]
+    total = [0.0] * len(sides)
     first: list[list] = [[None] * n for _ in sides]
     for p in range(passes):
         for i in range(n):
@@ -94,9 +99,10 @@ def interleave(sides: list[Side], passes: int):
                     answer = exc
                 elapsed = time.perf_counter() - start
                 best[s][i] = min(best[s][i], elapsed)
+                total[s] += elapsed
                 if p == 0:
                     first[s][i] = answer
-    return best, first
+    return best, first, total
 
 
 def check(side: Side, answers: list) -> int:
@@ -130,12 +136,13 @@ def main(argv=None) -> int:
     gc.collect()
     gc.freeze()
     start = time.perf_counter()
-    best, first = interleave(sides, args.passes)
+    best, first, total = interleave(sides, args.passes)
     elapsed = time.perf_counter() - start
 
     report = {"workload": args.workload, "seed": args.seed, "passes": args.passes,
               "queries": len(kinds), "elapsed_s": elapsed}
-    for name, side, fastest, answers in zip(("parent", "change"), sides, best, first):
+    for name, side, fastest, answers, spent in zip(
+            ("parent", "change"), sides, best, first, total):
         per_kind: dict[str, float] = {}
         for kind, seconds in zip(kinds, fastest):
             per_kind[kind] = per_kind.get(kind, 0.0) + seconds
@@ -145,11 +152,13 @@ def main(argv=None) -> int:
             "queries_per_s": len(fastest) / sum(fastest),
             "query_p50_s": side.quantile(fastest, 0.5),
             "query_p90_s": side.quantile(fastest, 0.9),
+            "total_s": spent,
             "failed": check(side, answers),
         }
     report["differing_answers"] = [
         i for i, (a, b) in enumerate(zip(*first)) if repr(a) != repr(b)]
     report["speedup"] = report["change"]["queries_per_s"] / report["parent"]["queries_per_s"]
+    report["total_ratio"] = total[0] / total[1]
 
     for kind in sorted(set(kinds)):
         a, b = (report[s]["per_kind_s"][kind] for s in ("parent", "change"))
@@ -159,6 +168,8 @@ def main(argv=None) -> int:
           f"{report['change']['queries_per_s']:.1f} ({report['speedup']:.3f}x) over "
           f"{args.passes} passes in {elapsed:.1f} s; "
           f"{len(report['differing_answers'])} answers differ", file=sys.stderr)
+    print(f"total over every repeat: {total[0]:.3f} s -> {total[1]:.3f} s "
+          f"({report['total_ratio']:.3f}x)", file=sys.stderr)
     for metric in ("query_p50_s", "query_p90_s"):
         a, b = (report[s][metric] for s in ("parent", "change"))
         print(f"{metric}: {1e3 * a:.3f} ms -> {1e3 * b:.3f} ms ({a / b:.3f}x)",

@@ -102,16 +102,7 @@ def _cmd_eu(args) -> tuple[int, dict, dict]:
         rules = _load_maid_profile(args)
         eus = maid.expected_utilities(value, rules)
         return OK, {"expected_utilities": eus}, {"profiles_evaluated": 1}
-    profile = _load_ii_profile(args)
-    subjective = {}
-    for agent in value.agents:
-        if agent in value.models[value.objective].beliefs:
-            subjective[agent] = incomplete.subjective_expected_utility(
-                value, agent, value.objective, profile
-            )
-    objective_model = value.models[value.objective].model
-    rules = incomplete.profile_rules_for_model(objective_model, profile)
-    objective_eus = maid.expected_utilities(objective_model, rules)
+    subjective, objective_eus = incomplete._eu_report(value, _load_ii_profile(args))
     return (
         OK,
         {

@@ -304,27 +304,39 @@ def is_interim_nash(
     the state; rows of other types stay as given.  ``cap`` is checked, by
     ``maid._iter_pure``, before any utility is computed.
     """
-    regrets = {}
-    for agent in g.agents:
-        slots = [(cell, cell.actions) for cell in _deviation_cells(g, agent, state)]
-        _, best = _first_max(
-            ({**sigma, **rows} for rows in _iter_pure(slots, f"deviations for {agent}", cap)),
-            lambda trial: interim_utility(g, trial, agent, state),
-        )
-        regrets[agent] = max(0.0, best - interim_utility(g, sigma, agent, state))
-    return all(r <= tol for r in regrets.values()), regrets
+    ok, report = _interim_report(g, sigma, (state,), tol, cap)
+    return ok, report[state]
 
 
 def is_bayesian_equilibrium(
     g: IiEfg, sigma: Strategy, tol: float = 1e-6, cap: int = DEFAULT_CAP
 ) -> tuple[bool, dict[str, dict[str, float]]]:
-    """Interim stability at every state at once."""
-    report = {}
-    for w in g.space.states:
-        _, regrets = is_interim_nash(g, sigma, w, tol, cap)
-        report[w] = regrets
-    ok = all(r <= tol for regrets in report.values() for r in regrets.values())
-    return ok, report
+    """Interim stability at every state at once: ``is_interim_nash``'s
+    regrets at each state, in state order."""
+    return _interim_report(g, sigma, g.space.states, tol, cap)
+
+
+def _interim_report(
+    g: IiEfg, sigma: Strategy, states: Iterable[str], tol: float, cap: int
+) -> tuple[bool, dict[str, dict[str, float]]]:
+    """Each agent's regret at each of ``states``.  It reads a state only
+    through the agent's ``_deviation_cells`` and ``_believed_states`` there,
+    so it is computed once per distinct (agent, cells, believed states)."""
+    report: dict[str, dict[str, float]] = {}
+    regret_of: dict[tuple, float] = {}
+    for w in states:
+        regrets = report[w] = {}
+        for agent in g.agents:
+            cells = _deviation_cells(g, agent, w)
+            key = (agent, tuple(cells), _believed_states(g.space, agent, w))
+            if key not in regret_of:
+                slots = [(cell, cell.actions) for cell in cells]
+                trials = _iter_pure(slots, f"deviations for {agent}", cap)
+                _, best = _first_max(({**sigma, **rows} for rows in trials),
+                                     lambda trial: interim_utility(g, trial, agent, w))
+                regret_of[key] = max(0.0, best - interim_utility(g, sigma, agent, w))
+            regrets[agent] = regret_of[key]
+    return all(r <= tol for regrets in report.values() for r in regrets.values()), report
 
 
 @dataclass(frozen=True)

@@ -699,6 +699,21 @@ def subjective_expected_utility(
     return _subjective_value(x, agent, at, _per_model_utilities(x, profile))
 
 
+def _eu_report(x: IiMaid, profile: IiPolicy) -> tuple[dict[str, float], Mapping[str, float]]:
+    """``cli eu``'s report: the subjective expected utility of each agent
+    holding beliefs at the objective model, and that model's expected
+    utilities, with the public calls' values and first error, but each row
+    checked once and each model evaluated once."""
+    at = x.objective
+    believing = [agent for agent in x.agents if agent in x.models[at].beliefs]
+    issues = _row_issues(profile, _pure_slots(x) if believing else _faced_sets(x.models[at].model))
+    if issues:
+        raise ValidationError(issues)
+    utilities = _per_model_utilities(x, profile)
+    subjective = {agent: _subjective_value(x, agent, at, utilities) for agent in believing}
+    return subjective, utilities(at)
+
+
 @bn.indexed
 def _profile_slots(
     x: IiMaid, agent: str, at: str

@@ -3,22 +3,16 @@
 A MAID is a Bayes net whose variables are partitioned into chance, decision
 and utility kinds, with decisions and utilities owned by agents.  Policies
 supply the missing decision CPDs; everything else reduces to exact inference
-on the induced network: one ``bn.sweep`` with the rules as tables, and open
-decisions as ``bn.weight_one`` tables (see ``decision_values``).  No sweep
+on the induced network: one ``bn.sweep`` with the rules as tables.  No sweep
 expands a utility: each is summed out first into its expected payoff per
 parent context (``_payoff_tables``, which ``efg.maid2efg`` prices tree
 leaves from), and a sweep's leaf adds its weight times each entry, in
-utility-name order; on point utility rows this is the same arithmetic.  A
-leaf reads each key it needs, every payoff entry's parent context and a
-Q-table's decision context, through a reader made once per sweep
-(``_context_reader``, an ``operator.itemgetter`` over the parents' names),
-not by building the tuple name by name; the operands and their order are
-the same, so every sum is too.  A Q-table leaf of an agent that owns exactly
-one utility adds its weight times that one entry; agents with none or
-several keep the ``sum`` in utility-name order.  A one-entry ``sum`` is
-``0 + x``, which differs from ``x`` only in the sign of a zero, and a Q
-entry starts at ``0.0``, to which adding either zero gives ``0.0``, so
-every Q entry is bit-identical, signed zeros included.
+utility-name order, reading every key through a reader made once per sweep
+(``_context_reader``); on point utility rows this is the same arithmetic.
+A Q-table's free decision is priced at the leaf, every action at once,
+unless a swept variable reads it (``decision_values``).  These steps keep
+every operand and its order, so each sum is bit-identical to that of a walk
+that builds every key by name and branches on the Q-table's decision.
 
 Public functions check each rule their caller passes once, on entry, and
 a ``PostPolicyMaid`` checks its committed rules when it is made.  A public
@@ -408,18 +402,37 @@ def decision_values(
 ) -> dict[tuple[str, ...], dict[str, float]]:
     """The agent's Q-table for the free decision ``d`` under the other rules.
 
-    One ``bn.sweep`` with ``d``'s table ``bn.weight_one`` (weight 1 on every
-    action) and a leaf keyed by ``d``'s parent context.  ``Q[context][action]``
-    is the probability mass of the context times the agent's expected utility
-    after taking the action there, so any rule ``r`` for ``d`` is worth
-    ``sum(r(a | ctx) * Q[ctx][a])``.  Contexts of probability zero have no
-    entry.  A rule for ``d`` in ``rules`` is ignored.
+    One ``bn.sweep`` with a leaf keyed by ``d``'s parent context.
+    ``Q[context][action]`` is the probability mass of the context times the
+    agent's expected utility after taking the action there, so any rule
+    ``r`` for ``d`` is worth ``sum(r(a | ctx) * Q[ctx][a])``.  Contexts of
+    probability zero have no entry.  A rule for ``d`` in ``rules`` is ignored.
+
+    When no swept variable reads ``d`` (``_q_sweep_order``), the sweep leaves
+    ``d`` out and each leaf adds its weight times the payoff under every
+    action; otherwise it branches on ``d``'s ``bn.weight_one`` table.  Both
+    give the same table bit for bit: ``weight_one`` multiplies only by an
+    exact ``1.0``, and no row after ``d`` reads it, so each (context, action)
+    gets the same terms in the same depth-first order, and contexts are keyed
+    in the same order.  A one-utility agent's leaf adds ``weight * x``, not a
+    ``sum``'s ``0 + x``, which differs only in a zero's sign, lost in a Q
+    entry's ``0.0``.
     """
     if agent not in base_maid(model).agents:
         raise UnknownAgent(agent)
     if d not in _free_decisions(model, None):
         raise ValidationError([f"not-a-free-decision: {d}"])
     return _decision_values(model, _checked_rules(model, rules, (d,)), d, agent)
+
+
+@bn.indexed
+def _q_sweep_order(m: Maid, d: str) -> tuple[str, ...]:
+    """``_sweep_order(m)``, without ``d`` unless a variable in it has ``d``
+    as a parent; built once per base diagram and decision."""
+    order = _sweep_order(m)
+    if any(d in m.parents[v] for v in order):
+        return order
+    return tuple(v for v in order if v != d)
 
 
 def _decision_values(
@@ -432,6 +445,8 @@ def _decision_values(
                for owner, parents, table in _payoff_tables(m) if owner == agent]
     context = _context_reader(m.parents[d])
     actions = m.variables[d].domain
+    order = _q_sweep_order(m, d)
+    branch = d in order  # else each leaf prices every action of d
     q: dict[tuple[str, ...], dict[str, float]] = {}
 
     if len(payoffs) == 1:
@@ -439,20 +454,20 @@ def _decision_values(
 
         def leaf(a: dict[str, str], weight: float) -> None:
             ctx = context(a)
-            q_row = q.get(ctx)
-            if q_row is None:
-                q_row = q[ctx] = dict.fromkeys(actions, 0.0)
-            q_row[a[d]] += weight * table[key(a)]
+            q_row = q.get(ctx) or q.setdefault(ctx, dict.fromkeys(actions, 0.0))
+            for action in ((a[d],) if branch else actions):
+                a[d] = action
+                q_row[action] += weight * table[key(a)]
     else:
         def leaf(a: dict[str, str], weight: float) -> None:
             ctx = context(a)
-            q_row = q.get(ctx)
-            if q_row is None:
-                q_row = q[ctx] = dict.fromkeys(actions, 0.0)
-            q_row[a[d]] += weight * sum(table[key(a)] for key, table in payoffs)
+            q_row = q.get(ctx) or q.setdefault(ctx, dict.fromkeys(actions, 0.0))
+            for action in ((a[d],) if branch else actions):
+                a[d] = action
+                q_row[action] += weight * sum(table[key(a)] for key, table in payoffs)
 
     tables = {**m.cpds, **fixed_rules(model), **rules, d: bn.weight_one(m.variables[d])}
-    bn.sweep(m.variables, tables, _sweep_order(m), leaf)
+    bn.sweep(m.variables, tables, order, leaf)
     return q
 
 

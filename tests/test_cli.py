@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from iimaid import bn, cli, fixtures, gamedoc, maid
+from iimaid import bn, cli, fixtures, gamedoc, incomplete, maid
 from iimaid.bn import Cpd
 
 
@@ -117,6 +117,27 @@ def test_eu(capsys, data_dir):
         "--profile", path_of(data_dir, "truthful_match.profile.json"))
     assert code == 0
     assert payload["result"]["expected_utilities"] == {"A": 1.0, "H": 1.0}
+
+
+def test_eu_on_an_ii_maid_checks_each_row_once_and_evaluates_each_model_once(
+        capsys, data_dir, monkeypatch):
+    # Reading the two documents checks 62 rows: 30 as parsed, 28 as the two
+    # diagrams are validated, and 4 belief rows.  The report then checks
+    # each of the profile's 8 rows once more, and evaluates each of the two
+    # models once, though H believes the objective one and its utilities are
+    # reported too.
+    checks, evaluated = [], []
+    real_check, real_eval = bn.is_distribution, incomplete._profile_utilities
+    monkeypatch.setattr(bn, "is_distribution",
+                        lambda *args: checks.append(args) or real_check(*args))
+    monkeypatch.setattr(incomplete, "_profile_utilities",
+                        lambda *args: evaluated.append(args) or real_eval(*args))
+    code, payload = run_json(
+        capsys, "eu", path_of(data_dir, "evaluation_game.iimaid.json"),
+        "--profile", path_of(data_dir, "evaluation_game_ne.profile.json"))
+    assert code == 0
+    assert len(checks) == 70
+    assert len(evaluated) == 2
 
 
 def test_check_nash_pass_and_fail(capsys, data_dir):

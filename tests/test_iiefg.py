@@ -1,14 +1,21 @@
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from iimaid import efg, iiefg, incomplete, maid
 from iimaid.errors import GameError, MissingRule
 from iimaid.fixtures import evaluation_depth3_stack, ne_ii_profile, truthful_match_rules
-from iimaid.iiefg import BeliefSpace, IiConversion
+from iimaid.iiefg import BeliefSpace, IiConversion, IiEfg
 from iimaid.incomplete import IiMaid, SubjectiveMaid
 from tests.test_incomplete import iset_full, random_common_prior_iimaid
-from tests.test_properties import _outcome, _per_agent_equivalence
+from tests.test_properties import (
+    _outcome,
+    _per_agent_equivalence,
+    common_prior_game_with_profile,
+    subjective_game_with_profile,
+)
 
 
 @pytest.fixture
@@ -147,6 +154,71 @@ def test_bayesian_equilibrium_requires_every_state(conversion, ne_profile):
     assert not ok
     assert report["ground_truth"] == pytest.approx({"A": 0.0, "H": 0.0})
     assert report["ai_belief"] == pytest.approx({"A": 0.0, "H": 0.2})
+
+
+def _state_by_state_report(g, sigma, tol=1e-6, cap=maid.DEFAULT_CAP):
+    """``is_bayesian_equilibrium`` as it was written: ``is_interim_nash``'s
+    loop at every state, each agent's deviations enumerated afresh."""
+    report = {}
+    for w in g.space.states:
+        regrets = {}
+        for agent in g.agents:
+            slots = [(cell, cell.actions) for cell in iiefg._deviation_cells(g, agent, w)]
+            _, best = maid._first_max(
+                ({**sigma, **rows} for rows in maid._iter_pure(slots, "deviations", cap)),
+                lambda trial: iiefg.interim_utility(g, trial, agent, w),
+            )
+            regrets[agent] = max(0.0, best - iiefg.interim_utility(g, sigma, agent, w))
+        report[w] = regrets
+    return all(r <= tol for regrets in report.values() for r in regrets.values()), report
+
+
+def _nudged(g, shift):
+    """``g`` with ``shift`` moved from the first to the second positive entry
+    of the first belief row, by agent and state, that has two: within
+    ``TOL``, so its state keeps its belief type, but its believed states'
+    weights change."""
+    beliefs = {agent: {w: dict(row) for w, row in by_state.items()}
+               for agent, by_state in g.space.beliefs.items()}
+    for agent in sorted(beliefs):
+        for w in sorted(beliefs[agent]):
+            row = beliefs[agent][w]
+            support = [v for v, p in sorted(row.items()) if p > 0.0]
+            if len(support) > 1:
+                row[support[0]] -= shift
+                row[support[1]] += shift
+                return IiEfg(BeliefSpace(g.space.states, g.space.games, beliefs), g.iset_obs)
+    return g
+
+
+def test_bayesian_equilibrium_report_equals_the_state_by_state_loop():
+    # Each agent's regret is computed once per (agent, deviation cells,
+    # believed states) and shared by the states with that key; the report
+    # is ``==`` to the per-state loop's, keys and their order included, and
+    # some games share a regret between states.  A row nudged within ``TOL``
+    # keeps its type and cells but not its regret.
+    shared = []
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.one_of(common_prior_game_with_profile(), subjective_game_with_profile()),
+           st.sampled_from([0.0, 5e-10]))
+    def check(xp, shift):
+        x, profile = xp
+        conv = iiefg.maid2efgII(x)
+        g, sigma = _nudged(conv.game, shift), iiefg.strategy_from_ii_policy(conv, profile)
+        calls = []  # one enumeration of deviations per regret computed
+        real = iiefg._iter_pure
+        with mock.patch.object(iiefg, "_iter_pure",
+                               lambda *args: calls.append(args) or real(*args)):
+            got = iiefg.is_bayesian_equilibrium(g, sigma)
+        want = _state_by_state_report(g, sigma)
+        assert got == want
+        assert list(got[1]) == list(want[1])
+        assert all(list(got[1][w]) == list(want[1][w]) for w in want[1])
+        shared.append(len(calls) < len(g.space.states) * len(g.agents))
+
+    check()
+    assert any(shared)
 
 
 def test_equivalence_exhaustive(example1, conversion):

@@ -124,6 +124,7 @@ def test_every_index_hands_back_the_value_it_kept(example1, ne_profile, honesty)
         ("incomplete", "_believed"): (example1, "H", example1.objective),
         ("maid", "_free_decisions"): (honesty, "H"),
         ("maid", "_sweep_order"): (honesty,),
+        ("maid", "_q_sweep_order"): (honesty, "D_H"),
         ("maid", "_payoff_tables"): (gt,),
         ("depth", "_conditional_values"): (honesty, "H", "D_H"),
     }

@@ -312,21 +312,36 @@ def _by_name_decision_values(model, rules, d, agent):
     return q
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
-@given(reader_game())
-def test_context_readers_leave_every_sum_bit_identical(gp):
-    # Reading keys through readers made once, walking the stack and reading
-    # a one-utility agent's payoff without ``sum`` change no operand and no
-    # order, so each value is ``==`` to the by-name leaves' over the
-    # recursive walk.  Agents here own none, one or several utilities.
-    model, profile = gp
-    m = maid.base_maid(model)
-    assert maid.expected_utilities(model, profile) == _by_name_expected_utilities(model, profile)
-    for d in maid.free_decisions(model):
-        others = {e: r for e, r in profile.items() if e != d}
-        for agent in m.agents:
-            want = _by_name_decision_values(model, others, d, agent)
-            assert maid.decision_values(model, profile, d, agent) == want
+def _read_by_a_swept_variable(m, d):
+    """Whether a variable that a diagram sweep walks has ``d`` as a parent."""
+    return any(d in m.parents[v] for v in m.variables if m.kind(v) != bn.UTILITY)
+
+
+def test_context_readers_leave_every_sum_bit_identical():
+    # Reading keys through readers made once, walking the stack, reading a
+    # one-utility agent's payoff without ``sum`` and pricing every action of
+    # an unread decision at the leaf change no operand and no order, so each
+    # value is ``==`` to the by-name leaves' over the recursive walk, which
+    # branches on the decision.  Agents here own none, one or several
+    # utilities, and the games hold both sweep shapes: a decision that no
+    # swept variable reads, and one that the other decision observes.
+    shapes = set()
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(reader_game())
+    def check(gp):
+        model, profile = gp
+        m = maid.base_maid(model)
+        assert maid.expected_utilities(model, profile) == _by_name_expected_utilities(model, profile)
+        for d in maid.free_decisions(model):
+            shapes.add(_read_by_a_swept_variable(m, d))
+            others = {e: r for e, r in profile.items() if e != d}
+            for agent in m.agents:
+                want = _by_name_decision_values(model, others, d, agent)
+                assert maid.decision_values(model, profile, d, agent) == want
+
+    check()
+    assert shapes == {False, True}
 
 
 def test_a_context_reader_returns_a_key_tuple():
@@ -361,6 +376,35 @@ def test_diagram_sweeps_expand_no_utility(monkeypatch, honesty, depth3):
     assert set(kinds.values()) == {bn.CHANCE, bn.DECISION, bn.UTILITY}
     for order in orders:
         assert bn.UTILITY not in {kinds[v] for v in order}, order
+
+
+def test_a_q_table_sweep_leaves_out_exactly_an_unread_decision(monkeypatch, honesty, depth3):
+    # A Q-table sweep walks the diagram's sweep order without ``d`` when no
+    # swept variable reads ``d`` (the leaf prices every action), and the whole
+    # order, branching on ``d``, when one does.
+    orders = []
+    original = bn.sweep
+
+    def spy(variables, tables, order, leaf, evidence=None):
+        orders.append(tuple(order))
+        return original(variables, tables, order, leaf, evidence)
+
+    monkeypatch.setattr(bn, "sweep", spy)
+    shapes = set()
+    for model in (honesty, *(s.model for s in depth3.nodes.values())):
+        m = maid.base_maid(model)
+        rules = {d: maid.uniform_rule(m, d) for d in maid.free_decisions(model)}
+        for d in maid.free_decisions(model):
+            read = _read_by_a_swept_variable(m, d)
+            shapes.add(read)
+            for agent in m.agents:
+                orders.clear()
+                maid.decision_values(model, rules, d, agent)
+                (order,) = orders
+                assert (d in order) == read, (d, order)
+                assert [v for v in order if v != d] == \
+                    [v for v in maid._sweep_order(m) if v != d]
+    assert shapes == {False, True}
 
 
 def _refuse(*args, **kwargs):

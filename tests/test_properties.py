@@ -649,3 +649,38 @@ def test_verify_equivalence_matches_per_agent_recomputation(xp, data):
         assert got == _per_agent_equivalence(x, conv, [first, bad])
     assert _outcome(lambda: iiefg.verify_equivalence(
         x, conv, profiles=[first, unknown]))[0] is MissingRule
+
+
+def _eu_call_by_call(x, profile):
+    """``cli eu``'s report on an ii-maid as it was computed: one
+    ``subjective_expected_utility`` per agent holding beliefs at the
+    objective model, then that model's rules and expected utilities."""
+    at = x.objective
+    subjective = {agent: incomplete.subjective_expected_utility(x, agent, at, profile)
+                  for agent in x.agents if agent in x.models[at].beliefs}
+    model = x.models[at].model
+    return subjective, maid.expected_utilities(
+        model, incomplete.profile_rules_for_model(model, profile))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(subjective_game_with_profile(), st.data())
+def test_the_eu_report_is_the_call_by_call_report(xp, data):
+    # Checking each row once and evaluating each model once changes no value
+    # and no error: a profile missing a row or holding a bad one raises what
+    # the call-by-call report raises, whoever holds beliefs at the objective.
+    x, profile = xp
+    at = x.objective
+    if data.draw(st.booleans()):
+        believers = data.draw(st.lists(st.sampled_from(x.agents), unique=True))
+        s = x.models[at]
+        x = IiMaid(x.agents, at, {**x.models, at: SubjectiveMaid(
+            at, s.model, {a: row for a, row in s.beliefs.items() if a in believers})})
+    profile = dict(profile)
+    for iset in data.draw(st.lists(st.sampled_from(sorted(profile)), max_size=2, unique=True)):
+        if data.draw(st.booleans()):
+            del profile[iset]
+        else:
+            profile[iset] = dict.fromkeys(iset.actions, 0.6)
+    assert _outcome(lambda: incomplete._eu_report(x, profile)) == \
+        _outcome(lambda: _eu_call_by_call(x, profile))
