@@ -7,11 +7,11 @@ enumeration kernel, ``sweep``, with zero-probability pruning, exact and fast
 enough for the network sizes this package targets (roughly twenty binary
 variables).  It walks one loop over an explicit stack, not one call per
 variable, so a diagram's depth is not bounded by the recursion limit.
-``marginal`` and the expected utilities, Q-tables and support contexts of
-``maid`` and ``incomplete``, and so ``depth``'s conditional utilities, are
-leaves over it.  The diagram kernels pass it no utility variable: ``maid``
-sums each one out first, the first step of variable elimination, into a
-table of expected payoffs per parent context that their leaves read.
+``marginal`` and ``maid``'s expected utilities, Q-tables and context weights
+(a decision's support and, with its Q-table, ``depth``'s conditional
+utilities) are leaves over it.  The diagram kernels pass it no utility
+variable: ``maid`` sums each one out first, the first step of variable
+elimination, into a table of expected payoffs per parent context.
 ``enumerate_support`` is the one oracle kept apart from it, and still
 recurses once per variable; ``depth._walk_conditional_utility`` is a leaf
 over that.

@@ -50,6 +50,7 @@ from .maid import (
     Model,
     PostPolicyMaid,
     _best_row,
+    _context_weights,
     _decision_values,
     _first_max,
     base_maid,
@@ -253,18 +254,12 @@ def _net_rows(model: Model, decision: str, action: str) -> bn.BayesNet:
 def _conditional_values(measure: Model, agent: str, d: str) -> Mapping[tuple, float]:
     """The agent's expected utility given each supported (context, action) of
     ``d``, under the measure's commitments with its open decisions uniform:
-    the ``maid._decision_values`` Q-table over each context's probability."""
+    the ``maid._decision_values`` Q-table over each context's share of the
+    ``maid._context_weights`` total."""
     uniform = {e: uniform_rule(measure, e) for e in free_decisions(measure)}
     q = _decision_values(measure, uniform, d, agent)
-    # a context's probability needs only the parents and their ancestors
-    net, pa = induced_network(measure, uniform), base_maid(measure).parents[d]
-    keep = set(pa)
-    for name in reversed(bn.topological_order(net)):
-        if name in keep:
-            keep.update(net.cpds[name].parents)
-    ancestral = bn.make_net(map(net.variables.get, keep), map(net.cpds.get, keep))
-    mass = bn.marginal(ancestral, pa)
-    return MappingProxyType({(ctx, a): v / mass[ctx] for ctx, row in q.items()
+    weights, total = _context_weights(measure, uniform, d)
+    return MappingProxyType({(ctx, a): v / (weights[ctx] / total) for ctx, row in q.items()
                              for a, v in row.items()})
 
 

@@ -300,9 +300,10 @@ def is_interim_nash(
 ) -> tuple[bool, dict[str, float]]:
     """No agent can gain more than ``tol`` by a pure deviation at the state.
 
-    Deviations rewrite the agent's rows on the cells of their belief type at
-    the state; rows of other types stay as given.  ``cap`` is checked, by
-    ``maid._iter_pure``, before any utility is computed.
+    Deviations rewrite the agent's rows only on the cells of their type at
+    the state (``_deviation_cells``); ``incomplete.is_nash_ii`` agrees only
+    for introspective agents (``tests/test_properties.py``).  ``cap`` is
+    checked, by ``maid._iter_pure``, before any utility is computed.
     """
     ok, report = _interim_report(g, sigma, (state,), tol, cap)
     return ok, report[state]

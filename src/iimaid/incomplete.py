@@ -30,7 +30,7 @@ from .maid import (
     Maid,
     Model,
     _best_row,
-    _context_reader,
+    _context_weights,
     _count_pure,
     _decision_values,
     _expected_utilities,
@@ -38,7 +38,6 @@ from .maid import (
     _free_decisions,
     _iter_pure,
     _priced,
-    _sweep_order,
     argmax_action,
     base_maid,
     has_perfect_recall,
@@ -475,23 +474,6 @@ def _snap(v: float) -> float:
     return float(v)
 
 
-def _build_support_contexts(m: Maid, name: str) -> frozenset[tuple[str, ...]]:
-    """Parent contexts of a decision reachable when every decision is free.
-
-    Positivity is judged with all decisions, including pre-committed ones,
-    replaced by free uniform choices; only chance zeros can rule a context out.
-    So the contexts depend on the base diagram alone.
-    """
-    pa = m.parents[name]
-    order = _sweep_order(m)
-    order = order[: max((order.index(p) + 1 for p in pa), default=0)]
-    tables = {**m.cpds, **{d: bn.weight_one(m.variables[d]) for d in m.decisions()}}
-    found: set[tuple[str, ...]] = set()
-    key = _context_reader(pa)
-    bn.sweep(m.variables, tables, order, lambda a, w: found.add(key(a)))
-    return frozenset(found)
-
-
 def model_information_sets(model: Model, agent: str) -> frozenset[InformationSet]:
     """The agent's information sets that the model's open decisions face:
     by the package's one rule (``_faced_sets``), at supported contexts only."""
@@ -529,20 +511,21 @@ class _DecisionSlots(NamedTuple):
 
 def _decision_slots(model: Model) -> Mapping[str, _DecisionSlots]:
     """Every decision's slots, by owner then name: the one place where parent
-    contexts meet their information sets and their support.  Support is
-    judged on the base diagram, so the table is indexed there and covers
-    committed decisions too; callers pick the open ones through
-    ``maid._free_decisions``."""
+    contexts meet their information sets and their support, the contexts
+    ``maid._context_weights`` reaches with every decision at ``bn.weight_one``
+    (committed ones too).  Indexed on the base diagram; callers pick the open
+    decisions through ``maid._free_decisions``."""
     return _build_decision_slots(base_maid(model))
 
 
 @bn.indexed
 def _build_decision_slots(m: Maid) -> Mapping[str, _DecisionSlots]:
+    free = {e: bn.weight_one(m.variables[e]) for e in m.decisions()}
     out = {}
     for agent in m.agents:
         for d in m.decisions(agent):
             pa, actions = m.parents[d], m.variables[d].domain
-            support = _build_support_contexts(m, d)
+            support = _context_weights(m, free, d)[0]
             cells = {
                 ctx: (InformationSet(agent, tuple(zip(pa, ctx)), actions), ctx in support)
                 for ctx in product(*(m.variables[p].domain for p in pa))
@@ -819,7 +802,7 @@ def best_response_ii(
     issues = _row_issues(others, _pure_slots(x))
     if issues:
         raise ValidationError(issues)
-    return _best_response_ii(x, agent, others, at or x.objective, cap)
+    return _best_response_ii(x, agent, others, x.objective if at is None else at, cap)
 
 
 def _best_response_ii(
@@ -872,9 +855,10 @@ def is_nash_ii(
     """Check the profile for unilateral deviations in subjective value.
 
     Each agent's value is taken at the objective model's beliefs and compared
-    with their best response there.  A regret above ``tol`` fails the check;
-    the ``maid`` module docstring sets out the tolerance defaults and the tie
-    rule that both equilibrium families share.
+    with their best response there, over every set the agent meets in its
+    believed models (``_profile_slots``; see ``iiefg.is_interim_nash``).  A
+    regret above ``tol`` fails the check; the ``maid`` module docstring sets
+    out the tolerance defaults and the tie rule both equilibrium families share.
 
     Where ``best_response_ii`` takes its per-information-set path, one
     ``maid.decision_values`` pass per believed model yields both values: the

@@ -435,6 +435,29 @@ def _q_sweep_order(m: Maid, d: str) -> tuple[str, ...]:
     return tuple(v for v in order if v != d)
 
 
+def _context_weights(
+    model: Model, rules: PolicyRules, d: str
+) -> tuple[dict[tuple[str, ...], float], float]:
+    """Each parent context of ``d`` that one sweep over only its parents and their
+    ancestors reaches, with its weight, and their total, added as ``bn.marginal`` does."""
+    m = base_maid(model)
+    keep, order = set(m.parents[d]), _sweep_order(m)
+    for v in reversed(order):
+        if v in keep:
+            keep.update(m.parents[v])
+    context, weights, total = _context_reader(m.parents[d]), {}, 0.0
+
+    def leaf(a: dict[str, str], weight: float) -> None:
+        nonlocal total
+        ctx = context(a)
+        weights[ctx] = weights.get(ctx, 0.0) + weight
+        total += weight
+
+    tables = {**m.cpds, **fixed_rules(model), **rules}
+    bn.sweep(m.variables, tables, [v for v in order if v in keep], leaf)
+    return weights, total
+
+
 def _decision_values(
     model: Model, rules: PolicyRules, d: str, agent: str
 ) -> dict[tuple[str, ...], dict[str, float]]:

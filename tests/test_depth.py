@@ -511,10 +511,12 @@ def test_believed_model_that_cannot_reach_the_observation_adds_nothing():
 
 
 def test_committed_rows_are_checked_only_by_the_model_that_commits_them(depth3):
-    # each PostPolicyMaid of the solve checks the rules it is made with, 54
+    # each PostPolicyMaid of the solve checks the rules it is made with, 40
     # rows in all; reading the picks into rules checks none (18 more when
-    # the rules' writer checked its rows too)
-    assert row_checks(lambda: dp.recursive_best_response(depth3)) == 54
+    # the rules' writer checked its rows too), and no conditional utility
+    # checks the uniform rules it writes itself (14 more when each was
+    # weighed on a network built by ``maid.induced_network``, 54 in all)
+    assert row_checks(lambda: dp.recursive_best_response(depth3)) == 40
 
 
 # X's row over a, b, c, from small integer weights, so that zeros are common

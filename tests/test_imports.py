@@ -1,16 +1,17 @@
 """Source lints: every name a package module imports is used in that module,
 no module imports numpy, only the enumeration kernel's oracle recurses,
 only the listed writers build a `Cpd`, only the listed checkers check a
-probability row, only ``bn.positive`` filters a belief
-row's support, one function builds the cap error, one
-writes the least-action default, only the listed readers read a utility's
-payoff labels, only the listed readers read a tree node's chance
-distribution or payoffs, one function each writes a document's and a
-report's ``format_version`` header and only ``gamedoc._closed`` closes a
-schema object (``_VARIABLE``'s branches aside), the structural index
-`bn.indexed` is only ever a decorator, `import iimaid` loads neither
-jsonschema, scipy nor numpy, reading documents never loads jsonschema, and
-no consistency check loads numpy or scipy."""
+probability row, only the listed callers call the kernel ``bn.sweep``,
+only ``bn.positive`` filters a belief row's support, one function builds
+the cap error, one writes the least-action default, only the listed
+readers read a utility's payoff labels, only the listed readers read a tree
+node's chance distribution or payoffs, one function each writes a
+document's and a report's ``format_version`` header and only
+``gamedoc._closed`` closes a schema object (``_VARIABLE``'s branches
+aside), the structural index `bn.indexed` is only ever a decorator,
+`import iimaid` loads neither jsonschema, scipy nor numpy, reading
+documents never loads jsonschema, and no consistency check loads numpy or
+scipy."""
 import ast
 import os
 import subprocess
@@ -170,6 +171,29 @@ def test_only_the_listed_checkers_check_a_row():
                    for node in ast.walk(top)):
                 found.add((path.stem, getattr(top, "name", "<module>")))
     assert found == ROW_CHECKERS
+
+
+# The top-level functions that call the enumeration kernel, ``bn.sweep``: the
+# marginal, the expected utilities, the Q-table and the weights of a
+# decision's parent contexts, which give both its support and its
+# conditional utilities' denominators.  Every other exact answer is a leaf
+# over one of these.
+SWEEP_CALLERS = {
+    ("bn", "marginal"), ("maid", "_expected_utilities"), ("maid", "_decision_values"),
+    ("maid", "_context_weights"),
+}
+
+
+def test_only_the_listed_callers_call_the_kernel():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for top in tree.body:
+            if any(isinstance(node, ast.Call) and "sweep" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None))
+                   for node in ast.walk(top)):
+                found.add((path.stem, getattr(top, "name", "<module>")))
+    assert found == SWEEP_CALLERS
 
 
 def _definition(top: ast.stmt) -> str:

@@ -104,6 +104,9 @@ def test_unknown_names_raise_the_package_errors(example1, ne_profile):
     with pytest.raises(ValidationError) as e:
         inc.best_response_ii(example1, "H", others, at="nope")
     assert e.value.issues == ["unknown-model: nope"]
+    with pytest.raises(ValidationError) as e:
+        inc.best_response_ii(example1, "H", others, at="")
+    assert e.value.issues == ["unknown-model: "]
     with pytest.raises(UnknownAgent):
         inc.belief_type_classes(example1, "Z")
     # a known agent who holds no beliefs has no classes

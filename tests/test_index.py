@@ -39,7 +39,7 @@ def _counting_builds(monkeypatch, module, name):
 
 def test_second_is_nash_ii_rebuilds_no_structure(monkeypatch, example1, ne_profile):
     topo = _counting(monkeypatch, bn, "topo_sort")
-    support = _counting(monkeypatch, incomplete, "_build_support_contexts")
+    support = _counting(monkeypatch, incomplete, "_context_weights")
     first = incomplete.is_nash_ii(example1, ne_profile)
     assert topo and support
     topo.clear()
@@ -49,13 +49,13 @@ def test_second_is_nash_ii_rebuilds_no_structure(monkeypatch, example1, ne_profi
 
 
 def test_post_policy_maids_share_their_base_support_contexts(monkeypatch, honesty):
-    support = _counting(monkeypatch, incomplete, "_build_support_contexts")
+    support = _counting(monkeypatch, incomplete, "_context_weights")
     truthful = maid.PostPolicyMaid(honesty, {"D_A": truthful_match_rules()["D_A"]})
     low = maid.PostPolicyMaid(honesty, {"D_A": always_low_match_rules()["D_A"]})
     slots = incomplete._decision_slots(honesty)
     assert incomplete._decision_slots(truthful) is slots
     assert incomplete._decision_slots(low) is slots
-    assert sorted(name for _, name in support) == honesty.decisions()
+    assert sorted(name for _, _, name in support) == honesty.decisions()
 
 
 def test_cached_structure_is_immutable(example1):

@@ -9,6 +9,7 @@ an explicit stack; ``_recursive_sweep`` below is the recursive walk it
 replaced, kept as the oracle its leaves must match, and it is the sweep
 under the by-name leaves that the diagram kernels must match too.
 """
+import random
 from itertools import product
 from unittest import mock
 
@@ -18,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from iimaid import bn, depth, fixtures, incomplete, maid
 from iimaid.bn import Cpd
 from iimaid.errors import ZeroProbabilityEvidence
+from perfbench import generators
 from tests.test_efg_build import deterministic_chain
 from tests.test_properties import recall_game_with_profile
 
@@ -169,9 +171,10 @@ def test_maid_inference_equals_the_oracle(gp):
     uniform = bn.BayesNet(m.variables, {**m.cpds, **{
         d: maid.uniform_rule(m, d) for d in m.decisions()}})
     reached = list(bn.enumerate_support(uniform))
+    free = {e: bn.weight_one(m.variables[e]) for e in m.decisions()}
     for d in m.decisions():
         want_ctx = {tuple(a[p] for p in m.parents[d]) for a, _ in reached}
-        assert incomplete._build_support_contexts(m, d) == want_ctx
+        assert maid._context_weights(m, free, d)[0].keys() == want_ctx
 
 
 @st.composite
@@ -405,6 +408,127 @@ def test_a_q_table_sweep_leaves_out_exactly_an_unread_decision(monkeypatch, hone
                 assert [v for v in order if v != d] == \
                     [v for v in maid._sweep_order(m) if v != d]
     assert shapes == {False, True}
+
+
+@st.composite
+def weighed_game(draw):
+    """``reader_game`` with, sometimes, one entry of a chance row or of a
+    decision rule, committed or open, moved to -5e-10 (valid within
+    ``bn.TOL``)."""
+    model, profile = draw(reader_game())
+    m = maid.base_maid(model)
+    tables = {**{x: m.cpds[x] for x in m.chance_variables()}, **maid.fixed_rules(model),
+              **profile}
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(sorted(tables)))
+        cpd = tables[name]
+        ctx = draw(st.sampled_from(sorted(cpd.rows)))
+        low, high = draw(st.permutations(m.variables[name].domain))[:2]
+        row = dict(cpd.rows[ctx])
+        row[high] += row[low] + 5e-10
+        row[low] = -5e-10
+        tables[name] = Cpd(name, cpd.parents, {**cpd.rows, ctx: row})
+    base = maid.Maid(m.agents, m.variables, m.parents, {**m.cpds, **{
+        x: tables[x] for x in m.chance_variables()}})
+    committed = {d: tables[d] for d in maid.fixed_rules(model)}
+    model = maid.PostPolicyMaid(base, committed) if committed else base
+    return model, {d: tables[d] for d in profile}
+
+
+def _ancestral_marginal(model, rules, d):
+    """The distribution of ``d``'s parent context as conditional utilities
+    once took it: the induced network, cut to ``d``'s parents and their
+    ancestors, then ``bn.marginal``."""
+    net, pa = maid.induced_network(model, rules), maid.base_maid(model).parents[d]
+    keep = set(pa)
+    for name in reversed(bn.topological_order(net)):
+        if name in keep:
+            keep.update(net.cpds[name].parents)
+    ancestral = bn.make_net(map(net.variables.get, keep), map(net.cpds.get, keep))
+    return bn.marginal(ancestral, pa)
+
+
+def test_context_weights_over_their_total_are_the_ancestral_marginal():
+    # The same variables in the same order with the same tables, and weights
+    # and total added leaf by leaf as ``bn.marginal`` adds them, so each
+    # reached context's share is ``==`` to the marginal, and every other
+    # context has marginal 0.0.  Decisions free and committed, and rows with
+    # zero and -5e-10 entries, all occur.
+    seen = set()
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(weighed_game())
+    def check(gp):
+        model, profile = gp
+        m = maid.base_maid(model)
+        committed = maid.fixed_rules(model)
+        for table in (*m.cpds.values(), *committed.values(), *profile.values()):
+            seen.update(p for row in table.rows.values() for p in row.values()
+                        if p in (0.0, -5e-10))
+        for d in m.decisions():
+            seen.add("committed" if d in committed else "free")
+            weights, total = maid._context_weights(model, profile, d)
+            want = _ancestral_marginal(model, profile, d)
+            got = {ctx: w / total for ctx, w in weights.items()}
+            assert {**dict.fromkeys(want, 0.0), **got} == want
+
+    check()
+    assert seen == {0.0, -5e-10, "committed", "free"}
+
+
+def _ancestors(m, d):
+    """``d``'s parents and their ancestors, by a walk up the graph."""
+    found, todo = set(), list(m.parents[d])
+    while todo:
+        v = todo.pop()
+        if v not in found:
+            found.add(v)
+            todo.extend(m.parents[v])
+    return found
+
+
+def test_support_and_mass_sweeps_visit_only_the_parents_and_their_ancestors(
+        monkeypatch, honesty, depth3):
+    # A decision's support and the denominators of its conditional utilities
+    # come from one sweep each over its parents and their ancestors, in the
+    # diagram's sweep order, though other variables come before its last
+    # parent in that order.
+    orders = []
+    original = bn.sweep
+
+    def spy(variables, tables, order, leaf, evidence=None):
+        orders.append(tuple(order))
+        return original(variables, tables, order, leaf, evidence)
+
+    monkeypatch.setattr(bn, "sweep", spy)
+    # A comes before X, which D observes, and is not its ancestor
+    half = {"a": 0.5, "b": 0.5}
+    aside = maid.Maid.build(
+        ("P",), [bn.chance("A", "ab"), bn.chance("X", "ab"), bn.decision("D", "P", "lr"),
+                 bn.utility("U", "P", {"lo": 0.0, "hi": 1.0})],
+        [("X", "D"), ("A", "U"), ("D", "U")],
+        [Cpd("A", (), {(): half}), Cpd("X", (), {(): half}),
+         bn.tabulate("U", ("hi", "lo"), {"A": "ab", "D": "lr"},
+                     lambda c: "hi" if (c["A"], c["D"]) in {("a", "l"), ("b", "r")} else "lo")])
+    skipped = set()
+    generated = generators.random_depth3_stack(random.Random(0), 6, 2)
+    for model in (aside, honesty, *(s.model for st_ in (depth3, generated)
+                                    for s in st_.nodes.values())):
+        m = maid.base_maid(model)
+        order = maid._sweep_order(m)
+        want = {d: tuple(v for v in order if v in _ancestors(m, d)) for d in m.decisions()}
+        for d in m.decisions():
+            last = max(map(order.index, m.parents[d]), default=0)
+            skipped |= set(order[:last]) - _ancestors(m, d)
+        orders.clear()
+        incomplete._build_decision_slots.__wrapped__(m)
+        assert orders == [want[d] for agent in m.agents for d in m.decisions(agent)]
+        for d in m.decisions():
+            for agent in m.agents:
+                orders.clear()
+                depth._conditional_values.__wrapped__(model, agent, d)
+                assert orders == [maid._q_sweep_order(m, d), want[d]]
+    assert skipped
 
 
 def _refuse(*args, **kwargs):
