@@ -11,7 +11,11 @@ variable, so a diagram's depth is not bounded by the recursion limit.
 (a decision's support and, with its Q-table, ``depth``'s conditional
 utilities) are leaves over it.  The diagram kernels pass it no utility
 variable: ``maid`` sums each one out first, the first step of variable
-elimination, into a table of expected payoffs per parent context.
+elimination, into a table of expected payoffs per parent context.  Its
+Q-table and context-weight sweeps pass it no barren variable either, only
+the ancestors of what their leaves read (``maid._pruned_order``), except
+a backward induction over several decisions, whose value is compared with
+an expected utility.
 ``enumerate_support`` is the one oracle kept apart from it, and still
 recurses once per variable; ``depth._walk_conditional_utility`` is a leaf
 over that.
@@ -323,7 +327,12 @@ def sweep(
     with the products a recursive walk forms, operand for operand.  A popped
     entry overwrites its variable in ``a``; the later variables it leaves
     there are read by no row, since ``order`` puts every parent first, and
-    are overwritten before the next leaf."""
+    are overwritten before the next leaf.
+
+    ``maid._walking`` takes a step the same way, at a leaf, where several
+    Q-tables share one sweep; the two must keep the same label order, the
+    same test for a positive entry and the same product, or those tables
+    stop being bit-identical to their own sweeps'."""
     ev = evidence or {}
     steps = [(name, tables[name].rows, tables[name].parents,
               ((ev[name],) if name in ev else variables[name].domain)[::-1]) for name in order]

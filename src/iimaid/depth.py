@@ -257,7 +257,7 @@ def _conditional_values(measure: Model, agent: str, d: str) -> Mapping[tuple, fl
     the ``maid._decision_values`` Q-table over each context's share of the
     ``maid._context_weights`` total."""
     uniform = {e: uniform_rule(measure, e) for e in free_decisions(measure)}
-    q = _decision_values(measure, uniform, d, agent)
+    (q,) = _decision_values(measure, uniform, ((d, agent),))
     weights, total = _context_weights(measure, uniform, d)
     return MappingProxyType({(ctx, a): v / (weights[ctx] / total) for ctx, row in q.items()
                              for a, v in row.items()})

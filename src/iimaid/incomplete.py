@@ -756,7 +756,8 @@ def _action_values(
             model, [e for e in _free_decisions(model, None) if e != d], profile, _no_rule
         )
         cells = _decision_slots(model)[d].cells
-        for ctx, q_row in _decision_values(model, rules, d, agent).items():
+        (table,) = _decision_values(model, rules, ((d, agent),))
+        for ctx, q_row in table.items():
             iset = cells[ctx][0]
             total = values.get(iset)
             if total is None:

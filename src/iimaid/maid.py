@@ -14,6 +14,19 @@ unless a swept variable reads it (``decision_values``).  These steps keep
 every operand and its order, so each sum is bit-identical to that of a walk
 that builds every key by name and branches on the Q-table's decision.
 
+A Q-table's sweep and a context weight's visit only the variables their
+leaves depend on (``_pruned_order``): the parents of every decision and
+utility, or of the one decision, and their ancestors.  The others are
+barren, and leaving them out is the first step of Shachter's (1986)
+evaluation of influence diagrams; it moves a Q entry by rounding only.
+``is_nash`` prices every agent with one free decision in one sweep where
+none of those decisions is read or followed by a kept variable
+(``_decision_values``); each table is bit-identical to the agent's own
+sweep's.  Expected utilities still sweep every variable, and so do the
+Q-tables of a backward induction over several decisions
+(``_best_response``), whose value a regret compares with an expected
+utility.
+
 Public functions check each rule their caller passes once, on entry, and
 a ``PostPolicyMaid`` checks its committed rules when it is made.  A public
 function rejects a rule for a committed decision (``committed-decision``)
@@ -86,12 +99,19 @@ be negative down to ``-TOL``.
 
 A kernel that replaces ``bn.sweep`` must give every expected utility
 (``expected_utilities``, and so ``incomplete.subjective_expected_utility``)
-and every Q-table entry (``decision_values``) within 1e-12 absolute of
-``bn.sweep``'s, with an entry at exactly the contexts ``bn.sweep`` reaches.
-Utilities and regrets may then move by rounding within that bound, but
-every verdict and every chosen action, and so every rule and profile
-returned, stays bit-identical, and so does the CLI's text and JSON output
-on the bundled documents, numbers included.
+and every Q-table entry (``decision_values``) within 1e-12 absolute of a
+``bn.sweep`` over every variable, with an entry at exactly the contexts it
+reaches.  The pruned Q-table sweeps keep to this bound while each barren
+row sums to one up to rounding.  A barren row may sum to one only within
+``bn.TOL``, as any row may: a pruned sweep never reads it, so it counts as
+exactly one there, and only the sweeps over every variable read the
+excess.  A regret never mixes the two: an agent with one free decision
+prices both of its values off one pruned table, and an agent with several
+compares a backward induction over every variable with an expected
+utility.  Utilities and regrets may then move by rounding within that
+bound, but every verdict and every chosen action, and so every rule and
+profile returned, stays bit-identical, and so does the CLI's text and JSON
+output on the bundled documents, numbers included.
 
 ``depth.conditional_utility`` divides a Q-table by each context's
 probability.  Its trace values lie within 1e-12 absolute of a recomputation
@@ -402,13 +422,14 @@ def decision_values(
 ) -> dict[tuple[str, ...], dict[str, float]]:
     """The agent's Q-table for the free decision ``d`` under the other rules.
 
-    One ``bn.sweep`` with a leaf keyed by ``d``'s parent context.
+    One ``bn.sweep`` over the variables its leaves depend on
+    (``_pruned_order``), with a leaf keyed by ``d``'s parent context.
     ``Q[context][action]`` is the probability mass of the context times the
     agent's expected utility after taking the action there, so any rule
     ``r`` for ``d`` is worth ``sum(r(a | ctx) * Q[ctx][a])``.  Contexts of
     probability zero have no entry.  A rule for ``d`` in ``rules`` is ignored.
 
-    When no swept variable reads ``d`` (``_q_sweep_order``), the sweep leaves
+    When no swept variable reads ``d`` (``_q_sweep``), the sweep leaves
     ``d`` out and each leaf adds its weight times the payoff under every
     action; otherwise it branches on ``d``'s ``bn.weight_one`` table.  Both
     give the same table bit for bit: ``weight_one`` multiplies only by an
@@ -422,17 +443,24 @@ def decision_values(
         raise UnknownAgent(agent)
     if d not in _free_decisions(model, None):
         raise ValidationError([f"not-a-free-decision: {d}"])
-    return _decision_values(model, _checked_rules(model, rules, (d,)), d, agent)
+    (q,) = _decision_values(model, _checked_rules(model, rules, (d,)), ((d, agent),))
+    return q
 
 
 @bn.indexed
-def _q_sweep_order(m: Maid, d: str) -> tuple[str, ...]:
-    """``_sweep_order(m)``, without ``d`` unless a variable in it has ``d``
-    as a parent; built once per base diagram and decision."""
-    order = _sweep_order(m)
-    if any(d in m.parents[v] for v in order):
-        return order
-    return tuple(v for v in order if v != d)
+def _pruned_order(m: Maid, d: str | None) -> tuple[str, ...]:
+    """``_sweep_order(m)`` restricted to the parents of ``d`` and their
+    ancestors, or, for None, to those of every decision and utility: the
+    variables that a context weight's or a Q-table's leaves depend on.  The
+    others are barren (Shachter 1986): no leaf reads them and each of their
+    rows sums to one, so a sweep leaves them out.  Built once per base
+    diagram and decision (None passed at every call, as one index key)."""
+    readers = [v for v in m.variables if m.kind(v) != CHANCE] if d is None else [d]
+    keep, order = {p for v in readers for p in m.parents[v]}, _sweep_order(m)
+    for v in reversed(order):
+        if v in keep:
+            keep.update(m.parents[v])
+    return tuple(v for v in order if v in keep)
 
 
 def _context_weights(
@@ -441,10 +469,6 @@ def _context_weights(
     """Each parent context of ``d`` that one sweep over only its parents and their
     ancestors reaches, with its weight, and their total, added as ``bn.marginal`` does."""
     m = base_maid(model)
-    keep, order = set(m.parents[d]), _sweep_order(m)
-    for v in reversed(order):
-        if v in keep:
-            keep.update(m.parents[v])
     context, weights, total = _context_reader(m.parents[d]), {}, 0.0
 
     def leaf(a: dict[str, str], weight: float) -> None:
@@ -454,44 +478,131 @@ def _context_weights(
         total += weight
 
     tables = {**m.cpds, **fixed_rules(model), **rules}
-    bn.sweep(m.variables, tables, [v for v in order if v in keep], leaf)
+    bn.sweep(m.variables, tables, _pruned_order(m, d), leaf)
     return weights, total
 
 
+@bn.indexed
+def _q_sweep(
+    m: Maid, targets: tuple[tuple[str, str], ...], whole: bool
+) -> tuple[tuple[str, ...], tuple[tuple[bool, tuple[str, ...]], ...]] | None:
+    """The one sweep that prices the Q-table of every (decision, agent) of
+    ``targets``, or None where there is none; built once per base diagram,
+    targets and choice.
+
+    The sweep walks ``_pruned_order(m, None)``, or ``_sweep_order(m)`` when
+    ``whole``, without the targets' decisions, but with a lone target's
+    decision where a variable of the order reads it.  Several targets share
+    a sweep only where no variable of the order reads one of their
+    decisions and those it holds are its tail; their leaves walk that tail.
+    Each target's plan says whether its leaf branches on its decision, and
+    which of the tail's decisions its leaf walks, innermost first.
+    """
+    names = {d for d, _ in targets}
+    order = _sweep_order(m) if whole else _pruned_order(m, None)
+    rest = tuple(v for v in order if v not in names)
+    kept = tuple(v for v in order if v in names)
+    read = any(d in m.parents[v] for v in order for d in names)
+    if not targets or len(targets) > 1 and (read or order != rest + kept):
+        return None
+    if read:  # a lone target, whose sweep branches on its decision
+        return order, ((True, ()),)
+    return rest, tuple((False, tuple(e for e in reversed(kept) if e != d)) for d, _ in targets)
+
+
 def _decision_values(
-    model: Model, rules: PolicyRules, d: str, agent: str
-) -> dict[tuple[str, ...], dict[str, float]]:
-    """``decision_values`` given a checked rule for every open decision but
-    ``d``, whose rule, if any, is ignored."""
+    model: Model, rules: PolicyRules, targets: tuple[tuple[str, str], ...], whole: bool = False
+) -> list[QTable]:
+    """``decision_values`` for each (decision, agent) of ``targets``, in
+    order, given a checked rule for every other open decision.  A lone
+    target's rule, if any, is ignored; several targets read each other's.
+    ``whole`` sweeps every variable, barren ones included, for a table
+    whose value is compared with an expected utility (see
+    ``_best_response``).
+
+    Several targets share one sweep where ``_q_sweep`` finds one.  For each
+    target, a leaf then walks the other targets' positive rule entries in
+    order position, depth first, multiplying its weight as ``bn.sweep`` does
+    (``_walking``), and prices every action of the target at the end.  So
+    each (context, action) gets the same terms in the same order as from
+    the target's own sweep, bit for bit.  Elsewhere each target has its own.
+    """
     m = base_maid(model)
+    sweep = _q_sweep(m, targets, whole)
+    if sweep is None:
+        return [_decision_values(model, rules, (t,), whole)[0] for t in targets]
+    order, plans = sweep
+    tables = {**m.cpds, **fixed_rules(model), **rules}
+    if len(targets) == 1:  # no leaves to gather and no decisions to walk
+        ((d, agent),), ((branch, _),) = targets, plans
+        if branch:
+            tables[d] = bn.weight_one(m.variables[d])
+        q: QTable = {}
+        bn.sweep(m.variables, tables, order, _pricer(m, d, agent, branch, q))
+        return [q]
+    qs: list[QTable] = [{} for _ in targets]
+    leaves = []
+    for (d, agent), q, (_, walk) in zip(targets, qs, plans):
+        price = _pricer(m, d, agent, False, q)
+        for e in walk:
+            price = _walking(e, tables[e], m.variables[e].domain, price)
+        leaves.append(price)
+
+    def leaf(a: dict[str, str], weight: float) -> None:
+        for price in leaves:
+            price(a, weight)
+
+    bn.sweep(m.variables, tables, order, leaf)
+    return qs
+
+
+def _pricer(
+    m: Maid, d: str, agent: str, branch: bool, q: QTable
+) -> Callable[[dict[str, str], float], None]:
+    """A sweep's leaf that adds its weight times the agent's payoff under
+    every action of ``d``, or under ``a[d]`` only when ``branch``, into ``q``
+    at ``d``'s parent context (see ``decision_values``)."""
     payoffs = [(_context_reader(parents), table)
                for owner, parents, table in _payoff_tables(m) if owner == agent]
     context = _context_reader(m.parents[d])
     actions = m.variables[d].domain
-    order = _q_sweep_order(m, d)
-    branch = d in order  # else each leaf prices every action of d
-    q: dict[tuple[str, ...], dict[str, float]] = {}
 
     if len(payoffs) == 1:
         ((key, table),) = payoffs
 
-        def leaf(a: dict[str, str], weight: float) -> None:
+        def price(a: dict[str, str], weight: float) -> None:
             ctx = context(a)
             q_row = q.get(ctx) or q.setdefault(ctx, dict.fromkeys(actions, 0.0))
             for action in ((a[d],) if branch else actions):
                 a[d] = action
                 q_row[action] += weight * table[key(a)]
     else:
-        def leaf(a: dict[str, str], weight: float) -> None:
+        def price(a: dict[str, str], weight: float) -> None:
             ctx = context(a)
             q_row = q.get(ctx) or q.setdefault(ctx, dict.fromkeys(actions, 0.0))
             for action in ((a[d],) if branch else actions):
                 a[d] = action
                 q_row[action] += weight * sum(table[key(a)] for key, table in payoffs)
+    return price
 
-    tables = {**m.cpds, **fixed_rules(model), **rules, d: bn.weight_one(m.variables[d])}
-    bn.sweep(m.variables, tables, order, leaf)
-    return q
+
+def _walking(
+    name: str, table: Cpd, labels: Sequence[str], leaf: Callable[[dict[str, str], float], None]
+) -> Callable[[dict[str, str], float], None]:
+    """``leaf`` behind a walk over ``name``'s labels in ``table``, taken as
+    ``bn.sweep`` takes a step: smallest label first, entries that are not
+    positive skipped, the weight times each entry."""
+    rows, key = table.rows, _context_reader(table.parents)
+
+    def walk(a: dict[str, str], weight: float) -> None:
+        row = rows[key(a)]
+        for label in labels:
+            p = row.get(label, 0.0)
+            if p <= 0.0:
+                continue
+            a[name] = label
+            leaf(a, weight * p)
+    return walk
 
 
 def argmax_action(values: Mapping[str, float]) -> str:
@@ -615,7 +726,12 @@ def best_response(
 def _best_response(
     model: Model, others: PolicyRules, agent: str, cap: int = DEFAULT_CAP
 ) -> tuple[dict[str, Cpd], float]:
-    """``best_response`` given checked rules for the other open decisions."""
+    """``best_response`` given checked rules for the other open decisions.
+
+    Over several decisions each Q-table sweeps every variable, as the
+    expected utilities that ``is_nash`` and ``find_pure_nash`` compare its
+    value with do, so a barren row that sums to one only within ``TOL``
+    scales both alike (see the module docstring)."""
     recall, order = has_perfect_recall(model, agent)
     if not recall:
         return _best_response_exhaustive(model, others, agent, cap)
@@ -627,7 +743,9 @@ def _best_response(
     for i in reversed(range(len(order))):
         d = order[i]
         earlier = {e: uniform_rule(model, e) for e in order[:i]}
-        q = tables[d] = _decision_values(model, {**others, **earlier, **chosen}, d, agent)
+        (q,) = _decision_values(
+            model, {**others, **earlier, **chosen}, ((d, agent),), len(order) > 1)
+        tables[d] = q
         chosen[d] = _argmax_rule(model, d, q, lambda ctx: True)
     # The earliest table holds the later decisions at the rules chosen so
     # far; the fix-up below changes them only at contexts of probability
@@ -658,11 +776,16 @@ def _best_value(
     own = _free_decisions(model, agent)
     if len(own) != 1:
         return _best_response(model, others, agent, cap)[1], None
-    q = _decision_values(model, others, own[0], agent)
+    (q,) = _decision_values(model, others, ((own[0], agent),))
+    return _argmax_total(q), q
+
+
+def _argmax_total(q: QTable) -> float:
+    """The table's ``argmax_action`` entry summed over its contexts, in order."""
     value = 0.0
     for row in q.values():
         value += row[argmax_action(row)]
-    return value, q
+    return value
 
 
 def _argmax_rule(
@@ -721,17 +844,22 @@ def is_nash(
     For an agent with exactly one free decision, one ``decision_values``
     table prices both the best response and the profile's rule, so a pure
     rule agreeing with the best response at every reached context has
-    regret exactly 0.0.  An agent with no free decision has regret 0.0 and
-    costs no sweep.  Other agents compare ``best_response``'s value with the
-    profile's expected utility, computed at most once per call.  A regret
-    above ``tol`` fails the check; see the module docstring for how this
-    default relates to ``incomplete.is_nash_ii``'s.
+    regret exactly 0.0.  Those tables come from one sweep where
+    ``_decision_values`` can share one, else from one sweep each.  An agent
+    with no free decision has regret 0.0 and costs no sweep.  Other agents
+    compare ``best_response``'s value with the profile's expected utility,
+    computed at most once per call.  A regret above ``tol`` fails the
+    check; see the module docstring for how this default relates to
+    ``incomplete.is_nash_ii``'s.
     """
     m = base_maid(model)
     rules = _checked_rules(model, rules)
-    best = {}
+    single = tuple((own[0], agent) for agent in m.agents
+                   if len(own := _free_decisions(model, agent)) == 1)
+    best = {agent: (_argmax_total(q), q)
+            for (_, agent), q in zip(single, _decision_values(model, rules, single))}
     for agent in m.agents:
-        if own := _free_decisions(model, agent):
+        if len(own := _free_decisions(model, agent)) > 1:
             others = {d: r for d, r in rules.items() if d not in own}
             best[agent] = _best_value(model, others, agent, cap)
     regrets = _regrets(model, rules, best)

@@ -124,7 +124,8 @@ def test_every_index_hands_back_the_value_it_kept(example1, ne_profile, honesty)
         ("incomplete", "_believed"): (example1, "H", example1.objective),
         ("maid", "_free_decisions"): (honesty, "H"),
         ("maid", "_sweep_order"): (honesty,),
-        ("maid", "_q_sweep_order"): (honesty, "D_H"),
+        ("maid", "_pruned_order"): (honesty, None),
+        ("maid", "_q_sweep"): (honesty, (("D_H", "H"),), False),
         ("maid", "_payoff_tables"): (gt,),
         ("depth", "_conditional_values"): (honesty, "H", "D_H"),
     }
@@ -200,7 +201,7 @@ def test_is_nash_ii_makes_one_value_pass_per_agent_and_believed_model(
     evaluations = _counting(monkeypatch, incomplete, "_expected_utilities")
     incomplete.is_nash_ii(x, ne_profile)
     model_id = {id(s.model): sid for sid, s in x.models.items()}
-    assert sorted((agent, model_id[id(model)]) for model, _, _, agent in passes) == [
+    assert sorted((agent, model_id[id(model)]) for model, _, ((_, agent),) in passes) == [
         ("A", "ai_belief"), ("H", "ai_belief"), ("H", "ground_truth")]
     assert evaluations == []
     passes.clear()

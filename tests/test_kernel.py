@@ -4,10 +4,11 @@ The kernel visits assignments in the oracle's order and multiplies the same
 factors, so every answer must equal the oracle's bit for bit (``==``).  The
 diagram kernels sum utilities out as payoff tables; on point utility rows
 that is the same arithmetic, and on stochastic rows it moves an answer by
-rounding only, within the 1e-12 that ``maid`` documents.  The kernel walks
-an explicit stack; ``_recursive_sweep`` below is the recursive walk it
-replaced, kept as the oracle its leaves must match, and it is the sweep
-under the by-name leaves that the diagram kernels must match too.
+rounding only, within the 1e-12 that ``maid`` documents, and so does a
+Q-table sweep's leaving out barren variables, which the oracle walks.  The
+kernel walks an explicit stack; ``_recursive_sweep`` below is the recursive
+walk it replaced, kept as the oracle its leaves must match, and it is the
+sweep under the by-name leaves that the diagram kernels must match too.
 """
 import random
 from itertools import product
@@ -145,6 +146,9 @@ def test_marginal_equals_the_oracle(net, data):
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(recall_game_with_profile())
 def test_maid_inference_equals_the_oracle(gp):
+    # Expected utilities walk every variable, as the oracle does, so they are
+    # ``==``; a Q-table sweep leaves barren variables out, which moves an
+    # entry by rounding only, within the kernel bound, at the same contexts.
     model, profile = gp
     m = maid.base_maid(model)
     committed = {**m.cpds, **maid.fixed_rules(model)}
@@ -166,7 +170,9 @@ def test_maid_inference_equals_the_oracle(gp):
             for a, p in bn.enumerate_support(net):
                 row = q.setdefault(tuple(a[x] for x in pa), dict.fromkeys(actions, 0.0))
                 row[a[d]] += p * sum(m.variables[u].values[a[u]] for u in m.utilities(agent))
-            assert maid.decision_values(model, profile, d, agent) == q
+            got = maid.decision_values(model, profile, d, agent)
+            assert got.keys() == q.keys()
+            assert all(abs(got[ctx][x] - q[ctx][x]) <= 1e-12 for ctx in q for x in actions)
 
     uniform = bn.BayesNet(m.variables, {**m.cpds, **{
         d: maid.uniform_rule(m, d) for d in m.decisions()}})
@@ -295,7 +301,8 @@ def _by_name_expected_utilities(model, rules):
 def _by_name_decision_values(model, rules, d, agent):
     """``maid._decision_values`` as it was written with each leaf building
     its context and every payoff key by name, and summing the agent's
-    payoffs however many it owns, over the recursive walk."""
+    payoffs however many it owns, over the recursive walk of the diagram's
+    pruned order, branching on ``d`` at its place in the sweep order."""
     m = maid.base_maid(model)
     payoffs = [(parents, table) for owner, parents, table in maid._payoff_tables(m)
                if owner == agent]
@@ -311,7 +318,8 @@ def _by_name_decision_values(model, rules, d, agent):
                                     for parents, table in payoffs)
 
     tables = {**m.cpds, **maid.fixed_rules(model), **rules, d: bn.weight_one(m.variables[d])}
-    _recursive_sweep(m.variables, tables, maid._sweep_order(m), leaf)
+    kept = {*maid._pruned_order(m, None), d}
+    _recursive_sweep(m.variables, tables, [v for v in maid._sweep_order(m) if v in kept], leaf)
     return q
 
 
@@ -327,14 +335,16 @@ def test_context_readers_leave_every_sum_bit_identical():
     # value is ``==`` to the by-name leaves' over the recursive walk, which
     # branches on the decision.  Agents here own none, one or several
     # utilities, and the games hold both sweep shapes: a decision that no
-    # swept variable reads, and one that the other decision observes.
-    shapes = set()
+    # swept variable reads, and one that the other decision observes; some
+    # hold a barren chance variable, which the Q-table sweeps leave out.
+    shapes, barren = set(), set()
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(reader_game())
     def check(gp):
         model, profile = gp
         m = maid.base_maid(model)
+        barren.add(bool(set(m.chance_variables()) - set(maid._pruned_order(m, None))))
         assert maid.expected_utilities(model, profile) == _by_name_expected_utilities(model, profile)
         for d in maid.free_decisions(model):
             shapes.add(_read_by_a_swept_variable(m, d))
@@ -344,7 +354,7 @@ def test_context_readers_leave_every_sum_bit_identical():
                 assert maid.decision_values(model, profile, d, agent) == want
 
     check()
-    assert shapes == {False, True}
+    assert shapes == barren == {False, True}
 
 
 def test_a_context_reader_returns_a_key_tuple():
@@ -382,9 +392,9 @@ def test_diagram_sweeps_expand_no_utility(monkeypatch, honesty, depth3):
 
 
 def test_a_q_table_sweep_leaves_out_exactly_an_unread_decision(monkeypatch, honesty, depth3):
-    # A Q-table sweep walks the diagram's sweep order without ``d`` when no
+    # A Q-table sweep walks the diagram's pruned order without ``d`` when no
     # swept variable reads ``d`` (the leaf prices every action), and the whole
-    # order, branching on ``d``, when one does.
+    # pruned order, branching on ``d``, when one does.
     orders = []
     original = bn.sweep
 
@@ -406,7 +416,7 @@ def test_a_q_table_sweep_leaves_out_exactly_an_unread_decision(monkeypatch, hone
                 (order,) = orders
                 assert (d in order) == read, (d, order)
                 assert [v for v in order if v != d] == \
-                    [v for v in maid._sweep_order(m) if v != d]
+                    [v for v in maid._pruned_order(m, None) if v != d]
     assert shapes == {False, True}
 
 
@@ -527,8 +537,91 @@ def test_support_and_mass_sweeps_visit_only_the_parents_and_their_ancestors(
             for agent in m.agents:
                 orders.clear()
                 depth._conditional_values.__wrapped__(model, agent, d)
-                assert orders == [maid._q_sweep_order(m, d), want[d]]
+                assert orders == [maid._q_sweep(m, ((d, agent),), False)[0], want[d]]
     assert skipped
+
+
+@st.composite
+def shared_sweep_game(draw):
+    """``random_base_game``, D2 sometimes observing D1, with a chance
+    variable Z0 added, reading up to two chance or decision variables, and
+    sometimes a third utility, owned by either agent, that reads Z0 and a
+    decision, so that Z0 is kept.  Each open decision gets a rule that may
+    be mixed; D1 is sometimes committed."""
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    m = generators.random_base_game(rng, draw(st.integers(2, 5)), draw(st.integers(1, 2)),
+                                    draw(st.integers(1, 2)), d2_sees_d1=draw(st.booleans()))
+    readable = sorted(v for v in m.variables if m.kind(v) != bn.UTILITY)
+    z_parents = tuple(sorted(draw(st.lists(st.sampled_from(readable), unique=True, max_size=2))))
+    variables = [*m.variables.values(), bn.chance("Z0", "ab")]
+    edges = [(p, v) for v in m.variables for p in m.parents[v]] + [(p, "Z0") for p in z_parents]
+    cpds = [*m.cpds.values(), Cpd("Z0", z_parents, {
+        ctx: _row(draw, "ab") for ctx in product(*(m.variables[p].domain for p in z_parents))})]
+    if draw(st.booleans()):
+        reads = tuple(sorted(("Z0", draw(st.sampled_from(m.decisions())))))
+        values = {f"v{i}": draw(st.integers(-4, 4)) * 0.5 for i in range(3)}
+        variables.append(bn.utility("U3", draw(st.sampled_from(m.agents)), values))
+        edges += [(p, "U3") for p in reads]
+        domains = {v.name: v.domain for v in variables}
+        cpds.append(Cpd("U3", reads, {ctx: _row(draw, sorted(values))
+                                      for ctx in product(*(domains[p] for p in reads))}))
+    m = maid.Maid.build(m.agents, variables, edges, cpds)
+    profile = {d: Cpd(d, m.parents[d], {
+        ctx: _row(draw, "lr") for ctx in product(*(m.variables[p].domain for p in m.parents[d]))})
+        for d in m.decisions()}
+    if draw(st.booleans()):
+        return maid.PostPolicyMaid(m, {"D1": profile.pop("D1")}), profile
+    return m, profile
+
+
+def test_is_nash_prices_its_single_decision_agents_as_their_own_sweeps_do():
+    # Whether the agents with one free decision share a sweep or not, each
+    # Q-table and so each regret is ``==`` to the one the agent's own
+    # ``_best_value`` sweep gives.  Games with one such agent, with two that
+    # share a sweep, and with two that cannot (a kept variable reads or
+    # follows a decision) all occur.
+    shapes = set()
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(shared_sweep_game())
+    def check(gp):
+        model, profile = gp
+        m = maid.base_maid(model)
+        single = tuple((own[0], agent) for agent in m.agents
+                       if len(own := maid.free_decisions(model, agent)) == 1)
+        shapes.add((len(single), maid._q_sweep(m, single, False) is None))
+        assert maid._decision_values(model, profile, single) == \
+            [maid._decision_values(model, profile, (t,))[0] for t in single]
+        regrets = dict.fromkeys(m.agents, 0.0)
+        for d, agent in single:
+            others = {e: r for e, r in profile.items() if e != d}
+            value, q = maid._best_value(model, others, agent)
+            regrets[agent] = value - maid._priced(0.0, q, profile[d].rows)
+        assert maid.is_nash(model, profile) == (all(r <= 1e-9 for r in regrets.values()), regrets)
+
+    check()
+    assert shapes == {(1, False), (2, False), (2, True)}
+
+
+def test_is_nash_sweeps_once_for_all_its_single_decision_agents(monkeypatch, honesty):
+    # On a maid-complete-shaped game both agents' Q-tables come from one
+    # sweep over the kept chance variables; X03 is barren and left out.  In
+    # the honesty game D_H reads D_A, so each agent has its own sweep.
+    orders = []
+    original = bn.sweep
+
+    def spy(variables, tables, order, leaf, evidence=None):
+        orders.append(tuple(order))
+        return original(variables, tables, order, leaf, evidence)
+
+    monkeypatch.setattr(bn, "sweep", spy)
+    m = generators.random_base_game(random.Random(1), 6, 2, 1)
+    rules = generators.random_pure_profile(m, random.Random(2))
+    maid.is_nash(m, rules)
+    assert orders == [("X00", "X01", "X02", "X04", "X05")]
+    orders.clear()
+    assert maid.is_nash(honesty, fixtures.truthful_match_rules())[0]
+    assert len(orders) == 2
 
 
 def _refuse(*args, **kwargs):
