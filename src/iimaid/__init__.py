@@ -52,7 +52,6 @@ from .errors import (
     MissingRule,
     NonTopologicalOrder,
     NotOpenMinded,
-    PartialAssignment,
     SchemaViolation,
     SearchSpaceTooLarge,
     UnknownAgent,

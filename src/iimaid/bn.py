@@ -15,10 +15,12 @@ elimination, into a table of expected payoffs per parent context.  Its
 Q-table and context-weight sweeps pass it no barren variable either, only
 the ancestors of what their leaves read (``maid._pruned_order``), except
 a backward induction over several decisions, whose value is compared with
-an expected utility.
+an expected utility.  Every context key the kernel, its leaves and the
+tree walks read is read through one reader, ``context_reader``, made once
+per sweep, tree or restriction.
 ``enumerate_support`` is the one oracle kept apart from it, and still
-recurses once per variable; ``depth._walk_conditional_utility`` is a leaf
-over that.
+recurses once per variable, building each key by name (``Cpd.row_for``);
+``depth._walk_conditional_utility`` is a leaf over that.
 
 Every CPD, decision-rule and belief row is judged by one predicate,
 ``is_distribution``: each entry within ``TOL`` of [0, 1] (NaN and infinite
@@ -27,9 +29,9 @@ given, exactly its labels.  Callers keep their own issue codes.
 
 So a valid row may hold an entry down to ``-TOL``, and every reader counts
 an entry only when it is ``> 0.0``: a CPD or decision-rule entry in each
-sweep, sample, joint probability, payoff table, tree expansion and tree
-pricing, and pricing (``maid._priced``), and a belief entry in each
-support, which ``positive`` gives.  The kernels test their entries inline.
+sweep, sample, payoff table, tree expansion and tree pricing, and pricing
+(``maid._priced``), and a belief entry in each support, which ``positive``
+gives.  The kernels test their entries inline.
 """
 
 from __future__ import annotations
@@ -39,13 +41,10 @@ import random
 from dataclasses import dataclass
 from functools import wraps
 from itertools import product
+from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
-from .errors import (
-    CycleError,
-    PartialAssignment,
-    ZeroProbabilityEvidence,
-)
+from .errors import CycleError, ZeroProbabilityEvidence
 
 TOL = 1e-9
 
@@ -283,28 +282,28 @@ def _check_evidence(net: BayesNet, evidence: Assignment) -> None:
             raise ValueError(f"label {label!r} not in domain of {name!r}")
 
 
-def joint_probability(net: BayesNet, assignment: Assignment) -> float:
-    """Chain-rule probability of a full assignment."""
-    if set(assignment) != set(net.variables):
-        missing = sorted(set(net.variables) - set(assignment))
-        extra = sorted(set(assignment) - set(net.variables))
-        raise PartialAssignment(f"missing={missing} extra={extra}")
-    _check_evidence(net, assignment)
-    prob = 1.0
-    for name in net.variables:
-        p = net.cpds[name].row_for(assignment)[assignment[name]]
-        if p <= 0.0:
-            return 0.0
-        prob *= p
-    return prob
-
-
 @indexed
 def weight_one(var: Variable) -> Cpd:
     """A parentless table of weight 1.0 on every label: ``sweep`` branches on
     them all and keeps the weight exact, since ``w * 1.0 == w``; built once
     per variable, since building it costs about a tenth of a small sweep."""
     return Cpd(var.name, (), {(): dict.fromkeys(var.domain, 1.0)})
+
+
+def context_reader(keys: Sequence[Hashable]) -> Callable[[object], tuple]:
+    """A function that reads the context key at ``keys`` off an assignment
+    (variable names) or a path or list (positions): the package's one
+    context-key reader, made once per sweep, tree or restriction instead of
+    at every read.  ``operator.itemgetter`` over several keys, and a 1-tuple
+    or ``()`` for one or none, since a bare ``itemgetter(key)`` gives the
+    label, not a table key; either way the key is the tuple that building
+    it by hand gives."""
+    if len(keys) > 1:
+        return itemgetter(*keys)
+    if keys:
+        (key,) = keys
+        return lambda a: (a[key],)
+    return lambda a: ()
 
 
 def sweep(
@@ -321,20 +320,22 @@ def sweep(
 
     The walk is one loop over an explicit stack, so a diagram's depth is not
     bounded by the recursion limit.  Each step of ``order`` is read from a
-    table built once per call, its labels reversed: expanding a step pushes
-    ``(next step, name, label, weight * entry)`` for each positive entry, so
-    the smallest label is popped first, and leaves come in depth-first order
-    with the products a recursive walk forms, operand for operand.  A popped
-    entry overwrites its variable in ``a``; the later variables it leaves
-    there are read by no row, since ``order`` puts every parent first, and
-    are overwritten before the next leaf.
+    table built once per call, with its labels reversed and a
+    ``context_reader`` over its table's parents, so a step's row is
+    ``rows[key(a)]``, the very key ``row_for`` builds by name.  Expanding a
+    step pushes ``(next step, name, label, weight * entry)`` for each
+    positive entry, so the smallest label is popped first, and leaves come
+    in depth-first order with the products a recursive walk forms, operand
+    for operand.  A popped entry overwrites its variable in ``a``; the later
+    variables it leaves there are read by no row, since ``order`` puts every
+    parent first, and are overwritten before the next leaf.
 
     ``maid._walking`` takes a step the same way, at a leaf, where several
     Q-tables share one sweep; the two must keep the same label order, the
     same test for a positive entry and the same product, or those tables
     stop being bit-identical to their own sweeps'."""
     ev = evidence or {}
-    steps = [(name, tables[name].rows, tables[name].parents,
+    steps = [(name, tables[name].rows, context_reader(tables[name].parents),
               ((ev[name],) if name in ev else variables[name].domain)[::-1]) for name in order]
     last = len(steps)
     a: dict[str, str] = {}
@@ -345,8 +346,8 @@ def sweep(
         if i == last:
             leaf(a, weight)
         else:
-            name, rows, parents, labels = steps[i]
-            row = rows[tuple(map(a.__getitem__, parents))]
+            name, rows, key, labels = steps[i]
+            row = rows[key(a)]
             i += 1
             for label in labels:
                 p = row.get(label, 0.0)
@@ -409,11 +410,11 @@ def marginal(
     table = {
         combo: 0.0 for combo in product(*(net.variables[t].domain for t in names))
     }
-    total = 0.0
+    key, total = context_reader(names), 0.0
 
     def leaf(a: dict[str, str], weight: float) -> None:
         nonlocal total
-        table[tuple(a[t] for t in names)] += weight
+        table[key(a)] += weight
         total += weight
 
     sweep(net.variables, net.cpds, topological_order(net), leaf, evidence)

@@ -20,12 +20,11 @@ from types import MappingProxyType
 from typing import Hashable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import bn
-from .bn import CHANCE, DECISION, Row
+from .bn import CHANCE, DECISION, Row, context_reader
 from .errors import MissingRule, NonTopologicalOrder, UnknownAgent, ValidationError
 from .maid import (
     Maid,
     Model,
-    _context_reader,
     _payoff_tables,
     _sweep_order,
     base_maid,
@@ -109,15 +108,15 @@ def maid2efg(
     domain order, and the root is the last node.  The path's labels sit in
     one list by expansion position.  Each step's context and each utility's
     payoff key are read off that list by a reader made once per call over
-    the parents' positions (``maid._context_reader`` over ``_expansion``'s
+    the parents' positions (``bn.context_reader`` over ``_expansion``'s
     positions); a leaf adds, per utility in name order, the
     ``maid._payoff_tables`` entry at its key.  No assignment is copied per
     node.
     """
     steps, payoffs = _expansion(model, None if order is None else tuple(order))
-    steps = [(var, _context_reader(at), branches, owner, domain)
+    steps = [(var, context_reader(at), branches, owner, domain)
              for var, at, branches, owner, domain in steps]
-    payoffs = [(owner, _context_reader(at), table) for owner, at, table in payoffs]
+    payoffs = [(owner, context_reader(at), table) for owner, at, table in payoffs]
     agents = base_maid(model).agents
     n = len(steps)
     labels_at: list[str | None] = [None] * n

@@ -20,10 +20,6 @@ class CycleError(GameError):
     """A graph that must be acyclic contains a cycle."""
 
 
-class PartialAssignment(GameError):
-    """An operation needing a full assignment got a partial one."""
-
-
 class ZeroProbabilityEvidence(GameError):
     """Conditioning on evidence whose probability is zero."""
 

@@ -511,8 +511,9 @@ def verify_equivalence(
     (``incomplete._believed``, ``_believed_states``) are indexed, built
     once per game, agent and standpoint, and the two value functions the
     sums read are made once per check.  Per profile the check interns its
-    rows, clears one dict of the models' utilities, and builds each
-    restriction key it looks up.  A shared result is the
+    rows, clears one dict of the models' utilities, and reads each
+    restriction key it looks up off the interned rows with a
+    ``bn.context_reader``.  A shared result is the
     very arithmetic of ``subjective_expected_utility`` and
     ``interim_utility`` on the lifted strategy, and the answer is the same
     bit for bit.  Each profile the caller passes is checked on entry, as
@@ -596,7 +597,7 @@ def _model_utilities(
     read = reads[sid]
     if read is None or len(read) >= len(profile):
         return _profile_utilities(model, profile)
-    key = (sid, tuple(map(ids.__getitem__, read)))
+    key = (sid, bn.context_reader(read)(ids))
     return _memo(memo, key, _profile_utilities, model, profile)
 
 
@@ -618,7 +619,7 @@ def _state_payoff(
         raise MissingRule(f"strategy lacks a row at {lacking}")
     if len(supply) >= len(profile):
         return _walk(g, w, profile, slots, supply, agent)
-    key = (w, agent, tuple(map(ids.__getitem__, supply)))
+    key = (w, agent, bn.context_reader(supply)(ids))
     return _memo(memo, key, _walk, g, w, profile, slots, supply, agent)
 
 

@@ -984,11 +984,6 @@ def find_nash_ii(
     return None
 
 
-def has_perfect_recall_ii(x: IiMaid) -> bool:
-    """Perfect recall of every agent in every model of the family."""
-    return _recall_lapse(x) is None
-
-
 def _recall_lapse(x: IiMaid) -> tuple[str, str] | None:
     """The first ``(agent, model id)``, by agent then sorted model id, where
     the agent lacks perfect recall, or None."""

@@ -8,7 +8,7 @@ expands a utility: each is summed out first into its expected payoff per
 parent context (``_payoff_tables``, which ``efg.maid2efg`` prices tree
 leaves from), and a sweep's leaf adds its weight times each entry, in
 utility-name order, reading every key through a reader made once per sweep
-(``_context_reader``); on point utility rows this is the same arithmetic.
+(``bn.context_reader``); on point utility rows this is the same arithmetic.
 A Q-table's free decision is priced at the leaf, every action at once,
 unless a swept variable reads it (``decision_values``).  These steps keep
 every operand and its order, so each sum is bit-identical to that of a walk
@@ -123,9 +123,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from operator import itemgetter
 from types import MappingProxyType
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar, Union
 
 from . import bn
 from .bn import CHANCE, DECISION, TOL, UTILITY, Cpd, Row, Variable
@@ -376,20 +375,6 @@ def _payoff_tables(
     return tuple(out)
 
 
-def _context_reader(keys: Sequence[Hashable]) -> Callable[[object], tuple]:
-    """A function that reads the context key at ``keys`` off an assignment
-    (variable names) or a path (positions), made once per sweep or tree
-    instead of at every leaf: ``operator.itemgetter`` over several keys, and
-    a 1-tuple or ``()`` for one or none, since a bare ``itemgetter(key)``
-    gives the label, not a table key."""
-    if len(keys) > 1:
-        return itemgetter(*keys)
-    if keys:
-        (key,) = keys
-        return lambda a: (a[key],)
-    return lambda a: ()
-
-
 def expected_utilities(model: Model, rules: PolicyRules) -> dict[str, float]:
     """Each agent's expected sum of utility variables under the profile."""
     return _expected_utilities(model, _checked_rules(model, rules))
@@ -398,7 +383,7 @@ def expected_utilities(model: Model, rules: PolicyRules) -> dict[str, float]:
 def _expected_utilities(model: Model, rules: PolicyRules) -> dict[str, float]:
     """``expected_utilities`` given a checked rule for every open decision."""
     m = base_maid(model)
-    payoffs = [(owner, _context_reader(parents), table)
+    payoffs = [(owner, bn.context_reader(parents), table)
                for owner, parents, table in _payoff_tables(m)]
     totals = dict.fromkeys(m.agents, 0.0)
 
@@ -469,7 +454,7 @@ def _context_weights(
     """Each parent context of ``d`` that one sweep over only its parents and their
     ancestors reaches, with its weight, and their total, added as ``bn.marginal`` does."""
     m = base_maid(model)
-    context, weights, total = _context_reader(m.parents[d]), {}, 0.0
+    context, weights, total = bn.context_reader(m.parents[d]), {}, 0.0
 
     def leaf(a: dict[str, str], weight: float) -> None:
         nonlocal total
@@ -562,9 +547,9 @@ def _pricer(
     """A sweep's leaf that adds its weight times the agent's payoff under
     every action of ``d``, or under ``a[d]`` only when ``branch``, into ``q``
     at ``d``'s parent context (see ``decision_values``)."""
-    payoffs = [(_context_reader(parents), table)
+    payoffs = [(bn.context_reader(parents), table)
                for owner, parents, table in _payoff_tables(m) if owner == agent]
-    context = _context_reader(m.parents[d])
+    context = bn.context_reader(m.parents[d])
     actions = m.variables[d].domain
 
     if len(payoffs) == 1:
@@ -592,7 +577,7 @@ def _walking(
     """``leaf`` behind a walk over ``name``'s labels in ``table``, taken as
     ``bn.sweep`` takes a step: smallest label first, entries that are not
     positive skipped, the weight times each entry."""
-    rows, key = table.rows, _context_reader(table.parents)
+    rows, key = table.rows, bn.context_reader(table.parents)
 
     def walk(a: dict[str, str], weight: float) -> None:
         row = rows[key(a)]
@@ -792,9 +777,9 @@ def _argmax_rule(
     model: Model, d: str, q: Mapping[tuple[str, ...], Mapping[str, float]], reachable
 ) -> Cpd:
     m = base_maid(model)
-    pa, actions = m.parents[d], m.variables[d].domain
+    key, actions = bn.context_reader(m.parents[d]), m.variables[d].domain
     return decision_rule(model, d, lambda ctx: _best_row(
-        actions, q.get(tuple(map(ctx.__getitem__, pa))) if reachable(ctx) else None))
+        actions, q.get(key(ctx)) if reachable(ctx) else None))
 
 
 def _best_response_exhaustive(

@@ -10,7 +10,8 @@ documents, and every subcommand on each edge shape, text and JSON: it exits
 0 or 1, or 2 with the error envelope, no exception escapes ``cli.run``, and
 the JSON report is byte-identical across two runs.  Each document reads back
 to the text it was written as, one invocation per subcommand gives the same
-JSON bytes under ``PYTHONHASHSEED`` 0 and 1, and on the edge maids ``eu`` and
+JSON bytes under ``PYTHONHASHSEED`` 0 and 1, on the generated documents and
+on each edge shape, and on the edge maids ``eu`` and
 ``check-nash`` report what ``maid.expected_utilities`` and ``maid.is_nash``
 return.
 """
@@ -161,16 +162,19 @@ TAKES_PROFILE = {c for commands in COMMANDS.values() for c, takes in commands if
 EDGE_NAMES = [name for name, _, _ in _edge_documents()]
 
 
+def _edge_argv(edges, name: str, command: str) -> list[str]:
+    # a stack takes no profile, so its own path stands in for one: the
+    # subcommands that want a profile reject the stack's kind first
+    game, profile = edges[name]
+    return [command, game,
+            *(["--profile", profile or game] if command in TAKES_PROFILE else []),
+            *EXTRA.get(command, [])]
+
+
 @pytest.mark.parametrize("name", EDGE_NAMES)
 def test_edge_shapes_keep_the_exit_code_contract_under_every_subcommand(edges, name):
-    game, profile = edges[name]
     for command in sorted(cli._COMMANDS):
-        # a stack takes no profile, so its own path stands in for one: the
-        # subcommands that want a profile reject the stack's kind first
-        _keeps_the_exit_code_contract([
-            command, game,
-            *(["--profile", profile or game] if command in TAKES_PROFILE else []),
-            *EXTRA.get(command, [])])
+        _keeps_the_exit_code_contract(_edge_argv(edges, name, command))
 
 
 @pytest.mark.parametrize("name", ["split-owners", "zero-chance"])
@@ -210,6 +214,22 @@ print(json.dumps(out))
 """
 
 
+def _under_each_hash_seed(invocations: list[list[str]]) -> list[list]:
+    """Each argv's [exit code, stdout] in JSON mode, run in one process per
+    ``PYTHONHASHSEED`` of 0 and 1."""
+    argvs = json.dumps(invocations)
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", _RUN_ALL, argvs], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(json.loads(proc.stdout))
+    assert len(outputs[0]) == len(invocations)
+    return outputs
+
+
 def test_json_output_does_not_depend_on_the_hash_seed(written):
     # one invocation per subcommand, on the first kind that accepts it
     invocations = {}
@@ -220,15 +240,14 @@ def test_json_output_does_not_depend_on_the_hash_seed(written):
                 command, game, *(["--profile", profile] if takes_profile else []),
                 *EXTRA.get(command, [])])
     assert set(invocations) == set(cli._COMMANDS)
-    argvs = json.dumps(sorted(invocations.values()))
-    outputs = []
-    for hash_seed in ("0", "1"):
-        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
-               "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-        proc = subprocess.run([sys.executable, "-c", _RUN_ALL, argvs], capture_output=True,
-                              text=True, env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(json.loads(proc.stdout))
-    assert len(outputs[0]) == len(invocations)
-    assert all(code in (0, 1) for code, _ in outputs[0]), outputs[0]
-    assert outputs[0] == outputs[1]
+    first, second = _under_each_hash_seed(sorted(invocations.values()))
+    assert all(code in (0, 1) for code, _ in first), first
+    assert first == second
+
+
+@pytest.mark.parametrize("name", EDGE_NAMES)
+def test_edge_shapes_json_output_does_not_depend_on_the_hash_seed(edges, name):
+    # one invocation per subcommand
+    first, second = _under_each_hash_seed(
+        [_edge_argv(edges, name, command) for command in sorted(cli._COMMANDS)])
+    assert first == second

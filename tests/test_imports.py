@@ -2,8 +2,9 @@
 no module imports numpy, only the enumeration kernel's oracle recurses,
 only the listed writers build a `Cpd`, only the listed checkers check a
 probability row, only the listed callers call the kernel ``bn.sweep``,
-only ``bn.positive`` filters a belief row's support, one function builds
-the cap error, one writes the least-action default, only the listed
+only ``bn.positive`` filters a belief row's support, every context key is
+read through ``bn.context_reader``, one function builds the cap error, one
+writes the least-action default, only the listed
 readers read a utility's payoff labels, only the listed readers read a tree
 node's chance distribution or payoffs, one function each writes a
 document's and a report's ``format_version`` header and only
@@ -194,6 +195,30 @@ def test_only_the_listed_callers_call_the_kernel():
                    for node in ast.walk(top)):
                 found.add((path.stem, getattr(top, "name", "<module>")))
     assert found == SWEEP_CALLERS
+
+
+def _key_builds(tree: ast.Module) -> list[int]:
+    """Lines that build a context key by hand, ``tuple(map(<x>.__getitem__, ...))``."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "tuple"
+                  and node.args and isinstance(call := node.args[0], ast.Call)
+                  and getattr(call.func, "id", None) == "map"
+                  and call.args and getattr(call.args[0], "attr", None) == "__getitem__")
+
+
+def test_every_context_key_is_read_through_the_one_reader():
+    # Sweep steps, leaves, tree walks and restriction keys read each key
+    # through ``bn.context_reader``.  The oracles build theirs by name
+    # (``Cpd.row_for``, and ``_recursive_sweep`` in ``test_kernel.py``, which
+    # this lint must see).
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        lines = _key_builds(ast.parse(path.read_text(), str(path)))
+        if lines:
+            found[path.name] = lines
+    assert found == {}
+    oracle = Path(__file__).with_name("test_kernel.py")
+    assert _key_builds(ast.parse(oracle.read_text(), str(oracle)))
 
 
 def _definition(top: ast.stmt) -> str:

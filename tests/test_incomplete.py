@@ -8,6 +8,7 @@ from iimaid import bn, fixtures, iiefg, incomplete as inc, maid
 from iimaid.bn import Cpd
 from iimaid.errors import MissingRule, SearchSpaceTooLarge, UnknownAgent, ValidationError
 from iimaid.incomplete import IiMaid, InformationSet, SubjectiveMaid
+from tests.test_maid import forgetful_maid
 
 
 def iset_report(agent, report, actions=("deploy", "not_deploy")):
@@ -346,8 +347,12 @@ def test_is_nash_ii_validates_its_profile_once(monkeypatch, example1, ne_profile
     assert calls == [(example1, ne_profile)]
 
 
-def test_has_perfect_recall_ii(example1):
-    assert inc.has_perfect_recall_ii(example1)
+def test_find_nash_ii_refuses_an_agent_without_recall(example1):
+    assert inc._recall_lapse(example1) is None
+    x = IiMaid(("H",), "m", {"m": SubjectiveMaid("m", forgetful_maid(), {"H": {"m": 1.0}})})
+    assert inc._recall_lapse(x) == ("H", "m")
+    with pytest.raises(ValidationError, match="imperfect-recall: H in m"):
+        inc.find_nash_ii(x)
 
 
 # ------------------------------------------------- checks on profile rows

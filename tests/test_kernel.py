@@ -99,13 +99,29 @@ def swept_net(draw):
     return bn.BayesNet(net.variables, cpds), order, evidence
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(swept_net())
-def test_the_stack_walk_gives_the_recursive_walks_leaves(case):
-    net, order, evidence = case
-    for ev in ({}, evidence):
-        want = _leaves(_recursive_sweep, net, order, ev)
-        assert _leaves(bn.sweep, net, order, ev) == want
+def _parent_counts(tables, order):
+    """How many parents each step of ``order`` reads a row by: 0, 1 or 2 for two or more."""
+    return {min(len(tables[name].parents), 2) for name in order}
+
+
+def test_the_stack_walk_gives_the_recursive_walks_leaves():
+    # Each step reads its row through a reader over its parents, so steps
+    # with none, one and several parents occur, and a parent under evidence.
+    parents, observed = set(), set()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(swept_net())
+    def check(case):
+        net, order, evidence = case
+        parents.update(_parent_counts(net.cpds, order))
+        observed.add(any(p in evidence for v in order for p in net.cpds[v].parents))
+        for ev in ({}, evidence):
+            want = _leaves(_recursive_sweep, net, order, ev)
+            assert _leaves(bn.sweep, net, order, ev) == want
+
+    check()
+    assert parents == {0, 1, 2}
+    assert observed == {False, True}
 
 
 def test_a_chain_deeper_than_the_recursion_limit_is_swept():
@@ -337,7 +353,8 @@ def test_context_readers_leave_every_sum_bit_identical():
     # utilities, and the games hold both sweep shapes: a decision that no
     # swept variable reads, and one that the other decision observes; some
     # hold a barren chance variable, which the Q-table sweeps leave out.
-    shapes, barren = set(), set()
+    # Their steps and payoffs read keys of none, one and several parents.
+    shapes, barren, parents = set(), set(), set()
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(reader_game())
@@ -345,6 +362,9 @@ def test_context_readers_leave_every_sum_bit_identical():
         model, profile = gp
         m = maid.base_maid(model)
         barren.add(bool(set(m.chance_variables()) - set(maid._pruned_order(m, None))))
+        parents.update(_parent_counts(
+            {**m.cpds, **maid.fixed_rules(model), **profile}, maid._sweep_order(m)))
+        parents.update(min(len(pa), 2) for _, pa, _ in maid._payoff_tables(m))
         assert maid.expected_utilities(model, profile) == _by_name_expected_utilities(model, profile)
         for d in maid.free_decisions(model):
             shapes.add(_read_by_a_swept_variable(m, d))
@@ -355,16 +375,17 @@ def test_context_readers_leave_every_sum_bit_identical():
 
     check()
     assert shapes == barren == {False, True}
+    assert parents == {0, 1, 2}
 
 
 def test_a_context_reader_returns_a_key_tuple():
     a = {"X": "x", "Y": "y", "Z": "z"}
-    assert maid._context_reader(("Y",))(a) == ("y",)
-    assert maid._context_reader(())(a) == ()
-    assert maid._context_reader(("Z", "X"))(a) == ("z", "x")
+    assert bn.context_reader(("Y",))(a) == ("y",)
+    assert bn.context_reader(())(a) == ()
+    assert bn.context_reader(("Z", "X"))(a) == ("z", "x")
     path = ["p", "q", "r"]
-    assert maid._context_reader((1,))(path) == ("q",)
-    assert maid._context_reader((2, 0))(path) == ("r", "p")
+    assert bn.context_reader((1,))(path) == ("q",)
+    assert bn.context_reader((2, 0))(path) == ("r", "p")
 
 
 def test_diagram_sweeps_expand_no_utility(monkeypatch, honesty, depth3):
